@@ -2,6 +2,9 @@
 
 Subpackages
 -----------
+protocol
+    Blocker schedule, negative-result outcome rule, table builder and the
+    LGI/WLGI/NSIT expressions, shared by every model below.
 circuit
     Quantum model of the blocker-instrumented two-interferometer circuit.
 hvmodels
@@ -16,22 +19,17 @@ cli
     Command-line entry points.
 """
 
+from .protocol import BlockerConfig, JointProbTable, RUN_CONFIGS, UndefinedProbabilityError
 from .circuit import (
-    BlockerConfig,
     DetectionProbs,
     IDEAL_PARAMS,
-    JointProbTable,
     NOMINAL_PARAMS,
     NSITValues,
-    RUN_CONFIGS,
     SetupParams,
     Tolerances,
-    UndefinedProbabilityError,
     detection_probs,
     ideal_maxima,
-    joint_probs_one_time,
-    joint_probs_three_time,
-    joint_probs_two_time,
+    joint_probs,
     qm_lgi,
     qm_nsit,
     qm_range,
@@ -153,11 +151,9 @@ __all__ = [
     "generate_sub_run",
     "histogram",
     "ideal_maxima",
+    "joint_probs",
     "joint_probs_from_counts",
     "joint_probs_from_runs",
-    "joint_probs_one_time",
-    "joint_probs_three_time",
-    "joint_probs_two_time",
     "lgi_detectors_bound_formula",
     "load_counts_csv",
     "load_dataset",

@@ -20,12 +20,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .circuit import (
+from .protocol import (
     RUN_CONFIGS,
-    BlockerConfig,
+    RUN_SUB_BY_BLOCKERS,
     JointProbTable,
     UndefinedProbabilityError,
-    correlation,
+    combine,
+    evaluate,
+    joint_tables,
 )
 from .simulate import TimestampStream
 
@@ -62,16 +64,8 @@ PEAK_THRESHOLD_SIGMAS = 5.0
 # Flatline bins are taken beyond this many window widths from the peak.
 _FLATLINE_EXCLUSION_FACTOR = 3
 
-_BLOCKED_TO_OUTCOME = {"minus": +1, "plus": -1}
 # Detector column order used throughout: (+1 detector, -1 detector).
 _DETECTOR_COLUMNS = ("P", "M")
-_TABLE_RUN = {
-    ("t2", "t3"): 1,
-    ("t1", "t3"): 2,
-    ("t1", "t2", "t3"): 3,
-    ("t1", "t2"): 3,
-    ("t3",): 4,
-}
 _SAMPLE_CHUNK = 200_000
 _BOOTSTRAP_CHUNK = 20_000
 
@@ -523,18 +517,6 @@ def count_dataset(
     return out
 
 
-def _run_prefixes(run: int) -> List[Tuple[int, ...]]:
-    prefixes = []
-    for cfg in RUN_CONFIGS[run]:
-        prefix = []
-        if cfg.block_t1 != "none":
-            prefix.append(_BLOCKED_TO_OUTCOME[cfg.block_t1])
-        if cfg.block_t2 != "none":
-            prefix.append(_BLOCKED_TO_OUTCOME[cfg.block_t2])
-        prefixes.append(tuple(prefix))
-    return prefixes
-
-
 def _mean_cells(counts: Mapping[Tuple[int, int], np.ndarray], run: int) -> List[np.ndarray]:
     cells = []
     for sub in range(len(RUN_CONFIGS[run])):
@@ -574,30 +556,11 @@ def joint_probs_from_counts(
     UndefinedProbabilityError
         If a run's total mean count is zero.
     """
-    orders = {1: "two-time", 2: "two-time", 3: "three-time", 4: "one-time"}
-    keys = {1: ("t2", "t3"), 2: ("t1", "t3"), 3: ("t1", "t2", "t3"), 4: ("t3",)}
-    tables: Dict[Tuple[str, ...], JointProbTable] = {}
-    for run in (1, 2, 3, 4):
-        if not any((run, sub) in counts for sub in range(len(RUN_CONFIGS[run]))):
-            continue
-        cells = _mean_cells(counts, run)
-        prefixes = _run_prefixes(run)
-        raw: Dict[Tuple[int, ...], float] = {}
-        provenance = []
-        for cfg, prefix, cell in zip(RUN_CONFIGS[run], prefixes, cells):
-            raw[prefix + (+1,)] = float(cell[0])
-            raw[prefix + (-1,)] = float(cell[1])
-            provenance.append((cfg, (float(cell[0]), float(cell[1]))))
-        total = math.fsum(raw.values())
-        if total <= 0.0:
-            raise UndefinedProbabilityError(
-                f"run {run} total corrected count vanishes; table undefined"
-            )
-        entries = {key: value / total for key, value in raw.items()}
-        tables[keys[run]] = JointProbTable(orders[run], entries, provenance)
-    if ("t1", "t2", "t3") in tables:
-        tables[("t1", "t2")] = tables[("t1", "t2", "t3")].marginalize_last()
-    return tables
+    cells = {}
+    for run, cfgs in RUN_CONFIGS.items():
+        if any((run, sub) in counts for sub in range(len(cfgs))):
+            cells[run] = [(float(c[0]), float(c[1])) for c in _mean_cells(counts, run)]
+    return joint_tables(cells)
 
 
 def joint_probs_from_runs(
@@ -646,37 +609,15 @@ def evaluate_inequalities(
     ValueError
         If a required table is missing (names the absent run).
     """
-
-    def need(key: Tuple[str, ...]) -> JointProbTable:
-        if key not in tables:
-            label = ",".join(key)
-            raise ValueError(f"missing table P({label}) from run {_TABLE_RUN[key]}")
-        return tables[key]
-
-    t23, t13, t12 = need(("t2", "t3")), need(("t1", "t3")), need(("t1", "t2"))
-    p3 = need(("t3",)).entries
-    p23, p13, p12 = t23.entries, t13.entries, t12.entries
-
-    c12, c23, c13 = correlation(t12), correlation(t23), correlation(t13)
-    lgi = c12 + c23 - c13
-    wlgi_terms = {
-        "t1t3": p13[(-1, +1)],
-        "t1t2": p12[(-1, +1)],
-        "t2t3": p23[(-1, +1)],
-    }
-    wlgi = wlgi_terms["t1t3"] - wlgi_terms["t1t2"] - wlgi_terms["t2t3"]
-    nsit12 = abs(p23[(+1, +1)] + p23[(+1, -1)] - p12[(+1, +1)] - p12[(-1, +1)])
-    nsit23 = abs(p3[(+1,)] - p23[(+1, +1)] - p23[(-1, +1)])
-    nsit13 = abs(p3[(+1,)] - p13[(+1, +1)] - p13[(-1, +1)])
-
+    values = evaluate(tables)
     return ResultReport(
-        lgi=(lgi, None),
-        wlgi=(wlgi, None),
-        nsit12=(nsit12, None),
-        nsit23=(nsit23, None),
-        nsit13=(nsit13, None),
-        correlations={"t1t2": (c12, None), "t2t3": (c23, None), "t1t3": (c13, None)},
-        wlgi_terms=wlgi_terms,
+        lgi=(values.lgi, None),
+        wlgi=(values.wlgi, None),
+        nsit12=(values.nsit12, None),
+        nsit23=(values.nsit23, None),
+        nsit13=(values.nsit13, None),
+        correlations={key: (c, None) for key, c in values.correlations.items()},
+        wlgi_terms=values.wlgi_terms,
         provenance={"source": "tables"},
     )
 
@@ -777,8 +718,8 @@ def error_distributions(
     else:
         counts = count_dataset(source)
     arrays: Dict[Tuple[int, int], np.ndarray] = {}
-    for run in (1, 2, 3, 4):
-        for sub in range(len(RUN_CONFIGS[run])):
+    for run, cfgs in RUN_CONFIGS.items():
+        for sub in range(len(cfgs)):
             arr = np.asarray(counts[(run, sub)], dtype=float)
             if arr.shape[0] < 2:
                 raise ValueError(
@@ -918,8 +859,10 @@ def per_iteration_values(
     arr4 = np.asarray(counts[(4, 0)], dtype=float)
     out["p3"] = arr4[:, 0] / arr4.sum(axis=1)
     n = min(out["c12"].size, out["c23"].size, out["c13"].size)
-    out["lgi"] = out["c12"][:n] + out["c23"][:n] - out["c13"][:n]
-    out["wlgi"] = terms["c13"][:n] - terms["c12"][:n] - terms["c23"][:n]
+    out["lgi"], out["wlgi"] = combine(
+        out["c12"][:n], out["c23"][:n], out["c13"][:n],
+        terms["c12"][:n], terms["c23"][:n], terms["c13"][:n],
+    )
     return out
 
 
@@ -1015,13 +958,6 @@ def analyze_counts(counts: Mapping[Tuple[int, int], np.ndarray]) -> ResultReport
     )
 
 
-_RUN_SUB_BY_BLOCKERS = {
-    (cfg.block_t1, cfg.block_t2): (run, sub)
-    for run, cfgs in RUN_CONFIGS.items()
-    for sub, cfg in enumerate(cfgs)
-}
-
-
 def load_run_counts_csv(path) -> Dict[Tuple[int, int], np.ndarray]:
     """Load per-sub-run mean coincidence cells from a CSV file.
 
@@ -1047,17 +983,22 @@ def load_run_counts_csv(path) -> Dict[Tuple[int, int], np.ndarray]:
                 f"counts CSV must have columns {sorted(required)}"
             )
         for row in reader:
+            where = f"row {reader.line_num}"
             blockers = (row["block_t1"].strip(), row["block_t2"].strip())
-            if blockers not in _RUN_SUB_BY_BLOCKERS:
-                raise ValueError(f"unknown blocker configuration {blockers}")
+            if blockers not in RUN_SUB_BY_BLOCKERS:
+                raise ValueError(f"{where}: unknown blocker configuration {blockers}")
             detector = row["detector"].strip()
             if detector not in _DETECTOR_COLUMNS:
-                raise ValueError(f"unknown detector label {detector!r}")
-            cells.setdefault(_RUN_SUB_BY_BLOCKERS[blockers], {})[detector] = float(
-                row["count"]
-            )
+                raise ValueError(f"{where}: unknown detector label {detector!r}")
+            count = float(row["count"])
+            if not (math.isfinite(count) and count >= 0.0):
+                raise ValueError(f"{where}: count {row['count']!r} is not finite and nonnegative")
+            cell = cells.setdefault(RUN_SUB_BY_BLOCKERS[blockers], {})
+            if detector in cell:
+                raise ValueError(f"{where}: repeats {blockers[0]},{blockers[1]},{detector}")
+            cell[detector] = count
     counts: Dict[Tuple[int, int], np.ndarray] = {}
-    for key in sorted(_RUN_SUB_BY_BLOCKERS.values()):
+    for key in sorted(RUN_SUB_BY_BLOCKERS.values()):
         if key not in cells or set(cells[key]) != set(_DETECTOR_COLUMNS):
             raise ValueError(f"missing detector rows for run {key[0]} sub-run {key[1]}")
         counts[key] = np.array([[cells[key]["P"], cells[key]["M"]]])

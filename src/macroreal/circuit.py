@@ -11,69 +11,53 @@ a 90-degree phase.  The "+1" detector collects the transmission of port 2
 and the reflection of port 3; the "-1" detector collects the complements.
 
 Movable blockers select which arm (if any) is absorbed before the first
-coupler (``block_t1``) and inside the loop (``block_t2``); a blocked arm
-records the negated dichotomic outcome for that time (blocking the -1 arm
-and seeing the photon later certifies outcome +1, and vice versa).  Four
-blocker schedules ("runs") measure the joint outcome tables at the time
-pairs (t2,t3), (t1,t3), the triple (t1,t2,t3), and the single time t3.
-
-All probabilities returned by the table builders are normalized per run
-(raw detected-plus-lost weight divided by the run total), which keeps the
-two- and three-time tables mutually consistent by construction.
+coupler (``block_t1``) and inside the loop (``block_t2``); the blocker
+schedule and the negative-result outcome rule live in :mod:`.protocol`.
+:func:`joint_probs` feeds the detector weights of every sub-run into the
+protocol's table builder, which normalizes each run by its detected total
+and so keeps the two- and three-time tables mutually consistent by
+construction.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 from scipy import optimize
 
+from .protocol import (
+    RUN_CONFIGS,
+    BlockerConfig,
+    JointProbTable,
+    UndefinedProbabilityError,
+    combine,
+    evaluate,
+    joint_tables,
+)
+
 __all__ = [
-    "ARM_LABELS",
-    "BlockerConfig",
     "DetectionProbs",
     "IDEAL_PARAMS",
-    "JointProbTable",
     "NOMINAL_PARAMS",
     "NSITValues",
-    "RUN_CONFIGS",
     "RawWeights",
     "SetupParams",
     "Tolerances",
-    "UndefinedProbabilityError",
     "arm_branch_weights",
-    "correlation",
     "detection_probs",
     "generic_lgi",
     "generic_wlgi",
     "ideal_maxima",
-    "joint_probs_one_time",
-    "joint_probs_three_time",
-    "joint_probs_two_time",
-    "lgi_closed_form",
-    "nsit23_closed_form",
+    "joint_probs",
     "qm_lgi",
     "qm_nsit",
     "qm_range",
     "qm_wlgi",
     "raw_weights",
-    "run_total_closed_form",
-    "wlgi_closed_form",
 ]
-
-ARM_LABELS = ("none", "plus", "minus")
-
-# Blocking one arm certifies the opposite outcome for that time.
-_BLOCKED_TO_OUTCOME = {"minus": +1, "plus": -1}
-
-
-class UndefinedProbabilityError(ValueError):
-    """Raised when a run's total weight vanishes and no table can be formed."""
-
 
 @dataclass(frozen=True)
 class SetupParams:
@@ -126,38 +110,6 @@ IDEAL_PARAMS = SetupParams(alpha_sq=0.5, t_ratios=(0.75, 0.75, 0.75, 0.75), visi
 
 #: Port ratios of the modeled bench instrument.
 NOMINAL_PARAMS = SetupParams()
-
-
-@dataclass(frozen=True)
-class BlockerConfig:
-    """Blocker positions for one sub-run.
-
-    Each field names the arm absorbed at that stage: ``"none"``, ``"plus"``
-    or ``"minus"``.  ``block_t1`` acts on the outer arms before the loop,
-    ``block_t2`` on the inner arms.
-    """
-
-    block_t1: str = "none"
-    block_t2: str = "none"
-
-    def __post_init__(self) -> None:
-        for name in (self.block_t1, self.block_t2):
-            if name not in ARM_LABELS:
-                raise ValueError(f"blocker position must be one of {ARM_LABELS}, got {name!r}")
-
-
-#: Blocker schedule of each run of the measurement protocol.
-RUN_CONFIGS: Dict[int, Tuple[BlockerConfig, ...]] = {
-    1: (BlockerConfig("none", "minus"), BlockerConfig("none", "plus")),
-    2: (BlockerConfig("minus", "none"), BlockerConfig("plus", "none")),
-    3: (
-        BlockerConfig("minus", "minus"),
-        BlockerConfig("minus", "plus"),
-        BlockerConfig("plus", "minus"),
-        BlockerConfig("plus", "plus"),
-    ),
-    4: (BlockerConfig("none", "none"),),
-}
 
 
 class RawWeights(NamedTuple):
@@ -284,114 +236,19 @@ def detection_probs(params: SetupParams, blockers: BlockerConfig) -> DetectionPr
     return DetectionProbs(w.w_plus / total, w.w_minus / total, w.w_lost / total)
 
 
-@dataclass
-class JointProbTable:
-    """Joint outcome probability table assembled from one run.
+def joint_probs(params: SetupParams) -> Dict[Tuple[str, ...], JointProbTable]:
+    """Joint outcome tables of every run, keyed like :func:`.protocol.joint_tables`.
 
-    Attributes
-    ----------
-    order : str
-        ``"one-time"``, ``"two-time"`` or ``"three-time"``.
-    entries : dict
-        Maps outcome tuples (elements +1/-1) to probabilities.  Keys are
-        ordered canonically (+1 before -1, leftmost time slowest).
-    provenance : list
-        ``(BlockerConfig, RawWeights)`` pairs for each sub-run that
-        contributed, in schedule order.
+    Raises
+    ------
+    UndefinedProbabilityError
+        If a run's detected weight vanishes (fully destructive setup).
     """
-
-    order: str
-    entries: Dict[Tuple[int, ...], float]
-    provenance: List[Tuple[BlockerConfig, RawWeights]] = field(default_factory=list)
-
-    def total(self) -> float:
-        return sum(self.entries.values())
-
-    def marginalize_last(self) -> "JointProbTable":
-        """Sum out the final time (arrival-time bookkeeping).
-
-        Entry sums reuse the stored floats, so the marginal table's total
-        equals this table's total exactly.
-        """
-        if self.order != "three-time":
-            raise ValueError("can only marginalize the three-time table")
-        entries: Dict[Tuple[int, ...], float] = {}
-        for key in itertools.product((+1, -1), repeat=2):
-            entries[key] = self.entries[key + (+1,)] + self.entries[key + (-1,)]
-        return JointProbTable("two-time", entries, list(self.provenance))
-
-
-def _normalized_table(
-    order: str,
-    keyed: List[Tuple[Tuple[int, ...], float]],
-    provenance: List[Tuple[BlockerConfig, RawWeights]],
-) -> JointProbTable:
-    total = math.fsum(w for _, w in keyed)
-    if total <= 0.0:
-        raise UndefinedProbabilityError("run total weight vanishes; table undefined")
-    n_times = len(keyed[0][0])
-    lookup = dict(keyed)
-    entries = {
-        key: lookup[key] / total for key in itertools.product((+1, -1), repeat=n_times)
-    }
-    return JointProbTable(order, entries, provenance)
-
-
-def joint_probs_three_time(params: SetupParams) -> JointProbTable:
-    """Three-time table P(q1, q2, q3) from the doubly-blocked run."""
-    keyed: List[Tuple[Tuple[int, ...], float]] = []
-    provenance = []
-    for cfg in RUN_CONFIGS[3]:
-        w = raw_weights(params, cfg)
-        q1 = _BLOCKED_TO_OUTCOME[cfg.block_t1]
-        q2 = _BLOCKED_TO_OUTCOME[cfg.block_t2]
-        keyed.append(((q1, q2, +1), w.w_plus))
-        keyed.append(((q1, q2, -1), w.w_minus))
-        provenance.append((cfg, w))
-    return _normalized_table("three-time", keyed, provenance)
-
-
-def joint_probs_two_time(params: SetupParams, pair: Sequence[str]) -> JointProbTable:
-    """Two-time table for one of the pairs (t1,t2), (t2,t3) or (t1,t3).
-
-    The (t1,t2) table is the arrival-time marginal of the three-time run;
-    the other two come from their single-blocker runs.
-    """
-    pair = tuple(pair)
-    if pair == ("t1", "t2"):
-        return joint_probs_three_time(params).marginalize_last()
-    if pair == ("t2", "t3"):
-        run = 1
-    elif pair == ("t1", "t3"):
-        run = 2
-    else:
-        raise ValueError(f"unknown time pair {pair}")
-    keyed: List[Tuple[Tuple[int, ...], float]] = []
-    provenance = []
-    for cfg in RUN_CONFIGS[run]:
-        w = raw_weights(params, cfg)
-        blocked = cfg.block_t1 if run == 2 else cfg.block_t2
-        q_early = _BLOCKED_TO_OUTCOME[blocked]
-        keyed.append(((q_early, +1), w.w_plus))
-        keyed.append(((q_early, -1), w.w_minus))
-        provenance.append((cfg, w))
-    return _normalized_table("two-time", keyed, provenance)
-
-
-def joint_probs_one_time(params: SetupParams) -> JointProbTable:
-    """Single-time table P(q3) from the blocker-free run."""
-    (cfg,) = RUN_CONFIGS[4]
-    w = raw_weights(params, cfg)
-    keyed = [((+1,), w.w_plus), ((-1,), w.w_minus)]
-    return _normalized_table("one-time", keyed, [(cfg, w)])
-
-
-def correlation(table: JointProbTable) -> float:
-    """Dichotomic correlator <q_i q_j> of a two-time table."""
-    if table.order != "two-time":
-        raise ValueError("correlation requires a two-time table")
-    e = table.entries
-    return e[(+1, +1)] - e[(+1, -1)] - e[(-1, +1)] + e[(-1, -1)]
+    cells = {}
+    for run, cfgs in RUN_CONFIGS.items():
+        weights = [raw_weights(params, cfg) for cfg in cfgs]
+        cells[run] = [(w.w_plus, w.w_minus) for w in weights]
+    return joint_tables(cells)
 
 
 def qm_lgi(params: SetupParams) -> float:
@@ -400,10 +257,7 @@ def qm_lgi(params: SetupParams) -> float:
     Macrorealism bounds this by 1; the quantum model exceeds it for
     suitable parameters (maximum 1.5 in the ideal symmetric circuit).
     """
-    c12 = correlation(joint_probs_two_time(params, ("t1", "t2")))
-    c23 = correlation(joint_probs_two_time(params, ("t2", "t3")))
-    c13 = correlation(joint_probs_two_time(params, ("t1", "t3")))
-    return c12 + c23 - c13
+    return evaluate(joint_probs(params)).lgi
 
 
 def qm_wlgi(params: SetupParams) -> float:
@@ -412,10 +266,7 @@ def qm_wlgi(params: SetupParams) -> float:
     Macrorealism bounds this by 0; the quantum model reaches 0.125 in the
     ideal symmetric circuit.
     """
-    p12 = joint_probs_two_time(params, ("t1", "t2")).entries[(-1, +1)]
-    p23 = joint_probs_two_time(params, ("t2", "t3")).entries[(-1, +1)]
-    p13 = joint_probs_two_time(params, ("t1", "t3")).entries[(-1, +1)]
-    return p13 - p12 - p23
+    return evaluate(joint_probs(params)).wlgi
 
 
 def qm_nsit(params: SetupParams) -> NSITValues:
@@ -426,68 +277,8 @@ def qm_nsit(params: SetupParams) -> NSITValues:
     against the blocked runs.  In this model ``nsit12`` and ``nsit13``
     vanish identically; ``nsit23`` is generically nonzero.
     """
-    p23 = joint_probs_two_time(params, ("t2", "t3")).entries
-    p13 = joint_probs_two_time(params, ("t1", "t3")).entries
-    p12 = joint_probs_two_time(params, ("t1", "t2")).entries
-    p3 = joint_probs_one_time(params).entries
-    nsit12 = abs((p23[(+1, +1)] + p23[(+1, -1)]) - (p12[(+1, +1)] + p12[(-1, +1)]))
-    nsit23 = abs(p3[(+1,)] - p23[(+1, +1)] - p23[(-1, +1)])
-    nsit13 = abs(p3[(+1,)] - p13[(+1, +1)] - p13[(-1, +1)])
-    return NSITValues(nsit12, nsit23, nsit13)
-
-
-def run_total_closed_form(params: SetupParams) -> float:
-    """Raw weight total of the interference runs (2 and 4).
-
-    Equals 1 + 2 v (sqrt(R2 T3) - sqrt(T2 R3)) (a2 sqrt(T1 R1) - b2 sqrt(T4 R4)).
-    """
-    t1, t2, t3, t4 = params.t_ratios
-    r1, r2, r3, r4 = params.r_ratios
-    a2, b2 = params.alpha_sq, params.beta_sq
-    v = params.visibility
-    return 1.0 + 2.0 * v * (math.sqrt(r2 * t3) - math.sqrt(t2 * r3)) * (
-        a2 * math.sqrt(t1 * r1) - b2 * math.sqrt(t4 * r4)
-    )
-
-
-def lgi_closed_form(params: SetupParams) -> float:
-    """Leggett-Garg combination in the unit-run-total approximation."""
-    t1, t2, t3, t4 = params.t_ratios
-    r1, r2, r3, r4 = params.r_ratios
-    a2, b2 = params.alpha_sq, params.beta_sq
-    v = params.visibility
-    return a2 * (
-        r1 * (t3 - 3.0 * r3)
-        + t1
-        + 2.0 * v * math.sqrt(t1 * t2 * r1 * r3)
-        + 2.0 * v * math.sqrt(t1 * t3 * r1 * r2)
-    ) + b2 * (
-        r4 * (t2 - 3.0 * r2)
-        + t4
-        + 2.0 * v * math.sqrt(t2 * t4 * r3 * r4)
-        + 2.0 * v * math.sqrt(t3 * t4 * r2 * r4)
-    )
-
-
-def wlgi_closed_form(params: SetupParams) -> float:
-    """Probability-form combination in the unit-run-total approximation."""
-    t1, t2, t3, t4 = params.t_ratios
-    r1, r2, r3, r4 = params.r_ratios
-    a2, b2 = params.alpha_sq, params.beta_sq
-    v = params.visibility
-    return 2.0 * b2 * v * math.sqrt(t2 * t4 * r3 * r4) - a2 * r1 * r3 - b2 * r2 * r4
-
-
-def nsit23_closed_form(params: SetupParams) -> float:
-    """nsit23 in the unit-run-total approximation."""
-    t1, t2, t3, t4 = params.t_ratios
-    r1, r2, r3, r4 = params.r_ratios
-    a2, b2 = params.alpha_sq, params.beta_sq
-    v = params.visibility
-    return abs(
-        2.0 * a2 * v * math.sqrt(t1 * t2 * r1 * r3)
-        - 2.0 * b2 * v * math.sqrt(t2 * t4 * r3 * r4)
-    )
+    values = evaluate(joint_probs(params))
+    return NSITValues(values.nsit12, values.nsit23, values.nsit13)
 
 
 @dataclass(frozen=True)
@@ -541,8 +332,8 @@ def _sweep_values(a2, v, t1, t2, t3, t4):
     c12 = a2 * (2.0 * t1 - 1.0) + b2 * (2.0 * t4 - 1.0)
     c23 = inner_p * (t2 - r2) + inner_m * (t3 - r3)
     c13 = (a2 * (wp_p - wm_p) + b2 * (wm_m - wp_m)) / d
-    lgi = c12 + c23 - c13
-    wlgi = b2 * wp_m / d - b2 * r4 - inner_m * r3
+    # P12(-,+), P23(-,+) and P13(-,+) in closed form.
+    lgi, wlgi = combine(c12, c23, c13, b2 * r4, inner_m * r3, b2 * wp_m / d)
     p3_plus = (a2 * wp_p + b2 * wp_m) / d
     nsit23 = np.abs(p3_plus - (inner_p * t2 + inner_m * r3))
     return lgi, wlgi, nsit23

@@ -34,7 +34,7 @@ from .analysis import (
     load_run_counts_csv,
     per_iteration_values,
 )
-from .circuit import SetupParams, Tolerances, qm_lgi, qm_nsit, qm_range, qm_wlgi
+from .circuit import SetupParams, Tolerances, joint_probs, qm_range
 from .hvmodels import (
     blocker_setup_bound,
     critical_efficiency,
@@ -44,6 +44,7 @@ from .hvmodels import (
     wlgi_detectors_bound_formula,
 )
 from .multiphoton import fit_gamma, fit_report, load_counts_csv, reference_counts
+from .protocol import BOUNDS, evaluate
 from .simulate import DEFAULT_ITERATIONS, SourceConfig, load_dataset, run_protocol
 
 __all__ = [
@@ -57,10 +58,6 @@ __all__ = [
 _EXIT_OK = 0
 _EXIT_INPUT = 2
 _EXIT_NUMERIC = 3
-
-# Macrorealist bound per inequality/equality expression.
-_BOUNDS = {"lgi": 1.0, "wlgi": 0.0, "nsit12": 0.0, "nsit23": 0.0, "nsit13": 0.0}
-_EXPRESSIONS = ("lgi", "wlgi", "nsit12", "nsit23", "nsit13")
 
 _REFERENCE_RESULTS = Path(__file__).parent / "_data" / "reference_results.json"
 
@@ -332,14 +329,8 @@ def _write_run_manifest(
 def _prediction_payload(config: Dict[str, dict]) -> dict:
     """Point values plus tolerance-swept ranges for all five expressions."""
     setup = _setup_from_config(config)
-    nsit = qm_nsit(setup)
-    point = {
-        "lgi": qm_lgi(setup),
-        "wlgi": qm_wlgi(setup),
-        "nsit12": nsit.nsit12,
-        "nsit23": nsit.nsit23,
-        "nsit13": nsit.nsit13,
-    }
+    values = evaluate(joint_probs(setup))
+    point = {name: getattr(values, name) for name in BOUNDS}
     v_range = config["setup"]["v_range"]
     fixed = qm_range(setup, _tolerances_from_config(config, None))
     if v_range is None:
@@ -632,14 +623,14 @@ def _comparison(prediction: dict, analysis: dict) -> Tuple[List[list], List[str]
         f"{'expression':<10} {'measured':>11} {'delta':>8} {'bound':>6} "
         f"{'margin':>11} {'margin/delta':>13} {'qm range':>26}  verdict"
     ]
-    for name in _EXPRESSIONS:
+    for name in BOUNDS:
         entry = analysis.get(name)
         if entry is None or "mean" not in entry:
             raise ConfigError(f"analysis: missing expression {name!r}")
         mean = float(entry["mean"])
         delta = entry.get("delta")
         delta = None if delta is None else float(delta)
-        bound = _BOUNDS[name]
+        bound = BOUNDS[name]
         margin = mean - bound
         ratio = margin / delta if delta else None
         span = spans.get(name)
@@ -740,7 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         metavar="N",
-        help="worker threads (default: $MACROREAL_THREADS or 1)",
+        help="worker threads for gamma-fit's restarts; the other commands run on"
+        " one thread and ignore it (default: $MACROREAL_THREADS or 1)",
     )
 
     parser = argparse.ArgumentParser(

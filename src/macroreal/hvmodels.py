@@ -28,6 +28,8 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 import numpy as np
 from scipy import optimize
 
+from .protocol import BOUNDS, combine
+
 __all__ = [
     "BLOCK_NAMES",
     "BoundCertificate",
@@ -611,11 +613,9 @@ def critical_efficiency(inequality: str, tol: float = 1e-6) -> float:
 
 def blocker_setup_formula(inequality: str) -> float:
     """Efficiency-independent macrorealist bound of the blocker setup."""
-    if inequality == "LGI":
-        return 1.0
-    if inequality == "WLGI":
-        return 0.0
-    raise ValueError(f"inequality must be 'LGI' or 'WLGI', got {inequality!r}")
+    if inequality not in ("LGI", "WLGI"):
+        raise ValueError(f"inequality must be 'LGI' or 'WLGI', got {inequality!r}")
+    return BOUNDS[inequality.lower()]
 
 
 def blocker_setup_bound(inequality: str, eta: float) -> BoundCertificate:
@@ -633,14 +633,10 @@ def blocker_setup_bound(inequality: str, eta: float) -> BoundCertificate:
     best_val, best_triple = -math.inf, None
     for triple in TRIPLES:
         q1, q2, q3 = triple
-        if inequality == "LGI":
-            val = q1 * q2 + q2 * q3 - q1 * q3
-        else:
-            val = (
-                float(q1 == -1 and q3 == +1)
-                - float(q1 == -1 and q2 == +1)
-                - float(q2 == -1 and q3 == +1)
-            )
+        # A deterministic triple has correlators qi*qj and P(qi=-1, qj=+1) in {0, 1}.
+        minus_plus = [float(a == -1 and b == +1) for a, b in ((q1, q2), (q2, q3), (q1, q3))]
+        lgi, wlgi = combine(q1 * q2, q2 * q3, q1 * q3, *minus_plus)
+        val = lgi if inequality == "LGI" else wlgi
         if val > best_val:
             best_val, best_triple = float(val), triple
     witness = HVWeights.from_assignments({("d", best_triple): eta})

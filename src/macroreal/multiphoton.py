@@ -34,7 +34,6 @@ that convention.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,7 +43,7 @@ from typing import Dict, NamedTuple, Sequence, Tuple
 import numpy as np
 from scipy import optimize
 
-from .circuit import RUN_CONFIGS, JointProbTable, correlation
+from .protocol import RUN_CONFIGS, JointProbTable, evaluate, joint_tables, outcome_prefix
 
 __all__ = [
     "CountVector12",
@@ -85,8 +84,6 @@ FIT_BOUNDS = {
     "gamma": (0.0, 0.05),
 }
 
-_ARM_SIGN = {"plus": +1, "minus": -1}
-
 #: Deterministic two-photon assignment: for each t1-blocker position, the
 #: (q1, q2, q3) path triples of the photons still inside the apparatus.
 #: Without a blocker both photons propagate on opposite constant paths;
@@ -97,11 +94,6 @@ _TWO_PHOTON_PATHS = {
     "minus": ((+1, +1, -1),),
     "plus": ((-1, -1, +1),),
 }
-
-#: Path positions recorded by each run (0 = t1, 1 = t2, 2 = t3).
-_RUN_TIMES = {1: (1, 2), 2: (0, 2), 3: (0, 1, 2)}
-
-_ORDER_NAMES = {1: "one-time", 2: "two-time", 3: "three-time"}
 
 
 @dataclass(frozen=True)
@@ -232,62 +224,50 @@ class GammaFitResult(NamedTuple):
     converged: bool
 
 
+def _two_photon_tables() -> Dict[Tuple[str, ...], JointProbTable]:
+    cells = {}
+    for run, cfgs in RUN_CONFIGS.items():
+        cells[run] = []
+        for cfg in cfgs:
+            # A photon survives when its path at each blocked time is the
+            # outcome the blocker certifies; the detector reads its t3 path.
+            blocked = [i for i, arm in enumerate((cfg.block_t1, cfg.block_t2)) if arm != "none"]
+            finals = [
+                path[2]
+                for path in _TWO_PHOTON_PATHS[cfg.block_t1]
+                if tuple(path[i] for i in blocked) == outcome_prefix(cfg)
+            ]
+            cells[run].append((float(finals.count(+1)), float(finals.count(-1))))
+    return joint_tables(cells)
+
+
 def two_photon_joint_probs() -> Dict[Tuple[str, str], JointProbTable]:
     """Pair-probability tables of the deterministic two-photon assignment.
 
     Runs the same sub-run bookkeeping as the single-photon model: every
-    blocker schedule of runs 1-3 is applied to the assignment, surviving
-    photons are counted per recorded outcome, each run is normalized by
-    its total and the (t1, t2) table is the arrival-time marginal of the
-    double-blocker run.
+    blocker schedule is applied to the assignment, the surviving photons
+    of each sub-run are counted on the two detectors, and the protocol's
+    table builder normalizes each run by its total and takes the (t1, t2)
+    table as the arrival-time marginal of the double-blocker run.
 
     Returns
     -------
     dict
-        Maps the pairs ("t1","t2"), ("t2","t3"), ("t1","t3") to two-time
+        Maps the pairs ("t2","t3"), ("t1","t3"), ("t1","t2") to two-time
         tables with entries {(+1,+1): .., (+1,-1): .., ...}.
     """
-    run_tables = {}
-    for run in (1, 2, 3):
-        times = _RUN_TIMES[run]
-        counts: Dict[Tuple[int, ...], float] = {}
-        for cfg in RUN_CONFIGS[run]:
-            for path in _TWO_PHOTON_PATHS[cfg.block_t1]:
-                if cfg.block_t2 != "none" and path[1] == _ARM_SIGN[cfg.block_t2]:
-                    continue
-                outcome = tuple(path[i] for i in times)
-                counts[outcome] = counts.get(outcome, 0.0) + 1.0
-        total = sum(counts.values())
-        entries = {
-            key: counts.get(key, 0.0) / total
-            for key in itertools.product((+1, -1), repeat=len(times))
-        }
-        run_tables[run] = JointProbTable(_ORDER_NAMES[len(times)], entries, [])
-    return {
-        ("t2", "t3"): run_tables[1],
-        ("t1", "t3"): run_tables[2],
-        ("t1", "t2"): run_tables[3].marginalize_last(),
-    }
+    tables = _two_photon_tables()
+    return {key: tables[key] for key in (("t2", "t3"), ("t1", "t3"), ("t1", "t2"))}
 
 
 def two_photon_lgi() -> float:
     """Correlator combination of the two-photon model (algebraic maximum 3)."""
-    tables = two_photon_joint_probs()
-    return (
-        correlation(tables[("t1", "t2")])
-        + correlation(tables[("t2", "t3")])
-        - correlation(tables[("t1", "t3")])
-    )
+    return evaluate(_two_photon_tables()).lgi
 
 
 def two_photon_wlgi() -> float:
     """Probability combination of the two-photon model (algebraic maximum 1/2)."""
-    tables = two_photon_joint_probs()
-    return (
-        tables[("t1", "t3")].entries[(-1, +1)]
-        - tables[("t1", "t2")].entries[(-1, +1)]
-        - tables[("t2", "t3")].entries[(-1, +1)]
-    )
+    return evaluate(_two_photon_tables()).wlgi
 
 
 def modified_bounds(gamma: float) -> ModifiedBounds:
@@ -676,8 +656,14 @@ def load_counts_csv(path) -> CountVector12:
     """Read a count table from CSV with columns set_label, C1, C2, C12."""
     rows = {}
     with open(path, newline="") as fh:
-        for record in csv.DictReader(fh):
-            rows[record["set_label"]] = [
+        reader = csv.DictReader(fh)
+        for record in reader:
+            label = record["set_label"]
+            if label not in SET_LABELS:
+                raise ValueError(f"row {reader.line_num}: unknown set label {label!r}")
+            if label in rows:
+                raise ValueError(f"row {reader.line_num}: repeats set label {label!r}")
+            rows[label] = [
                 float(record["C1"]),
                 float(record["C2"]),
                 float(record["C12"]),

@@ -29,7 +29,8 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .circuit import BlockerConfig, RUN_CONFIGS, SetupParams, arm_branch_weights
+from .circuit import SetupParams, arm_branch_weights
+from .protocol import RUN_CONFIGS, BlockerConfig
 
 __all__ = [
     "CHANNELS",

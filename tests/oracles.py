@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from macroreal.circuit import BlockerConfig, SetupParams
+from macroreal.circuit import SetupParams
+from macroreal.protocol import BlockerConfig
 
 
 def transfer_matrix_probs(params: SetupParams, blockers: BlockerConfig):
@@ -69,6 +70,60 @@ def transfer_matrix_probs(params: SetupParams, blockers: BlockerConfig):
                 w_minus += wa * inten
     total = w_plus + w_minus + w_lost
     return w_plus / total, w_minus / total, w_lost / total
+
+
+def run_total_closed_form(params: SetupParams) -> float:
+    """Raw weight total of the interference runs (2 and 4).
+
+    Equals 1 + 2 v (sqrt(R2 T3) - sqrt(T2 R3)) (a2 sqrt(T1 R1) - b2 sqrt(T4 R4)).
+    """
+    t1, t2, t3, t4 = params.t_ratios
+    r1, r2, r3, r4 = params.r_ratios
+    a2, b2 = params.alpha_sq, params.beta_sq
+    v = params.visibility
+    return 1.0 + 2.0 * v * (math.sqrt(r2 * t3) - math.sqrt(t2 * r3)) * (
+        a2 * math.sqrt(t1 * r1) - b2 * math.sqrt(t4 * r4)
+    )
+
+
+def lgi_closed_form(params: SetupParams) -> float:
+    """Leggett-Garg combination in the unit-run-total approximation."""
+    t1, t2, t3, t4 = params.t_ratios
+    r1, r2, r3, r4 = params.r_ratios
+    a2, b2 = params.alpha_sq, params.beta_sq
+    v = params.visibility
+    return a2 * (
+        r1 * (t3 - 3.0 * r3)
+        + t1
+        + 2.0 * v * math.sqrt(t1 * t2 * r1 * r3)
+        + 2.0 * v * math.sqrt(t1 * t3 * r1 * r2)
+    ) + b2 * (
+        r4 * (t2 - 3.0 * r2)
+        + t4
+        + 2.0 * v * math.sqrt(t2 * t4 * r3 * r4)
+        + 2.0 * v * math.sqrt(t3 * t4 * r2 * r4)
+    )
+
+
+def wlgi_closed_form(params: SetupParams) -> float:
+    """Probability-form combination in the unit-run-total approximation."""
+    t1, t2, t3, t4 = params.t_ratios
+    r1, r2, r3, r4 = params.r_ratios
+    a2, b2 = params.alpha_sq, params.beta_sq
+    v = params.visibility
+    return 2.0 * b2 * v * math.sqrt(t2 * t4 * r3 * r4) - a2 * r1 * r3 - b2 * r2 * r4
+
+
+def nsit23_closed_form(params: SetupParams) -> float:
+    """nsit23 in the unit-run-total approximation."""
+    t1, t2, t3, t4 = params.t_ratios
+    r1, r2, r3, r4 = params.r_ratios
+    a2, b2 = params.alpha_sq, params.beta_sq
+    v = params.visibility
+    return abs(
+        2.0 * a2 * v * math.sqrt(t1 * t2 * r1 * r3)
+        - 2.0 * b2 * v * math.sqrt(t2 * t4 * r3 * r4)
+    )
 
 
 def brute_force_coincidences(times_a, times_b, lo, hi, bin_width):

@@ -23,7 +23,6 @@ from macroreal.analysis import (
     representative_counts_path,
 )
 from macroreal.circuit import (
-    BlockerConfig,
     NOMINAL_PARAMS,
     Tolerances,
     ideal_maxima,
@@ -48,6 +47,7 @@ from macroreal.multiphoton import (
     two_photon_lgi,
     two_photon_wlgi,
 )
+from macroreal.protocol import BlockerConfig
 from macroreal.simulate import SourceConfig, derive_iteration_state, generate_sub_run, run_protocol
 
 import oracles

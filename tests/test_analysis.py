@@ -31,14 +31,8 @@ from macroreal.analysis import (
     representative_counts_path,
     select_window,
 )
-from macroreal.circuit import (
-    NOMINAL_PARAMS,
-    JointProbTable,
-    SetupParams,
-    UndefinedProbabilityError,
-    qm_lgi,
-    qm_nsit,
-)
+from macroreal.circuit import NOMINAL_PARAMS, SetupParams, qm_lgi, qm_nsit
+from macroreal.protocol import JointProbTable, UndefinedProbabilityError
 from macroreal.simulate import SourceConfig, run_protocol
 
 QUIET = dict(dark_rate_h=0.0, dark_rate_p=0.0, dark_rate_m=0.0, jitter_sigma=0.0)
@@ -383,6 +377,16 @@ def test_load_run_counts_csv_rejects_bad_schema(tmp_path):
     bad.write_text("block_t1,block_t2,count\nnone,none,5\n")
     with pytest.raises(ValueError, match="columns"):
         load_run_counts_csv(bad)
+    good = representative_counts_path().read_text()
+    for edit, message in [
+        (good + "none,minus,P,1000\n", r"row 20: repeats none,minus,P"),
+        (good.replace("41644.94", "nan"), r"row 2: count 'nan'"),
+        (good.replace("41644.94", "inf"), r"row 2: count 'inf'"),
+        (good.replace("42526.46", "-500"), r"row 19: count '-500'"),
+    ]:
+        bad.write_text(edit)
+        with pytest.raises(ValueError, match=message):
+            load_run_counts_csv(bad)
 
 
 # ---------------------------------------------------------------------------

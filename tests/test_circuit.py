@@ -7,34 +7,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macroreal.circuit import (
-    BlockerConfig,
     IDEAL_PARAMS,
     NOMINAL_PARAMS,
-    RUN_CONFIGS,
     SetupParams,
     Tolerances,
-    UndefinedProbabilityError,
     arm_branch_weights,
-    correlation,
     detection_probs,
     generic_lgi,
     generic_wlgi,
     ideal_maxima,
-    joint_probs_one_time,
-    joint_probs_three_time,
-    joint_probs_two_time,
-    lgi_closed_form,
-    nsit23_closed_form,
+    joint_probs,
     qm_lgi,
     qm_nsit,
     qm_range,
     qm_wlgi,
     raw_weights,
+)
+from macroreal.protocol import RUN_CONFIGS, BlockerConfig, UndefinedProbabilityError, correlation
+
+from oracles import (
+    lgi_closed_form,
+    nsit23_closed_form,
     run_total_closed_form,
+    transfer_matrix_probs,
     wlgi_closed_form,
 )
-
-from oracles import transfer_matrix_probs
 
 ALL_CONFIGS = [cfg for run in RUN_CONFIGS.values() for cfg in run]
 
@@ -123,26 +120,23 @@ def test_interference_run_total_is_unity_without_interference():
 def test_fully_destructive_configuration_raises():
     params = SetupParams(1.0, (0.5, 0.0, 1.0, 0.5), visibility=-1.0)
     with pytest.raises(UndefinedProbabilityError):
-        joint_probs_one_time(params)
+        joint_probs(params)
     with pytest.raises(UndefinedProbabilityError):
         detection_probs(params, BlockerConfig("none", "none"))
 
 
 def test_tables_are_normalized_and_complete():
-    for table, n in (
-        (joint_probs_one_time(NOMINAL_PARAMS), 1),
-        (joint_probs_two_time(NOMINAL_PARAMS, ("t2", "t3")), 2),
-        (joint_probs_two_time(NOMINAL_PARAMS, ("t1", "t3")), 2),
-        (joint_probs_two_time(NOMINAL_PARAMS, ("t1", "t2")), 2),
-        (joint_probs_three_time(NOMINAL_PARAMS), 3),
-    ):
+    tables = joint_probs(NOMINAL_PARAMS)
+    assert set(tables) == {("t3",), ("t2", "t3"), ("t1", "t3"), ("t1", "t2"), ("t1", "t2", "t3")}
+    for key, table in tables.items():
+        n = len(key)
         assert set(table.entries) == set(itertools.product((+1, -1), repeat=n))
         assert table.total() == pytest.approx(1.0, abs=1e-12)
         assert all(p >= 0.0 for p in table.entries.values())
 
 
 def test_marginalized_table_matches_direct_sums_exactly():
-    three = joint_probs_three_time(NOMINAL_PARAMS)
+    three = joint_probs(NOMINAL_PARAMS)[("t1", "t2", "t3")]
     two = three.marginalize_last()
     for key in itertools.product((+1, -1), repeat=2):
         assert two.entries[key] == three.entries[key + (+1,)] + three.entries[key + (-1,)]
@@ -152,10 +146,9 @@ def test_marginalized_table_matches_direct_sums_exactly():
 @given(params=params_st)
 @settings(max_examples=30, deadline=None)
 def test_inequality_values_consistent_with_tables(params):
-    p12 = joint_probs_two_time(params, ("t1", "t2"))
-    p23 = joint_probs_two_time(params, ("t2", "t3"))
-    p13 = joint_probs_two_time(params, ("t1", "t3"))
-    p3 = joint_probs_one_time(params)
+    tables = joint_probs(params)
+    p12, p23, p13 = tables[("t1", "t2")], tables[("t2", "t3")], tables[("t1", "t3")]
+    p3 = tables[("t3",)]
     lgi = correlation(p12) + correlation(p23) - correlation(p13)
     assert qm_lgi(params) == pytest.approx(lgi, abs=1e-9)
     wlgi = p13.entries[(-1, +1)] - p12.entries[(-1, +1)] - p23.entries[(-1, +1)]
@@ -193,7 +186,7 @@ def test_free_run_plus_marginal_gap_at_nominal():
     # The inner-blocker run and the free run disagree about P(q3=+1) by
     # about 0.006 at the nominal port ratios.
     p_plus = detection_probs(NOMINAL_PARAMS, BlockerConfig("none", "none")).p_plus
-    p23 = joint_probs_two_time(NOMINAL_PARAMS, ("t2", "t3")).entries
+    p23 = joint_probs(NOMINAL_PARAMS)[("t2", "t3")].entries
     gap = abs(p_plus - (p23[(+1, +1)] + p23[(-1, +1)]))
     assert gap == pytest.approx(0.006, abs=5e-4)
 
@@ -306,8 +299,6 @@ def test_invalid_inputs_raise():
     with pytest.raises(ValueError):
         Tolerances(v_range=(0.9, 0.2))
     with pytest.raises(ValueError):
-        joint_probs_two_time(NOMINAL_PARAMS, ("t2", "t1"))
-    with pytest.raises(ValueError):
-        correlation(joint_probs_one_time(NOMINAL_PARAMS))
+        correlation(joint_probs(NOMINAL_PARAMS)[("t3",)])
     with pytest.raises(ValueError):
         arm_branch_weights(NOMINAL_PARAMS, BlockerConfig(), 2)

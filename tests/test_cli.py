@@ -357,3 +357,36 @@ def test_cli_subprocess_smoke(tmp_path):
     assert result.returncode == 0
     assert (out / "prediction.json").exists()
     assert "Wrote" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_outputs_match_golden_files(tmp_path):
+    """Each verb's main output is byte-identical to its pinned copy.
+
+    The default ``report`` computes the same prediction payload that
+    ``predict`` writes, so feeding it the written ``prediction.json`` gives
+    the default ``report.csv`` without running the 21-point sweep twice.
+    """
+    cfg = write_config(tmp_path, source=FAST_SOURCE, analysis={"n_samples": 20000})
+    out = tmp_path / "out"
+    assert main(["predict", "--out", str(out / "predict")]) == 0
+    assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out / "ds")]) == 0
+    assert main(["analyze", str(out / "ds"), "--config", cfg, "--out", str(out / "ds_an")]) == 0
+    counts_csv = str(representative_counts_path())
+    assert main(["analyze", counts_csv, "--out", str(out / "csv_an")]) == 0
+    prediction = str(out / "predict" / "prediction.json")
+    assert main(["report", "--prediction", prediction, "--out", str(out / "report")]) == 0
+    produced = {
+        "prediction.json": out / "predict" / "prediction.json",
+        "results_dataset.json": out / "ds_an" / "results.json",
+        "per_iteration_dataset.csv": out / "ds_an" / "per_iteration.csv",
+        "results_counts.json": out / "csv_an" / "results.json",
+        "report.csv": out / "report" / "report.csv",
+    }
+    for name, path in produced.items():
+        assert path.read_bytes() == (GOLDEN / name).read_bytes(), name

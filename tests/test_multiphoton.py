@@ -181,6 +181,22 @@ def test_counts_csv_round_trip(tmp_path):
     assert np.array_equal(load_counts_csv(path).values, counts.values)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("++,1,1,1\n", r"row 6: repeats set label '\+\+'"),
+        ("xx,1,2,3\n", r"row 6: unknown set label 'xx'"),
+    ],
+)
+def test_load_counts_csv_rejects_repeated_and_unknown_labels(tmp_path, extra, message):
+    path = tmp_path / "counts.csv"
+    save_counts_csv(path, reference_counts())
+    with open(path, "a", newline="") as fh:
+        fh.write(extra)
+    with pytest.raises(ValueError, match=message):
+        load_counts_csv(path)
+
+
 def test_reference_counts_table():
     counts = reference_counts()
     assert counts.c1("++") == 9412.0

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from macroreal.circuit import RUN_CONFIGS, BlockerConfig, SetupParams
+from macroreal.circuit import SetupParams
+from macroreal.protocol import RUN_CONFIGS, BlockerConfig
 from macroreal.simulate import (
     DEFAULT_ITERATIONS,
     ExperimentDataset,
