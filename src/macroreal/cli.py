@@ -392,6 +392,8 @@ def cmd_hv_bound(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     outdir = _ensure_outdir(args.out)
     seed = _seed_or(args, 0)
+    if args.starts < 0:
+        raise ConfigError(f"starts: {args.starts} must be >= 0")
     if args.eta:
         try:
             etas = [float(tok) for tok in args.eta.split(",") if tok.strip()]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -134,7 +134,7 @@ class HVWeights:
 
 @dataclass(frozen=True)
 class ProbeFinding:
-    """A randomized-search assignment whose value exceeds the certified bound."""
+    """A randomized-search assignment whose value exceeds the witness bound."""
 
     value: float
     weights: HVWeights
@@ -149,17 +149,20 @@ class BoundCertificate:
     eta : float
         Detector efficiency.
     bound : float
-        Certified bound: the value achieved by the extremal witness
-        assignment for this efficiency regime (it equals ``formula_value``
-        up to float rounding).  In support-restricted diagnostic mode this
-        is instead the best value found on the restricted slice.
+        Value achieved by the known extremal witness assignment for this
+        efficiency regime (it equals ``formula_value`` up to float
+        rounding).  A feasible assignment attains it, so it is a *lower*
+        bound on the maximum over all admissible weights, not a certified
+        upper bound: the probe's findings can exceed it (2.98 > 8/3 at
+        eta = 0.5).  In support-restricted diagnostic mode this is instead
+        the best value found on the restricted slice.
     witness : HVWeights
         Weight assignment achieving ``bound``.
     formula_value : float
         Closed-form prediction for the same bound.
     findings : tuple of ProbeFinding
         Assignments discovered by the randomized probe whose value exceeds
-        the certified bound by more than the solver tolerance.  The
+        ``bound`` by more than the solver tolerance.  The
         post-selected ratio expressions can be pushed past the piecewise
         closed form by concentrating weight on detection classes exclusive
         to a single time, so such discoveries are surfaced for inspection
@@ -258,13 +261,30 @@ def _wlgi_fractions(w: np.ndarray):
 _WLGI_SIGNS = np.array([1.0, -1.0, -1.0])
 
 
-def _ratio_value_batch(w: np.ndarray, fractions, signs) -> np.ndarray:
-    """Signed ratio sum per row; -inf where any denominator vanishes."""
-    nums, dens = fractions(w)
-    valid = np.all(dens > 0.0, axis=-1)
-    safe = np.where(dens > 0.0, dens, 1.0)
-    vals = np.sum(signs * nums / safe, axis=-1)
-    return np.where(valid, vals, -np.inf)
+class _RatioMap(NamedTuple):
+    """A signed sum of ratios whose numerators and denominators are linear in w.
+
+    ``num`` and ``den`` have shape (56, k): row j holds the k numerators and
+    denominators of the unit weight e_j, so ``w @ num`` and ``w @ den`` give
+    those of any w.
+    """
+
+    num: np.ndarray
+    den: np.ndarray
+    signs: np.ndarray
+
+
+_LGI = _RatioMap(*_lgi_fractions(np.eye(56)), _LGI_SIGNS)
+_WLGI = _RatioMap(*_wlgi_fractions(np.eye(56)), _WLGI_SIGNS)
+
+
+def _ratio_value_batch(w: np.ndarray, ratios: _RatioMap) -> np.ndarray:
+    """Signed ratio sum per row of w (..., 56); -inf where any denominator vanishes."""
+    nums = w @ ratios.num
+    dens = w @ ratios.den
+    positive = dens > 0.0
+    vals = (nums / np.where(positive, dens, 1.0)) @ ratios.signs
+    return np.where(np.all(positive, axis=-1), vals, -np.inf)
 
 
 def _as_array(w) -> np.ndarray:
@@ -274,6 +294,13 @@ def _as_array(w) -> np.ndarray:
     if arr.shape != (56,):
         raise ValueError(f"expected 56 weights, got shape {arr.shape}")
     return arr
+
+
+def _detectors_value(w, ratios: _RatioMap) -> float:
+    value = _ratio_value_batch(_as_array(w), ratios)
+    if value == -np.inf:
+        raise DegenerateModelError("a measured run collects no photons; value undefined")
+    return float(value)
 
 
 def lgi_detectors_value(w) -> float:
@@ -288,11 +315,7 @@ def lgi_detectors_value(w) -> float:
     DegenerateModelError
         If any of the six denominators is zero.
     """
-    arr = _as_array(w)
-    nums, dens = _lgi_fractions(arr)
-    if np.any(dens <= 0.0):
-        raise DegenerateModelError("a measured run collects no photons; value undefined")
-    return float(np.sum(_LGI_SIGNS * nums / dens))
+    return _detectors_value(w, _LGI)
 
 
 def wlgi_detectors_value(w) -> float:
@@ -303,11 +326,7 @@ def wlgi_detectors_value(w) -> float:
     DegenerateModelError
         If any of the three denominators is zero.
     """
-    arr = _as_array(w)
-    nums, dens = _wlgi_fractions(arr)
-    if np.any(dens <= 0.0):
-        raise DegenerateModelError("a measured run collects no photons; value undefined")
-    return float(np.sum(_WLGI_SIGNS * nums / dens))
+    return _detectors_value(w, _WLGI)
 
 
 def lgi_detectors_bound_formula(eta: float) -> float:
@@ -375,10 +394,10 @@ def wlgi_high_efficiency_witness(eta: float) -> HVWeights:
     )
 
 
-_SHARED = slice(24, 56)  # blocks a, b, c, d
-_D_SLICE = _BLOCK_SLICES["d"]
-_EXCLUSIVE = {0: _BLOCK_SLICES["q"], 1: _BLOCK_SLICES["p"], 2: _BLOCK_SLICES["s"]}
-_SHARED_OF_TIME = {0: ("a", "c", "d"), 1: ("a", "b", "d"), 2: ("b", "c", "d")}
+# Rows t1, t2, t3: block indices of the shared classes detected at that time.
+_SHARED_OF_TIME = np.array(
+    [[BLOCK_NAMES.index(name) for name in classes[1:]] for classes in _TIME_CLASSES]
+)
 
 
 def project_feasible(weights: np.ndarray, eta: float) -> np.ndarray:
@@ -397,41 +416,37 @@ def project_feasible(weights: np.ndarray, eta: float) -> np.ndarray:
     total is exactly ``eta``.
     """
     _check_eta(eta)
-    w = np.clip(np.asarray(weights, dtype=float), 0.0, None).copy()
+    w = np.maximum(np.asarray(weights, dtype=float), 0.0)
+    blocks = w.reshape(w.shape[:-1] + (7, 8))  # classes in BLOCK_NAMES order
+    excl, shared, d_block = blocks[..., :3, :], blocks[..., 3:, :], blocks[..., 6, :]
 
-    def block_sum(name):
-        return w[..., _BLOCK_SLICES[name]].sum(axis=-1)
+    def shared_at_times(totals):
+        return totals.take(_SHARED_OF_TIME, axis=-1).sum(axis=-1)
 
-    shared = np.stack(
-        [sum(block_sum(n) for n in _SHARED_OF_TIME[i]) for i in range(3)], axis=-1
-    )
-    m = shared.max(axis=-1)
-    scale = np.where(m > eta, eta / np.where(m > 0.0, m, 1.0), 1.0)
-    w[..., _SHARED] *= scale[..., None]
+    # eta / max(m, eta) is eta / m where m > eta and exactly 1 elsewhere.
+    m = shared_at_times(blocks.sum(axis=-1)).max(axis=-1)
+    shared *= (eta / np.maximum(m, eta))[..., None, None]
 
     # If sum_i (eta - shared_i) + shared_total exceeds 1, blend toward the
     # pure-d assignment: g = A+B+C+2D rises to 3 eta - 1, the exact budget.
-    a_, b_, c_, d_ = (block_sum(n) for n in ("a", "b", "c", "d"))
-    g = a_ + b_ + c_ + 2.0 * d_
+    totals = blocks.sum(axis=-1)
+    d_tot = totals[..., 6]
+    g = totals[..., 3:6].sum(axis=-1) + 2.0 * d_tot
     deficit = (3.0 * eta - 1.0) - g
-    t = np.where(deficit > 0.0, deficit / np.where(deficit > 0.0, 2.0 * eta - g, 1.0), 0.0)
-    d_block = w[..., _D_SLICE]
-    d_shape = np.where(
-        d_[..., None] > 0.0, d_block / np.where(d_[..., None] > 0.0, d_[..., None], 1.0), 1.0 / 8.0
+    t = np.divide(deficit, 2.0 * eta - g, out=np.zeros(deficit.shape), where=deficit > 0.0)
+    d_shape = np.divide(
+        d_block, d_tot[..., None], out=np.full(d_block.shape, 0.125), where=(d_tot > 0.0)[..., None]
     )
-    w[..., 24:48] *= (1.0 - t)[..., None]
-    w[..., _D_SLICE] = (1.0 - t)[..., None] * d_block + (t * eta)[..., None] * d_shape
+    shared *= (1.0 - t)[..., None, None]
+    d_block += (t * eta)[..., None] * d_shape
 
-    for i in range(3):
-        shared_i = sum(block_sum(n) for n in _SHARED_OF_TIME[i])
-        need = np.clip(eta - shared_i, 0.0, None)
-        excl = w[..., _EXCLUSIVE[i]]
-        e_tot = excl.sum(axis=-1)
-        factor = np.where(e_tot > 0.0, need / np.where(e_tot > 0.0, e_tot, 1.0), 0.0)
-        w[..., _EXCLUSIVE[i]] = np.where(
-            e_tot[..., None] > 0.0, excl * factor[..., None], (need / 8.0)[..., None]
-        )
-    return w
+    totals = blocks.sum(axis=-1)
+    need = np.maximum(eta - shared_at_times(totals), 0.0)
+    e_tot = totals[..., :3]
+    filled = e_tot > 0.0
+    factor = np.divide(need, e_tot, out=np.zeros(need.shape), where=filled)
+    excl[...] = np.where(filled[..., None], excl * factor[..., None], (need / 8.0)[..., None])
+    return blocks.reshape(w.shape)
 
 
 def _sparse_start(rng: np.random.Generator, eta: float) -> np.ndarray:
@@ -451,7 +466,7 @@ def _witness_starts(eta: float) -> list:
     pure_d[weight_index("d", (+1, +1, +1))] = eta
     starts.append(pure_d)
     uniform_d = np.zeros(56)
-    uniform_d[_D_SLICE] = eta / 8.0
+    uniform_d[_BLOCK_SLICES["d"]] = eta / 8.0
     starts.append(uniform_d)
     return starts
 
@@ -466,8 +481,10 @@ def _certification_witness(kind: str, eta: float) -> HVWeights:
 
 
 def _maximize_ratio(
-    kind: str, fractions, signs, eta: float, n_starts: int, seed: int, support
+    kind: str, ratios: _RatioMap, eta: float, n_starts: int, seed: int, support
 ) -> Tuple[float, HVWeights, Tuple[ProbeFinding, ...]]:
+    if n_starts < 0:
+        raise ValueError(f"n_starts must be >= 0, got {n_starts}")
     rng = np.random.default_rng(seed)
     if support is not None:
         support = list(support)
@@ -481,7 +498,7 @@ def _maximize_ratio(
 
     def value_of(x: np.ndarray) -> float:
         w = project_feasible(embed(np.asarray(x, dtype=float)), eta)
-        return float(_ratio_value_batch(w[None, :], fractions, signs)[0])
+        return float(_ratio_value_batch(w, ratios))
 
     def objective(x: np.ndarray) -> float:
         return -value_of(x)
@@ -518,8 +535,7 @@ def _maximize_ratio(
         return probe_val, witness, ()
 
     witness = _certification_witness(kind, eta)
-    value_fn = lgi_detectors_value if kind == "lgi" else wlgi_detectors_value
-    bound = value_fn(witness)
+    bound = _detectors_value(witness, ratios)
     findings: Tuple[ProbeFinding, ...] = ()
     if probe_val > bound + 1e-6:
         probe_weights = HVWeights(project_feasible(embed(np.asarray(probe_x)), eta))
@@ -532,8 +548,9 @@ def maximize_lgi_detectors(
 ) -> BoundCertificate:
     """Maximize the detector-only correlator combination at efficiency eta.
 
-    The certified bound is the value achieved by the extremal witness
-    assignment for this efficiency regime.  A multistart local search over
+    The reported bound is the value achieved by the extremal witness
+    assignment for this efficiency regime, which makes it a lower bound on
+    the maximum, not a certified upper bound.  A multistart local search over
     the 56 weights (seeded with the known extremal assignments plus random
     sparse supports, every candidate projected onto the constraint set)
     probes for assignments exceeding that value; any such excess is
@@ -545,7 +562,8 @@ def maximize_lgi_detectors(
     eta : float
         Detector efficiency in (0, 1].
     n_starts : int
-        Number of random restarts in addition to the seeded patterns.
+        Number of random restarts in addition to the seeded patterns; a
+        negative count raises ``ValueError``.
     seed : int
         Seed of the restart stream.
     support : sequence of int, optional
@@ -554,9 +572,7 @@ def maximize_lgi_detectors(
         no findings are reported.
     """
     _check_eta(eta)
-    bound, witness, findings = _maximize_ratio(
-        "lgi", _lgi_fractions, _LGI_SIGNS, eta, n_starts, seed, support
-    )
+    bound, witness, findings = _maximize_ratio("lgi", _LGI, eta, n_starts, seed, support)
     return BoundCertificate(eta, bound, witness, lgi_detectors_bound_formula(eta), findings)
 
 
@@ -565,13 +581,11 @@ def maximize_wlgi_detectors(
 ) -> BoundCertificate:
     """Maximize the detector-only probability combination at efficiency eta.
 
-    See :func:`maximize_lgi_detectors` for the search and certification
-    strategy.
+    See :func:`maximize_lgi_detectors` for the search and for why the
+    reported bound is a lower bound on the maximum.
     """
     _check_eta(eta)
-    bound, witness, findings = _maximize_ratio(
-        "wlgi", _wlgi_fractions, _WLGI_SIGNS, eta, n_starts, seed, support
-    )
+    bound, witness, findings = _maximize_ratio("wlgi", _WLGI, eta, n_starts, seed, support)
     return BoundCertificate(eta, bound, witness, wlgi_detectors_bound_formula(eta), findings)
 
 

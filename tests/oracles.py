@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from macroreal.circuit import SetupParams
+from macroreal.hvmodels import _BLOCK_SLICES, _check_eta
 from macroreal.protocol import BlockerConfig
 
 
@@ -159,6 +160,71 @@ def grid_search_bound(value_fn, project_fn, support, eta, step=0.01, chunk=50000
         values = value_fn(project_fn(weights, eta), eta)
         best = max(best, float(np.max(values)))
     return best
+
+
+_SHARED = slice(24, 56)  # blocks a, b, c, d
+_D_SLICE = _BLOCK_SLICES["d"]
+_EXCLUSIVE = {0: _BLOCK_SLICES["q"], 1: _BLOCK_SLICES["p"], 2: _BLOCK_SLICES["s"]}
+_SHARED_OF_TIME = {0: ("a", "c", "d"), 1: ("a", "b", "d"), 2: ("b", "c", "d")}
+
+
+def project_feasible_reference(weights: np.ndarray, eta: float) -> np.ndarray:
+    """Block-by-block projection onto the hidden-variable constraint set.
+
+    The same steps as ``hvmodels.project_feasible``, written with one sum
+    per detection class and one pass per time instead of block-total
+    arrays.  Works on arrays of shape (..., 56).
+    """
+    _check_eta(eta)
+    w = np.clip(np.asarray(weights, dtype=float), 0.0, None).copy()
+
+    def block_sum(name):
+        return w[..., _BLOCK_SLICES[name]].sum(axis=-1)
+
+    shared = np.stack(
+        [sum(block_sum(n) for n in _SHARED_OF_TIME[i]) for i in range(3)], axis=-1
+    )
+    m = shared.max(axis=-1)
+    scale = np.where(m > eta, eta / np.where(m > 0.0, m, 1.0), 1.0)
+    w[..., _SHARED] *= scale[..., None]
+
+    # If sum_i (eta - shared_i) + shared_total exceeds 1, blend toward the
+    # pure-d assignment: g = A+B+C+2D rises to 3 eta - 1, the exact budget.
+    a_, b_, c_, d_ = (block_sum(n) for n in ("a", "b", "c", "d"))
+    g = a_ + b_ + c_ + 2.0 * d_
+    deficit = (3.0 * eta - 1.0) - g
+    t = np.where(deficit > 0.0, deficit / np.where(deficit > 0.0, 2.0 * eta - g, 1.0), 0.0)
+    d_block = w[..., _D_SLICE]
+    d_shape = np.where(
+        d_[..., None] > 0.0, d_block / np.where(d_[..., None] > 0.0, d_[..., None], 1.0), 1.0 / 8.0
+    )
+    w[..., 24:48] *= (1.0 - t)[..., None]
+    w[..., _D_SLICE] = (1.0 - t)[..., None] * d_block + (t * eta)[..., None] * d_shape
+
+    for i in range(3):
+        shared_i = sum(block_sum(n) for n in _SHARED_OF_TIME[i])
+        need = np.clip(eta - shared_i, 0.0, None)
+        excl = w[..., _EXCLUSIVE[i]]
+        e_tot = excl.sum(axis=-1)
+        factor = np.where(e_tot > 0.0, need / np.where(e_tot > 0.0, e_tot, 1.0), 0.0)
+        w[..., _EXCLUSIVE[i]] = np.where(
+            e_tot[..., None] > 0.0, excl * factor[..., None], (need / 8.0)[..., None]
+        )
+    return w
+
+
+def ratio_value_reference(w: np.ndarray, fractions, signs) -> np.ndarray:
+    """Signed ratio sum per row straight from a ``fractions`` function.
+
+    ``fractions`` is ``hvmodels._lgi_fractions`` or ``_wlgi_fractions``,
+    evaluated on w itself rather than through tabulated matrices; -inf
+    marks rows where any denominator vanishes.
+    """
+    nums, dens = fractions(w)
+    valid = np.all(dens > 0.0, axis=-1)
+    safe = np.where(dens > 0.0, dens, 1.0)
+    vals = np.sum(signs * nums / safe, axis=-1)
+    return np.where(valid, vals, -np.inf)
 
 
 def deterministic_triple_values():

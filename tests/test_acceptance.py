@@ -39,7 +39,7 @@ from macroreal.hvmodels import (
     project_feasible,
     weight_index,
 )
-from macroreal.hvmodels import _LGI_SIGNS, _WLGI_SIGNS, _lgi_fractions, _wlgi_fractions, _ratio_value_batch
+from macroreal.hvmodels import _LGI_SIGNS, _WLGI_SIGNS, _lgi_fractions, _wlgi_fractions
 from macroreal.multiphoton import (
     fit_gamma,
     modified_bounds,
@@ -261,10 +261,10 @@ def test_criterion_10_oracle_equivalences():
     eta = 0.5
 
     def lgi_batch(w, eta):
-        return _ratio_value_batch(w, _lgi_fractions, _LGI_SIGNS)
+        return oracles.ratio_value_reference(w, _lgi_fractions, _LGI_SIGNS)
 
     def wlgi_batch(w, eta):
-        return _ratio_value_batch(w, _wlgi_fractions, _WLGI_SIGNS)
+        return oracles.ratio_value_reference(w, _wlgi_fractions, _WLGI_SIGNS)
 
     lgi_dev = abs(
         maximize_lgi_detectors(eta, n_starts=6, seed=3, support=support).bound

@@ -165,6 +165,14 @@ def test_hv_bound_invalid_eta_exits_2(tmp_path):
     assert main(["hv-bound", "--eta", "1.5", "--out", str(tmp_path / "y")]) == 2
 
 
+def test_hv_bound_negative_starts_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["hv-bound", "--eta", "0.5", "--inequality", "WLGI", "--starts", "-3", "--out", str(out)]
+    assert main(args) == 2
+    assert "starts" in capsys.readouterr().err
+    assert not (out / "hv_bounds.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # gamma-fit
 
@@ -390,3 +398,17 @@ def test_outputs_match_golden_files(tmp_path):
     }
     for name, path in produced.items():
         assert path.read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_hv_bound_outputs_match_golden_files(tmp_path):
+    """The ``hv-bound`` outputs of the benchmark's certify arguments stay put.
+
+    Both efficiency regimes are covered, and at eta = 0.5 and 0.8 the LGI
+    probe finds assignments beyond the witness bound, so the finding counts
+    are pinned as well.
+    """
+    out = tmp_path / "hv"
+    args = ["--eta", "0.5,0.8", "--inequality", "both", "--starts", "0", "--seed", "0"]
+    assert main(["hv-bound", *args, "--out", str(out)]) == 0
+    for name in ("hv_bounds.json", "bound_vs_eta.csv"):
+        assert (out / name).read_bytes() == (GOLDEN / "hv" / name).read_bytes(), name

@@ -22,17 +22,30 @@ from macroreal.hvmodels import (
     wlgi_detectors_value,
     wlgi_high_efficiency_witness,
 )
-from macroreal.hvmodels import _LGI_SIGNS, _WLGI_SIGNS, _lgi_fractions, _wlgi_fractions, _ratio_value_batch
+from macroreal.hvmodels import (
+    _LGI,
+    _LGI_SIGNS,
+    _WLGI,
+    _WLGI_SIGNS,
+    _lgi_fractions,
+    _ratio_value_batch,
+    _wlgi_fractions,
+)
 
-from oracles import deterministic_triple_values, grid_search_bound
+from oracles import (
+    deterministic_triple_values,
+    grid_search_bound,
+    project_feasible_reference,
+    ratio_value_reference,
+)
 
 
 def _lgi_batch(w, eta):
-    return _ratio_value_batch(w, _lgi_fractions, _LGI_SIGNS)
+    return ratio_value_reference(w, _lgi_fractions, _LGI_SIGNS)
 
 
 def _wlgi_batch(w, eta):
-    return _ratio_value_batch(w, _wlgi_fractions, _WLGI_SIGNS)
+    return ratio_value_reference(w, _wlgi_fractions, _WLGI_SIGNS)
 
 
 def test_value_functions_match_witness_closed_forms():
@@ -107,6 +120,70 @@ def test_projection_output_is_feasible_and_idempotent():
         assert np.allclose(again, proj, atol=1e-9)
         for row in proj:
             assert HVWeights(row).is_feasible(eta, tol=1e-9)
+
+
+ORACLE_ETAS = (0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.8, 1.0)
+
+
+def _oracle_batch(rng, eta):
+    """Dense, sparse, all-zero and shared-mass > eta rows, plus feasible ones."""
+    dense = rng.uniform(-0.2, 0.6, size=(200, 56))
+    sparse = np.where(rng.random((200, 56)) < 0.06, rng.uniform(0.0, eta, size=(200, 56)), 0.0)
+    zero = np.zeros((3, 56))
+    heavy = np.zeros((50, 56))
+    heavy[:, 24:56] = rng.uniform(0.0, 2.0 * eta, size=(50, 32)) / 8.0
+    pure_d = np.zeros((2, 56))
+    pure_d[0, weight_index("d", (+1, +1, +1))] = eta
+    pure_d[1, 48:56] = eta / 8.0
+    feasible = project_feasible_reference(rng.uniform(0.0, 0.4, size=(20, 56)), eta)
+    rows = np.concatenate([dense, sparse, zero, heavy, pure_d, feasible])
+    shared = rows[:, 24:56].clip(0.0, None).reshape(-1, 4, 8).sum(axis=-1)
+    per_time = shared[:, [[0, 2, 3], [0, 1, 3], [1, 2, 3]]].sum(axis=-1)
+    assert np.any(per_time.max(axis=-1) > eta)
+    assert not np.all(rows.any(axis=-1))
+    return rows
+
+
+def test_projection_matches_reference_oracle():
+    rng = np.random.default_rng(2024)
+    for eta in ORACLE_ETAS:
+        rows = _oracle_batch(rng, eta)
+        expected = project_feasible_reference(rows, eta)
+        assert np.max(np.abs(project_feasible(rows, eta) - expected)) <= 1e-12
+        # One row at a time, as the probe calls it, and a 3-D batch.
+        for row, want in zip(rows[::17], expected[::17]):
+            assert np.max(np.abs(project_feasible(row, eta) - want)) <= 1e-12
+        cube, cube_want = rows[:60].reshape(3, 20, 56), expected[:60].reshape(3, 20, 56)
+        assert np.max(np.abs(project_feasible(cube, eta) - cube_want)) <= 1e-12
+
+
+def test_tabulated_ratio_maps_match_fraction_functions():
+    rng = np.random.default_rng(5)
+    feasible = project_feasible(rng.uniform(0.0, 0.5, size=(100, 56)), 0.7)
+    w = np.concatenate([rng.uniform(0.0, 1.0, size=(100, 56)), feasible, np.eye(56)])
+    for ratios, fractions in ((_LGI, _lgi_fractions), (_WLGI, _wlgi_fractions)):
+        nums, dens = fractions(w)
+        assert np.max(np.abs(w @ ratios.num - nums)) <= 1e-14
+        assert np.max(np.abs(w @ ratios.den - dens)) <= 1e-14
+
+
+def test_value_path_matches_reference_oracle():
+    rng = np.random.default_rng(6)
+    for eta in ORACLE_ETAS:
+        # All-zero and q-only rows leave a measured run without photons.
+        degenerate = np.zeros((4, 56))
+        degenerate[1:, weight_index("q", (+1, +1, +1))] = (0.1, 0.3, eta)
+        rows = np.concatenate([project_feasible(_oracle_batch(rng, eta), eta), degenerate])
+        for ratios, fractions, signs in (
+            (_LGI, _lgi_fractions, _LGI_SIGNS),
+            (_WLGI, _wlgi_fractions, _WLGI_SIGNS),
+        ):
+            got = _ratio_value_batch(rows, ratios)
+            want = ratio_value_reference(rows, fractions, signs)
+            undefined = want == -np.inf
+            assert np.any(undefined) and not np.all(undefined)
+            assert np.array_equal(got == -np.inf, undefined)
+            assert np.max(np.abs(got[~undefined] - want[~undefined])) <= 1e-12
 
 
 def test_maximize_lgi_matches_formula():
@@ -205,6 +282,10 @@ def test_invalid_inputs_raise():
         maximize_lgi_detectors(0.0)
     with pytest.raises(ValueError):
         maximize_wlgi_detectors(1.2)
+    with pytest.raises(ValueError, match="n_starts"):
+        maximize_lgi_detectors(0.5, n_starts=-1)
+    with pytest.raises(ValueError, match="n_starts"):
+        maximize_wlgi_detectors(0.5, n_starts=-3)
     with pytest.raises(ValueError):
         critical_efficiency("NSIT")
     with pytest.raises(ValueError):
