@@ -214,11 +214,10 @@ def _threads(args: argparse.Namespace) -> int:
 
 
 def _seed_or(args: argparse.Namespace, fallback: int) -> int:
-    if args.seed is None:
-        return int(fallback)
-    if args.seed < 0:
-        raise ConfigError(f"seed: {args.seed} must be >= 0")
-    return args.seed
+    seed = int(fallback) if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"seed: {seed} must be >= 0")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +364,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     """Write ``prediction.json`` with point values and swept ranges."""
     started = time.time()
     config = load_config(args.config)
-    outdir = _ensure_outdir(args.out)
     payload = _prediction_payload(config)
+    outdir = _ensure_outdir(args.out)
     path = _write_json(outdir / "prediction.json", payload)
     point, spans = payload["point"], payload["range"]
     for name in ("lgi", "wlgi", "nsit23"):
@@ -390,7 +389,6 @@ def cmd_hv_bound(args: argparse.Namespace) -> int:
     """Certify detector-efficiency bounds over an efficiency grid."""
     started = time.time()
     config = load_config(args.config)
-    outdir = _ensure_outdir(args.out)
     seed = _seed_or(args, 0)
     if args.starts < 0:
         raise ConfigError(f"starts: {args.starts} must be >= 0")
@@ -407,6 +405,7 @@ def cmd_hv_bound(args: argparse.Namespace) -> int:
         if not 0.0 < eta <= 1.0:
             raise ConfigError(f"eta: {eta} outside (0, 1]")
     names = ("LGI", "WLGI") if args.inequality == "both" else (args.inequality,)
+    outdir = _ensure_outdir(args.out)
     maximizers = {"LGI": maximize_lgi_detectors, "WLGI": maximize_wlgi_detectors}
 
     rows = []
@@ -466,10 +465,11 @@ def cmd_gamma_fit(args: argparse.Namespace) -> int:
     """Fit the multiphoton emission parameter to a twelve-count table."""
     started = time.time()
     config = load_config(args.config)
-    outdir = _ensure_outdir(args.out)
     threads = _threads(args)
     seed = _seed_or(args, config["fit"]["seed"])
-    n_starts = int(config["fit"]["n_starts"])
+    n_starts = config["fit"]["n_starts"]
+    if isinstance(n_starts, bool) or not isinstance(n_starts, int) or n_starts < 0:
+        raise ConfigError(f"config: fit.n_starts: {n_starts!r} must be an integer >= 0")
     if args.counts is None:
         observed = reference_counts()
         counts_label = "bundled"
@@ -479,6 +479,7 @@ def cmd_gamma_fit(args: argparse.Namespace) -> int:
         except (KeyError, ValueError, OSError) as exc:
             raise ConfigError(f"counts: {exc}") from exc
         counts_label = str(args.counts)
+    outdir = _ensure_outdir(args.out)
 
     result = fit_gamma(observed, n_starts=n_starts, seed=seed, threads=threads)
     payload = fit_report(result)
@@ -555,7 +556,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     """Analyze a dataset directory or a per-run counts CSV."""
     started = time.time()
     config = load_config(args.config)
-    outdir = _ensure_outdir(args.out)
     section = config["analysis"]
     seed = _seed_or(args, section["seed"])
     bin_width = int(section["bin_width"])
@@ -566,7 +566,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not target.exists():
         raise ConfigError(f"input: {target} does not exist")
 
-    outputs: List[Path] = []
+    per_iteration = sdm = None
     if target.is_dir():
         try:
             dataset = load_dataset(target)
@@ -581,26 +581,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
         except (FileNotFoundError, KeyError, ValueError) as exc:
             raise ConfigError(f"input: {exc}") from exc
-        outputs.append(_write_json(outdir / "results.json", report.to_dict()))
-        outputs.append(
-            _write_per_iteration(outdir / "per_iteration.csv", per_iteration_values(counts))
-        )
+        per_iteration = per_iteration_values(counts)
         sdm = _sdm_rows(counts, seed)
-        if sdm:
-            outputs.append(
-                _write_csv(
-                    outdir / "sdm_vs_iterations.csv",
-                    ["iterations", "resamples", "mean", "sd", "sd_over_mean"],
-                    sdm,
-                )
-            )
     else:
         try:
             counts = load_run_counts_csv(target)
         except (KeyError, ValueError, OSError) as exc:
             raise ConfigError(f"input: {exc}") from exc
         report = analyze_counts(counts)
-        outputs.append(_write_json(outdir / "results.json", report.to_dict()))
+
+    outdir = _ensure_outdir(args.out)
+    outputs = [_write_json(outdir / "results.json", report.to_dict())]
+    if per_iteration is not None:
+        outputs.append(_write_per_iteration(outdir / "per_iteration.csv", per_iteration))
+    if sdm:
+        outputs.append(
+            _write_csv(
+                outdir / "sdm_vs_iterations.csv",
+                ["iterations", "resamples", "mean", "sd", "sd_over_mean"],
+                sdm,
+            )
+        )
 
     lgi_mean, lgi_delta = report.lgi
     wlgi_mean, wlgi_delta = report.wlgi
@@ -675,17 +676,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Tabulate measured results against predictions and macrorealist bounds."""
     started = time.time()
     config = load_config(args.config)
-    outdir = _ensure_outdir(args.out)
-    if args.prediction is not None:
-        prediction = _read_json(args.prediction, "prediction")
-    else:
-        prediction = _prediction_payload(config)
     if args.analysis is not None:
         analysis_payload = _read_json(args.analysis, "analysis")
     else:
         analysis_payload = _read_json(_REFERENCE_RESULTS, "analysis")
+    if args.prediction is not None:
+        prediction = _read_json(args.prediction, "prediction")
+    else:
+        prediction = _prediction_payload(config)
 
     rows, lines = _comparison(prediction, analysis_payload)
+    outdir = _ensure_outdir(args.out)
     csv_path = _write_csv(
         outdir / "report.csv",
         [
@@ -733,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         metavar="N",
-        help="worker threads for gamma-fit's restarts; the other commands run on"
+        help="worker threads for gamma-fit's starts; the other commands run on"
         " one thread and ignore it (default: $MACROREAL_THREADS or 1)",
     )
 

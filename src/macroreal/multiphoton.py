@@ -17,8 +17,10 @@ D = beta_sq*t4) and detector splits (E1 = (1 - t2)*eta1, E2 = t2*eta2,
 F1 = t3*eta1, F2 = (1 - t3)*eta2), and through M = N*(1 + gamma) and
 P = N*gamma: a configuration whose single photon reaches the detectors
 with probabilities q1 and q2 predicts C1 = M*q1 - P*q1^2,
-C2 = M*q2 - P*q2^2 and C12 = 2*P*q1*q2.  So the table fixes the nine parameters only up to an exact
-two-dimensional flat family:
+C2 = M*q2 - P*q2^2 and C12 = 2*P*q1*q2.  ``_predicted_flat`` computes
+exactly this, and it is the module's only count formula.  So the table
+fixes the nine parameters only up to an exact two-dimensional flat
+family:
 
 * the scaling direction of :func:`scale_equivalent`: every split times
   kappa, M divided by kappa and P by kappa^2, which changes gamma;
@@ -36,7 +38,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from importlib import resources
 from typing import Dict, NamedTuple, Sequence, Tuple
 
@@ -287,71 +289,33 @@ def modified_bounds(gamma: float) -> ModifiedBounds:
     return ModifiedBounds(1.0 + 2.0 * gamma, gamma / 2.0)
 
 
-def _predicted_flat(alpha_sq, t1, t2, t3, t4, eta1, eta2, n_events, gamma):
-    """The twelve predicted counts, in CountVector12 row order."""
+def _route_factors(alpha_sq, t1, t2, t3, t4, eta1, eta2):
+    """Route weights (A, B, C, D) and detector splits (E1, E2, F1, F2).
+
+    Named as in the module docstring; the four route weights sum to one.
+    """
     beta_sq = 1.0 - alpha_sq
-    r1, r2, r3, r4 = 1.0 - t1, 1.0 - t2, 1.0 - t3, 1.0 - t4
-    a2, a4 = alpha_sq, alpha_sq**2
-    b2, b4 = beta_sq, beta_sq**2
-    n1 = (1.0 - gamma) * n_events
-    n2 = gamma * n_events
+    routes = (alpha_sq * t1, alpha_sq * (1.0 - t1), beta_sq * (1.0 - t4), beta_sq * t4)
+    splits = ((1.0 - t2) * eta1, t2 * eta2, t3 * eta1, (1.0 - t3) * eta2)
+    return routes, splits
 
-    c1_pp = (
-        n1 * a2 * t1 * r2 * eta1
-        + n2 * a4 * t1**2 * (r2**2 * eta1 * (2.0 - eta1) + 2.0 * t2 * r2 * eta1)
-        + n2 * (a4 * 2.0 * t1 * r1 + 2.0 * a2 * b2 * t1) * r2 * eta1
-    )
-    c2_pp = (
-        n1 * a2 * t1 * t2 * eta2
-        + n2 * a4 * t1**2 * (t2**2 * eta2 * (2.0 - eta2) + 2.0 * t2 * r2 * eta2)
-        + n2 * (a4 * 2.0 * t1 * r1 + 2.0 * a2 * b2 * t1) * t2 * eta2
-    )
-    c12_pp = 2.0 * n2 * a4 * t1**2 * t2 * r2 * eta1 * eta2
 
-    c1_pm = (
-        n1 * a2 * r1 * t3 * eta1
-        + n2 * a4 * r1**2 * (t3**2 * eta1 * (2.0 - eta1) + 2.0 * t3 * r3 * eta1)
-        + n2 * (a4 * 2.0 * t1 * r1 + 2.0 * a2 * b2 * r1) * t3 * eta1
-    )
-    c2_pm = (
-        n1 * a2 * r1 * r3 * eta2
-        + n2 * a4 * r1**2 * (r3**2 * eta2 * (2.0 - eta2) + 2.0 * t3 * r3 * eta2)
-        + n2 * (a4 * 2.0 * t1 * r1 + 2.0 * a2 * b2 * r1) * r3 * eta2
-    )
-    c12_pm = 2.0 * n2 * a4 * r1**2 * t3 * r3 * eta1 * eta2
+def _predicted_flat(alpha_sq, t1, t2, t3, t4, eta1, eta2, n_events, gamma):
+    """The twelve predicted counts, in CountVector12 row order.
 
-    c1_mp = (
-        n1 * b2 * r4 * r2 * eta1
-        + n2 * b4 * r4**2 * (r2**2 * eta1 * (2.0 - eta1) + 2.0 * t2 * r2 * eta1)
-        + n2 * (b4 * 2.0 * t4 * r4 + 2.0 * a2 * b2 * r4) * r2 * eta1
-    )
-    c2_mp = (
-        n1 * b2 * r4 * t2 * eta2
-        + n2 * b4 * r4**2 * (t2**2 * eta2 * (2.0 - eta2) + 2.0 * t2 * r2 * eta2)
-        + n2 * (b4 * 2.0 * t4 * r4 + 2.0 * a2 * b2 * r4) * t2 * eta2
-    )
-    c12_mp = 2.0 * n2 * b4 * r4**2 * t2 * r2 * eta1 * eta2
-
-    c1_mm = (
-        n1 * b2 * t4 * t3 * eta1
-        + n2 * b4 * t4**2 * (t3**2 * eta1 * (2.0 - eta1) + 2.0 * t3 * r3 * eta1)
-        + n2 * (b4 * 2.0 * t4 * r4 + 2.0 * a2 * b2 * t4) * t3 * eta1
-    )
-    c2_mm = (
-        n1 * b2 * t4 * r3 * eta2
-        + n2 * b4 * t4**2 * (r3**2 * eta2 * (2.0 - eta2) + 2.0 * t3 * r3 * eta2)
-        + n2 * (b4 * 2.0 * t4 * r4 + 2.0 * a2 * b2 * t4) * r3 * eta2
-    )
-    c12_mm = 2.0 * n2 * b4 * t4**2 * t3 * r3 * eta1 * eta2
-
-    return np.array(
-        [
-            c1_pp, c2_pp, c12_pp,
-            c1_pm, c2_pm, c12_pm,
-            c1_mp, c2_mp, c12_mp,
-            c1_mm, c2_mm, c12_mm,
-        ]
-    )
+    The configurations ++, +-, -+ and -- route a photon with weight A, B,
+    C and D onto the splits E, F, E and F; with q1, q2 the route weight
+    times each split, M = N*(1 + gamma) and P = N*gamma, a row holds
+    C1 = M*q1 - P*q1^2, C2 = M*q2 - P*q2^2 and C12 = 2*P*q1*q2.
+    """
+    (a, b, c, d), (e1, e2, f1, f2) = _route_factors(alpha_sq, t1, t2, t3, t4, eta1, eta2)
+    m = n_events * (1.0 + gamma)
+    pair = n_events * gamma
+    flat = []
+    for route, s1, s2 in ((a, e1, e2), (b, f1, f2), (c, e1, e2), (d, f1, f2)):
+        q1, q2 = route * s1, route * s2
+        flat += (m * q1 - pair * q1 * q1, m * q2 - pair * q2 * q2, 2.0 * pair * q1 * q2)
+    return np.array(flat)
 
 
 def predicted_counts(params: GammaFitParams) -> CountVector12:
@@ -368,34 +332,7 @@ def predicted_counts(params: GammaFitParams) -> CountVector12:
     params : GammaFitParams
         Model parameters, including the count scale and gamma.
     """
-    flat = _predicted_flat(
-        params.alpha_sq,
-        params.t1,
-        params.t2,
-        params.t3,
-        params.t4,
-        params.eta1,
-        params.eta2,
-        params.n_events,
-        params.gamma,
-    )
-    return CountVector12.from_flat(flat)
-
-
-def _route_factors(params: GammaFitParams):
-    """Route weights (A, B, C, D) and detector splits (E1, E2, F1, F2).
-
-    Named as in the module docstring; the four route weights sum to one.
-    """
-    a2, b2 = params.alpha_sq, params.beta_sq
-    routes = (a2 * params.t1, a2 * (1.0 - params.t1), b2 * (1.0 - params.t4), b2 * params.t4)
-    splits = (
-        (1.0 - params.t2) * params.eta1,
-        params.t2 * params.eta2,
-        params.t3 * params.eta1,
-        (1.0 - params.t3) * params.eta2,
-    )
-    return routes, splits
+    return CountVector12.from_flat(_predicted_flat(*astuple(params)))
 
 
 def detection_prob_total(params: GammaFitParams) -> float:
@@ -409,7 +346,7 @@ def detection_prob_total(params: GammaFitParams) -> float:
     kappa along :func:`scale_equivalent`, so it is the coordinate that
     :func:`canonical_gauge` fixes on the scaling direction.
     """
-    (a, b, c, d), (e1, e2, f1, f2) = _route_factors(params)
+    (a, b, c, d), (e1, e2, f1, f2) = _route_factors(*astuple(params)[:7])
     return (a + c) * (e1 + e2) + (b + d) * (f1 + f2)
 
 
@@ -486,7 +423,7 @@ def canonical_gauge(params: GammaFitParams) -> GammaFitParams:
         If 0.6*N*(1 + gamma) <= 2*S*N*gamma, where no representative with
         gamma < 1 exists.
     """
-    (a, b, c, d), (e1, e2, f1, f2) = _route_factors(params)
+    (a, b, c, d), (e1, e2, f1, f2) = _route_factors(*astuple(params)[:7])
     s = detection_prob_total(params)
     lam, mu = (e1 + e2) / s, (f1 + f2) / s
     # Arm weights of the equal-efficiency point; they sum to one exactly
@@ -554,33 +491,23 @@ def _pearson_residuals(x: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return (pred - obs) / np.sqrt(np.maximum(pred, 1e-12))
 
 
-def _restart(x0: np.ndarray, obs: np.ndarray):
-    def objective(x):
-        return _guarded_chi2(obs, _predicted_flat(*_unpack(x)))
-
-    res = optimize.minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        bounds=list(zip(_X_LO, _X_HI)),
-        options={"maxfev": 3000, "xatol": 1e-6, "fatol": 1e-9, "adaptive": True},
-    )
-    return float(res.fun), res.x
-
-
 def fit_gamma(
     observed: CountVector12, n_starts: int = 50, seed: int = 0, threads: int = 1
 ) -> GammaFitResult:
     """Fit the nine count-model parameters to an observed table.
 
-    Derivative-free simplex minimization of the chi-squared statistic from
-    ``n_starts`` random starting points inside ``FIT_BOUNDS`` (plus the box
-    center), followed by a trust-region polish of the best candidates on
-    the Pearson residuals.  The count scale is searched on a log axis.
+    One bounded trust-region least-squares solve (``trf``) of the Pearson
+    residuals runs from each of ``n_starts`` random starting points inside
+    ``FIT_BOUNDS`` and from the box center; the solve whose end point has
+    the lowest chi-squared wins.  The count scale is searched on a log
+    axis.
 
     The chi-squared landscape is exactly flat along the two-dimensional
-    count-equivalent family of the module docstring, so the optimizer lands
-    on an arbitrary member of it; the returned parameters are the family's
+    count-equivalent family of the module docstring.  That does not hinder
+    the solves: the residuals do not change along the family, so a solve
+    that reaches the optimum reaches some member of it, and any member
+    serves (on the bundled table every seed gives the same canonical gamma
+    to 1e-9).  The returned parameters are the family's
     :func:`canonical_gauge` representative (eta1 = eta2 = 0.6, no
     clipping).  Quantities that differ between family members (gamma, the
     count scale, the splitter and efficiency parameters) are therefore
@@ -592,35 +519,35 @@ def fit_gamma(
     observed : CountVector12
         Measured singles and coincidences.
     n_starts : int
-        Number of random restarts.
+        Number of random starts besides the box center, >= 0.
     seed : int
-        Seed of the restart stream.
+        Seed of the start stream.
     threads : int
-        Restarts run on this many worker threads; the merged result is
-        identical for any thread count.
+        Solves run on this many worker threads; the result is identical
+        for any thread count.
 
     Returns
     -------
     GammaFitResult
-        Best parameters, their chi-squared value and a convergence flag
-        (False when the polish stopped on its evaluation budget).
+        Best parameters, their chi-squared value and a convergence flag:
+        True when the winning solve met one of its tolerances (``status >
+        0``, not the evaluation budget) and the chi-squared is finite.
+
+    Raises
+    ------
+    ValueError
+        If ``n_starts`` is not a nonnegative integer.
     """
+    if isinstance(n_starts, bool) or not isinstance(n_starts, int) or n_starts < 0:
+        raise ValueError(f"n_starts must be an integer >= 0, got {n_starts!r}")
     obs = observed.flat
     rng = np.random.default_rng(seed)
     starts = [0.5 * (_X_LO + _X_HI)]
     for _ in range(n_starts):
         starts.append(rng.uniform(_X_LO, _X_HI))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            coarse = list(pool.map(lambda x0: _restart(x0, obs), starts))
-    else:
-        coarse = [_restart(x0, obs) for x0 in starts]
-
-    coarse.sort(key=lambda item: item[0])
-    best_val, best_x, converged = math.inf, coarse[0][1], False
-    for _, x0 in coarse[:3]:
-        res = optimize.least_squares(
+    def solve(x0):
+        return optimize.least_squares(
             _pearson_residuals,
             x0,
             bounds=(_X_LO, _X_HI),
@@ -632,12 +559,17 @@ def fit_gamma(
             max_nfev=2000,
             args=(obs,),
         )
-        val = _guarded_chi2(obs, _predicted_flat(*_unpack(res.x)))
-        if val < best_val:
-            best_val, best_x, converged = val, res.x, res.status > 0
-    params = canonical_gauge(GammaFitParams(*_unpack(best_x)))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            solves = list(pool.map(solve, starts))
+    else:
+        solves = [solve(x0) for x0 in starts]
+
+    best = min(solves, key=lambda res: _guarded_chi2(obs, _predicted_flat(*_unpack(res.x))))
+    params = canonical_gauge(GammaFitParams(*_unpack(best.x)))
     chi2 = _guarded_chi2(obs, predicted_counts(params).flat)
-    return GammaFitResult(params, chi2, converged and math.isfinite(chi2))
+    return GammaFitResult(params, chi2, best.status > 0 and math.isfinite(chi2))
 
 
 def fit_report(result: GammaFitResult) -> Dict[str, object]:

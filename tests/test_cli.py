@@ -195,6 +195,44 @@ def test_gamma_fit_missing_column_exits_2(tmp_path):
     assert main(["gamma-fit", "--counts", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["predict", "--config", "{tmp}/bad.json"], "config"),
+        (["hv-bound", "--eta", "0.0"], "eta"),
+        (["hv-bound", "--eta", "0.5", "--starts", "-3"], "starts"),
+        (["hv-bound", "--eta", "0.5", "--seed", "-1"], "seed"),
+        (["gamma-fit", "--config", "{tmp}/negative.json"], "fit.n_starts"),
+        (["gamma-fit", "--config", "{tmp}/fractional.json"], "fit.n_starts"),
+        (["gamma-fit", "--config", "{tmp}/text.json"], "fit.n_starts"),
+        (["gamma-fit", "--counts", "{tmp}/counts.csv"], "counts"),
+        (["gamma-fit", "--threads", "0"], "threads"),
+        (["gamma-fit", "--config", "{tmp}/seed.json"], "seed"),
+        (["analyze", "{tmp}/missing"], "input"),
+        (["analyze", "{tmp}/empty"], "input"),
+        (["report", "--analysis", "{tmp}/missing.json"], "analysis"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_rejected_invocation_leaves_no_output_directory(tmp_path, capsys, argv, message):
+    (tmp_path / "bad.json").write_text("not json", encoding="utf-8")
+    fits = {
+        "negative": {"n_starts": -2},
+        "fractional": {"n_starts": 2.5},
+        "text": {"n_starts": "3"},
+        "seed": {"seed": -1},
+    }
+    for name, fit in fits.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"fit": fit}), encoding="utf-8")
+    (tmp_path / "counts.csv").write_text("set_label,C1,C2\nA,1,2\n", encoding="utf-8")
+    (tmp_path / "empty").mkdir()
+    out = tmp_path / "out"
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main([*args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_env_fallback(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, fit={"n_starts": 2})
     monkeypatch.setenv("MACROREAL_THREADS", "2")
@@ -412,3 +450,11 @@ def test_hv_bound_outputs_match_golden_files(tmp_path):
     assert main(["hv-bound", *args, "--out", str(out)]) == 0
     for name in ("hv_bounds.json", "bound_vs_eta.csv"):
         assert (out / name).read_bytes() == (GOLDEN / "hv" / name).read_bytes(), name
+
+
+def test_gamma_fit_output_matches_golden_file(tmp_path):
+    """A default ``gamma-fit`` of the bundled table stays put."""
+    out = tmp_path / "fit"
+    assert main(["gamma-fit", "--out", str(out)]) == 0
+    produced = (out / "gamma_fit.json").read_bytes()
+    assert produced == (GOLDEN / "gamma_fit.json").read_bytes()

@@ -370,6 +370,20 @@ def test_fit_reference_table():
     assert set(report["params"]) == set(FIT_BOUNDS)
 
 
+def test_fit_reference_table_is_start_independent():
+    # Every start's least-squares solve lands on the same optimal family,
+    # so the seed of the start stream does not move the canonical gamma.
+    observed = reference_counts()
+    gammas = [fit_gamma(observed, seed=seed).params.gamma for seed in range(4)]
+    assert max(gammas) - min(gammas) <= 1e-9
+
+
+@pytest.mark.parametrize("n_starts", [-3, 2.5, "3", True])
+def test_fit_gamma_rejects_invalid_n_starts(n_starts):
+    with pytest.raises(ValueError, match="n_starts"):
+        fit_gamma(reference_counts(), n_starts=n_starts)
+
+
 def test_fit_reference_table_chi2():
     # The stated quality target for the bundled table.  The model ties the
     # C1/C2 ratio of set ++ to set -+ and of set +- to set -- (shared final
