@@ -511,11 +511,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     setup = _setup_from_config(config)
     dataset = run_protocol(source, setup, iterations=iterations, v_jitter=v_jitter)
     try:
-        dataset.to_directory(args.out, force=args.force)
+        manifest_path = dataset.to_directory(args.out, force=args.force)
     except FileExistsError as exc:
         raise ConfigError(str(exc)) from exc
     outdir = Path(args.out)
-    outputs = [p for p in sorted(outdir.rglob("*")) if p.is_file()]
+    # Only what this run wrote: --force leaves older files in place.
+    files = json.loads(manifest_path.read_text(encoding="utf-8"))["files"]
+    outputs = [manifest_path] + [outdir / entry["path"] for entry in files]
     n_iters = sum(dataset.iteration_count(run) for run in dataset.run_ids)
     print(f"Wrote {len(dataset.run_ids)}-run dataset ({n_iters} iterations) to {outdir}")
     _write_run_manifest(outdir, "simulate", config, source.seed, outputs, started)

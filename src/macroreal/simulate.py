@@ -14,15 +14,19 @@ stream.
 
 ``run_protocol`` schedules the full four-run measurement protocol (nine
 sub-runs) with per-iteration seeds derived from one master seed, and
-returns a lazily generated dataset that can also be materialized to a CSV
-directory tree.
+returns a lazily generated dataset.  ``ExperimentDataset.to_directory``
+materializes it as one uncompressed ``.npz`` archive per iteration,
+``run{r}_sub{s}/iter{i:04d}.npz``, holding the int64 picosecond stamps of
+each channel under its name in ``CHANNELS``, plus a ``manifest.json`` in
+format ``macroreal-dataset-v2``; ``load_dataset`` reads such a directory
+back and validates every file it opens.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
@@ -55,6 +59,8 @@ INTERFERENCE_RUNS = frozenset({2, 4})
 DEFAULT_ITERATIONS = {"interference": 300, "non_interference": 150}
 
 _PS_PER_SECOND = 1_000_000_000_000
+
+_DATASET_FORMAT = "macroreal-dataset-v2"
 
 
 @dataclass(frozen=True)
@@ -144,11 +150,11 @@ class TimestampStream:
             raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         times = np.asarray(self.times, dtype=np.int64)
         if times.ndim != 1:
-            raise ValueError("times must be one-dimensional")
+            raise ValueError(f"{self.channel} times must be one-dimensional")
         if times.size and times[0] < 0:
-            raise ValueError("timestamps must be nonnegative")
+            raise ValueError(f"{self.channel} timestamps must be nonnegative")
         if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("timestamps must be strictly increasing")
+            raise ValueError(f"{self.channel} timestamps must be strictly increasing")
         object.__setattr__(self, "times", times)
 
     def __len__(self) -> int:
@@ -283,8 +289,8 @@ class ExperimentDataset:
 
     Streams are regenerated on demand from seeds derived from
     ``master_seed``, so the dataset is cheap to hold and deterministic;
-    ``to_directory`` materializes it as per-iteration CSV files plus a
-    manifest.
+    ``to_directory`` materializes it as one ``.npz`` archive per iteration
+    plus a manifest.
 
     Parameters
     ----------
@@ -346,14 +352,23 @@ class ExperimentDataset:
         return generate_sub_run(src, setup, self.sub_run_blockers(run)[sub_run])
 
     def to_directory(self, outdir: str, force: bool = False) -> Path:
-        """Write every iteration as CSV plus a dataset manifest.
+        """Write every iteration as an ``.npz`` archive plus a dataset manifest.
+
+        Iteration ``i`` of sub-run ``s`` of run ``r`` goes to
+        ``run{r}_sub{s}/iter{i:04d}.npz``, an uncompressed ``numpy.savez``
+        archive with one 1-D int64 array of absolute picosecond stamps per
+        channel, named ``H``, ``P`` and ``M``.  The manifest
+        (``manifest.json``, format ``macroreal-dataset-v2``) records the
+        master seed, source, setup, schedule and, per file, its location,
+        stream seed and the number of stamps of each channel (``events``).
 
         Parameters
         ----------
         outdir : str
             Target directory; created if absent.
         force : bool
-            Overwrite into a non-empty directory.
+            Overwrite into a non-empty directory.  Files this call does not
+            write are left in place; the manifest lists only its own.
 
         Returns
         -------
@@ -372,13 +387,8 @@ class ExperimentDataset:
                 sub_dir.mkdir(exist_ok=True)
                 for iteration in range(self.iteration_count(run)):
                     streams = self.streams(run, sub_run, iteration)
-                    rel = f"run{run}_sub{sub_run}/iter{iteration:04d}.csv"
-                    with open(root / rel, "w", newline="") as fh:
-                        writer = csv.writer(fh)
-                        writer.writerow(["channel", "time_ps"])
-                        for stream in streams:
-                            for t in stream.times.tolist():
-                                writer.writerow([stream.channel, t])
+                    rel = _iteration_file(run, sub_run, iteration)
+                    np.savez(root / rel, **{s.channel: s.times for s in streams})
                     stream_seed, _ = derive_iteration_state(
                         self.master_seed, run, sub_run, iteration
                     )
@@ -389,11 +399,12 @@ class ExperimentDataset:
                             "iteration": iteration,
                             "path": rel,
                             "seed": stream_seed,
+                            "events": {s.channel: len(s) for s in streams},
                         }
                     )
 
         manifest = {
-            "format": "macroreal-dataset-v1",
+            "format": _DATASET_FORMAT,
             "master_seed": self.master_seed,
             "source": dataclasses.asdict(self.source),
             "setup": {
@@ -454,8 +465,40 @@ def run_protocol(
     )
 
 
+def _iteration_file(run: int, sub_run: int, iteration: int) -> str:
+    """Location of one iteration's archive, relative to the dataset root."""
+    return f"run{run}_sub{sub_run}/iter{iteration:04d}.npz"
+
+
+def _read_iteration(
+    path: Path, events: Dict[str, int], duration_ps: int
+) -> Tuple[TimestampStream, TimestampStream, TimestampStream]:
+    """Read one iteration archive and check it against its manifest entry."""
+    archive = np.load(path, allow_pickle=False)
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError("not an .npz archive")
+    with archive:
+        if sorted(archive.files) != sorted(CHANNELS):
+            raise ValueError(
+                f"expected arrays {sorted(CHANNELS)}, found {sorted(archive.files)}"
+            )
+        arrays = {ch: archive[ch] for ch in CHANNELS}
+    for ch, times in arrays.items():
+        if times.dtype != np.int64 or times.ndim != 1:
+            raise ValueError(
+                f"{ch} must be a 1-D int64 array, got {times.dtype} of shape {times.shape}"
+            )
+    counts = {ch: int(times.size) for ch, times in arrays.items()}
+    if counts != events:
+        raise ValueError(f"stamps per channel {counts} differ from the manifest's {events}")
+    for ch, times in arrays.items():
+        if times.size and (times.min() < 0 or times.max() >= duration_ps):
+            raise ValueError(f"{ch} has stamps outside [0, {duration_ps}) ps")
+    return tuple(TimestampStream(ch, arrays[ch]) for ch in CHANNELS)
+
+
 class _DirectoryDataset:
-    """Dataset view over a materialized CSV directory tree."""
+    """Dataset view over a materialized ``.npz`` directory tree."""
 
     def __init__(self, root: Path, manifest: dict):
         self._root = root
@@ -468,6 +511,11 @@ class _DirectoryDataset:
             )
             for run, subs in manifest["sub_runs"].items()
         }
+        self._events = {
+            (entry["run"], entry["sub_run"], entry["iteration"]): entry["events"]
+            for entry in manifest["files"]
+        }
+        self._duration_ps = self.source.duration_ps
 
     @property
     def run_ids(self) -> Tuple[int, ...]:
@@ -486,33 +534,56 @@ class _DirectoryDataset:
     def streams(
         self, run: int, sub_run: int, iteration: int
     ) -> Tuple[TimestampStream, TimestampStream, TimestampStream]:
-        path = self._root / f"run{run}_sub{sub_run}" / f"iter{iteration:04d}.csv"
-        by_channel: Dict[str, list] = {ch: [] for ch in CHANNELS}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(reader.fieldnames) != {"channel", "time_ps"}:
-                raise ValueError(f"{path}: expected columns channel,time_ps")
-            for row in reader:
-                by_channel[row["channel"]].append(int(row["time_ps"]))
-        return tuple(
-            TimestampStream(ch, np.sort(np.asarray(by_channel[ch], dtype=np.int64)))
-            for ch in CHANNELS
-        )
+        """Read the three streams of one iteration from its archive.
+
+        Raises
+        ------
+        FileNotFoundError
+            If the archive is missing.
+        ValueError
+            Naming the file, if it is not an ``.npz`` archive of exactly the
+            ``H``, ``P`` and ``M`` arrays, if an array is pickled, not 1-D or
+            not int64, if its length differs from the manifest's ``events``
+            count, or if its stamps leave ``[0, source.duration_ps)`` or are
+            not strictly increasing.
+        """
+        path = self._root / _iteration_file(run, sub_run, iteration)
+        events = self._events.get((run, sub_run, iteration))
+        if events is None:
+            raise ValueError(f"{path}: the manifest has no entry for this file")
+        try:
+            return _read_iteration(path, events, self._duration_ps)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_dataset(path: str) -> _DirectoryDataset:
     """Open a materialized dataset directory.
 
+    Only the manifest is read here; each iteration archive is read and
+    validated when its ``streams`` are requested.
+
     Parameters
     ----------
     path : str
-        Directory containing ``manifest.json`` and the iteration CSVs.
+        Directory containing ``manifest.json`` (format
+        ``macroreal-dataset-v2``) and the iteration archives written by
+        :meth:`ExperimentDataset.to_directory`.
 
     Returns
     -------
     _DirectoryDataset
         Read-only dataset with the same access methods as
         :class:`ExperimentDataset`.
+
+    Raises
+    ------
+    FileNotFoundError
+        If there is no ``manifest.json``.
+    ValueError
+        If the manifest has another format.  A ``macroreal-dataset-v1``
+        (CSV) directory is no longer read; its manifest holds the seed and
+        configuration to write it again with ``simulate``.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -520,6 +591,13 @@ def load_dataset(path: str) -> _DirectoryDataset:
         raise FileNotFoundError(f"no manifest.json under {root}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "macroreal-dataset-v1":
-        raise ValueError(f"{manifest_path}: unrecognized dataset format")
+    fmt = manifest.get("format")
+    if fmt == "macroreal-dataset-v1":
+        raise ValueError(
+            f"{manifest_path}: macroreal-dataset-v1 (CSV) datasets are no longer read; "
+            "re-run simulate with the master seed and configuration recorded in "
+            f"this manifest to write a {_DATASET_FORMAT} dataset"
+        )
+    if fmt != _DATASET_FORMAT:
+        raise ValueError(f"{manifest_path}: unrecognized dataset format {fmt!r}")
     return _DirectoryDataset(root, manifest)

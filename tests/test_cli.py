@@ -283,6 +283,23 @@ def test_simulate_requires_out():
     assert main(["simulate"]) == 2
 
 
+def test_simulate_force_lists_only_the_files_it_wrote(tmp_path):
+    out = tmp_path / "ds"
+    big = write_config(tmp_path, source=FAST_SOURCE)
+    assert main(["simulate", "--config", big, "--out", str(out)]) == 0
+    small = tmp_path / "small.json"
+    small.write_text(
+        json.dumps({"source": {**FAST_SOURCE, "iterations": {"interference": 1, "non_interference": 1}}}),
+        encoding="utf-8",
+    )
+    assert main(["simulate", "--config", str(small), "--out", str(out), "--force"]) == 0
+    dataset = read_json(out / "manifest.json")
+    outputs = read_json(out / "run_manifest.json")["outputs"]
+    assert len(dataset["files"]) == 9
+    assert outputs == sorted(["manifest.json"] + [entry["path"] for entry in dataset["files"]])
+    assert (out / "run2_sub0" / "iter0002.npz").exists()  # left by the first run
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -324,6 +341,18 @@ def test_analyze_bundled_counts_fixture(tmp_path):
     assert results["wlgi"]["mean"] == pytest.approx(0.09, abs=0.005)
     assert results["lgi"]["delta"] is None
     assert not (out / "per_iteration.csv").exists()
+
+
+def test_analyze_damaged_dataset_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, source=FAST_SOURCE, analysis={"n_samples": 20000})
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(ds)]) == 0
+    damaged = ds / "run3_sub1" / "iter0001.npz"
+    damaged.write_bytes(damaged.read_bytes()[:-100])
+    out = tmp_path / "out"
+    assert main(["analyze", str(ds), "--config", cfg, "--out", str(out)]) == 2
+    assert "run3_sub1/iter0001.npz" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_empty_directory_exits_2(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -215,18 +216,100 @@ def test_dataset_round_trip_through_directory(tmp_path):
     )
     manifest_path = dataset.to_directory(tmp_path / "data")
     assert manifest_path.name == "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["format"] == "macroreal-dataset-v2"
+    assert len(manifest["files"]) == 18
     loaded = load_dataset(tmp_path / "data")
     assert loaded.run_ids == dataset.run_ids
     assert loaded.iteration_count(2) == 2
-    for run, sub, iteration in ((1, 0, 0), (3, 2, 1), (4, 0, 1)):
+    for entry in manifest["files"]:
+        run, sub, iteration = entry["run"], entry["sub_run"], entry["iteration"]
+        assert entry["path"] == f"run{run}_sub{sub}/iter{iteration:04d}.npz"
         direct = dataset.streams(run, sub, iteration)
         reloaded = loaded.streams(run, sub, iteration)
+        assert entry["events"] == {x.channel: len(x) for x in direct}
         for x, y in zip(direct, reloaded):
             assert x.channel == y.channel
+            assert y.times.dtype == np.int64
             assert np.array_equal(x.times, y.times)
     with pytest.raises(FileExistsError):
         dataset.to_directory(tmp_path / "data")
     dataset.to_directory(tmp_path / "data", force=True)
+
+
+def test_load_dataset_rejects_old_formats_and_missing_entries(tmp_path):
+    run_protocol(
+        SourceConfig(pair_rate=2.0e3, seed=3), SetupParams(),
+        iterations={"interference": 1, "non_interference": 1},
+    ).to_directory(tmp_path)
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format"] = "macroreal-dataset-v1"
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="re-run simulate"):
+        load_dataset(tmp_path)
+    manifest["format"] = "something-else"
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="unrecognized dataset format"):
+        load_dataset(tmp_path)
+    manifest["format"] = "macroreal-dataset-v2"
+    manifest["files"] = manifest["files"][1:]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="run1_sub0/iter0000.npz: the manifest has no entry"):
+        load_dataset(tmp_path).streams(1, 0, 0)
+
+
+def _write_npy(path, arrays):
+    with open(path, "wb") as fh:
+        np.save(fh, arrays["H"])
+
+
+# Each case rewrites run 1, sub-run 0, iteration 0 from its stored arrays.
+_CORRUPTIONS = {
+    "missing channel": lambda path, a: np.savez(path, H=a["H"], P=a["P"]),
+    "extra channel": lambda path, a: np.savez(path, X=a["H"][:1], **a),
+    "float array": lambda path, a: np.savez(path, **{**a, "P": a["P"].astype(float)}),
+    "int32 array": lambda path, a: np.savez(path, **{**a, "P": a["P"].astype(np.int32)}),
+    "2-D array": lambda path, a: np.savez(path, **{**a, "P": a["P"].reshape(1, -1)}),
+    "pickled object array": lambda path, a: np.savez(
+        path, **{**a, "P": np.array(a["P"].tolist(), dtype=object)}
+    ),
+    "stamp at duration": lambda path, a: np.savez(
+        path, **{**a, "P": np.append(a["P"][1:], SourceConfig().duration_ps)}
+    ),
+    "negative stamp": lambda path, a: np.savez(
+        path, **{**a, "P": np.insert(a["P"][:-1], 0, -1)}
+    ),
+    "unsorted stamps": lambda path, a: np.savez(path, **{**a, "P": a["P"][::-1].copy()}),
+    "repeated stamp": lambda path, a: np.savez(
+        path, **{**a, "P": np.insert(a["P"][:-1], 1, a["P"][0])}
+    ),
+    "truncated stream": lambda path, a: np.savez(path, **{**a, "P": a["P"][:-1]}),
+    "swapped file": lambda path, a: np.savez(
+        path, **dict(np.load(path.with_name("iter0001.npz")))
+    ),
+    "plain .npy": _write_npy,
+    "truncated archive": lambda path, a: path.write_bytes(path.read_bytes()[:1000]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+def test_loader_rejects_bad_iteration_file_naming_it(tmp_path, case):
+    src = SourceConfig(pair_rate=2.0e3, seed=11)
+    dataset = run_protocol(
+        src, SetupParams(), iterations={"interference": 1, "non_interference": 2}
+    )
+    dataset.to_directory(tmp_path)
+    path = tmp_path / "run1_sub0" / "iter0000.npz"
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    _CORRUPTIONS[case](path, arrays)
+    loaded = load_dataset(tmp_path)
+    with pytest.raises(ValueError, match="run1_sub0/iter0000.npz"):
+        loaded.streams(1, 0, 0)
+    # Its neighbour is untouched and still reads back exactly.
+    for x, y in zip(dataset.streams(1, 0, 1), loaded.streams(1, 0, 1)):
+        assert np.array_equal(x.times, y.times)
 
 
 def test_default_iterations_mapping():
