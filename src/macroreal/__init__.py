@@ -93,7 +93,6 @@ from .analysis import (
     evaluate_inequalities,
     histogram,
     joint_probs_from_counts,
-    joint_probs_from_runs,
     load_run_counts_csv,
     per_iteration_values,
     representative_counts_path,
@@ -153,7 +152,6 @@ __all__ = [
     "ideal_maxima",
     "joint_probs",
     "joint_probs_from_counts",
-    "joint_probs_from_runs",
     "lgi_detectors_bound_formula",
     "load_counts_csv",
     "load_dataset",

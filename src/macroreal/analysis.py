@@ -6,6 +6,10 @@ FWHM coincidence windows with flatline background subtraction, corrected
 coincidence counts, joint outcome probability tables, the LGI/WLGI/NSIT
 values, worst-case error bounds assembled from cross-combination
 distributions, and bootstrap resampling diagnostics.
+
+:func:`histogram` is the only place that pairs timestamps.  Every later
+step reads that histogram: a window's raw pair count is the sum of the
+histogram bins it covers.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ __all__ = [
     "evaluate_inequalities",
     "histogram",
     "joint_probs_from_counts",
-    "joint_probs_from_runs",
     "load_run_counts_csv",
     "per_iteration_values",
     "representative_counts_path",
@@ -63,6 +66,8 @@ DEFAULT_WINDOW_RANGE = (-50_000, 50_000)
 PEAK_THRESHOLD_SIGMAS = 5.0
 # Flatline bins are taken beyond this many window widths from the peak.
 _FLATLINE_EXCLUSION_FACTOR = 3
+# count_sub_run sums at most this many windows per histogram.
+_MAX_PEAKS = 4
 
 # Detector column order used throughout: (+1 detector, -1 detector).
 _DETECTOR_COLUMNS = ("P", "M")
@@ -116,14 +121,16 @@ class CoincidenceHistogram:
 class WindowSelection:
     """Coincidence window on the delay axis with its background estimate.
 
+    :func:`select_window` sizes it by the FWHM of a histogram peak, and
+    :func:`corrected_coincidences` counts it on a histogram of the same
+    bin grid.
+
     Attributes
     ----------
     start, end : int
         Window interval [start, end) in picoseconds, aligned to bins.
     flatline_mean : float
         Estimated background counts per bin outside the peak.
-    policy : str
-        Window sizing rule; only ``"FWHM"`` is implemented.
     bin_width : int
         Bin width in picoseconds the window was derived from.
     """
@@ -131,7 +138,6 @@ class WindowSelection:
     start: int
     end: int
     flatline_mean: float
-    policy: str = "FWHM"
     bin_width: int = DEFAULT_BIN_WIDTH
 
     def __post_init__(self) -> None:
@@ -139,8 +145,6 @@ class WindowSelection:
             raise ValueError("window start must precede end")
         if self.flatline_mean < 0.0:
             raise ValueError("flatline_mean must be nonnegative")
-        if self.policy != "FWHM":
-            raise ValueError("only the FWHM window policy is supported")
         if self.bin_width <= 0:
             raise ValueError("bin_width must be positive")
         if (self.end - self.start) % self.bin_width != 0:
@@ -366,35 +370,51 @@ def select_window(h: CoincidenceHistogram) -> WindowSelection:
         start=h.bin_start(i_lo),
         end=h.bin_start(i_hi + 1),
         flatline_mean=max(flatline, 0.0),
-        policy="FWHM",
         bin_width=h.bin_width,
     )
 
 
-def _raw_pairs(ta: np.ndarray, tb: np.ndarray, start: int, end: int) -> int:
-    left = np.searchsorted(tb, ta + start, side="left")
-    right = np.searchsorted(tb, ta + end, side="left")
-    return int(np.sum(right - left))
+def _window_bins(h: CoincidenceHistogram, w: WindowSelection) -> Tuple[int, int]:
+    """Bin index range [i_lo, i_hi) of ``h`` that window ``w`` covers."""
+    if w.bin_width != h.bin_width:
+        raise ValueError(
+            f"window bin_width {w.bin_width} differs from the histogram's {h.bin_width}"
+        )
+    if (w.start - h.origin) % h.bin_width != 0:
+        raise ValueError("window is off the histogram's bin grid")
+    i_lo = (w.start - h.origin) // h.bin_width
+    i_hi = i_lo + w.n_bins
+    if i_lo < 0 or i_hi > h.n_bins:
+        raise ValueError("window lies outside the histogram")
+    return i_lo, i_hi
 
 
-def corrected_coincidences(a: Stream, b: Stream, w: WindowSelection) -> float:
+def corrected_coincidences(h: CoincidenceHistogram, w: WindowSelection) -> float:
     """Background-corrected pair count inside a coincidence window.
 
-    Subtracts ``flatline_mean`` times the window width in bins from the
-    raw number of pairs with difference in [start, end); negative results
+    The raw count is the sum of the histogram bins in [start, end), i.e.
+    the number of pairs with difference in that interval.  Subtracts
+    ``flatline_mean`` times the window width in bins; negative results
     clamp to zero with a warning.
 
     Parameters
     ----------
-    a, b : TimestampStream or sorted integer array
+    h : CoincidenceHistogram
+        Delay histogram the window is counted on.
     w : WindowSelection
 
     Returns
     -------
     float
+
+    Raises
+    ------
+    ValueError
+        If ``w`` has another ``bin_width`` than ``h``, is off ``h``'s bin
+        grid, or lies outside ``h``.
     """
-    ta, tb = _times(a), _times(b)
-    raw = _raw_pairs(ta, tb, w.start, w.end)
+    i_lo, i_hi = _window_bins(h, w)
+    raw = int(h.counts[i_lo:i_hi].sum())
     value = raw - w.flatline_mean * w.n_bins
     if value < 0.0:
         warnings.warn(
@@ -412,14 +432,14 @@ def count_sub_run(
     detector: Stream,
     bin_width: int = DEFAULT_BIN_WIDTH,
     window: Tuple[int, int] = DEFAULT_WINDOW_RANGE,
-    max_peaks: int = 4,
 ) -> float:
     """Total corrected coincidences between a herald and one detector.
 
     Interference sub-runs mix the two outer-arm path delays, so the delay
-    histogram can show up to two separated peaks; this finds up to
-    ``max_peaks`` windows by repeatedly selecting a peak and masking it to
-    the flatline, then sums the corrected counts of all windows.
+    histogram can show up to two separated peaks; this finds up to four
+    windows by repeatedly selecting a peak and masking it to the flatline,
+    then sums the corrected counts of all windows, each counted on the
+    one histogram of the two streams.
 
     Parameters
     ----------
@@ -427,8 +447,6 @@ def count_sub_run(
     bin_width : int
     window : tuple of int
         Search range for the delay histogram.
-    max_peaks : int
-        Upper bound on distinct coincidence peaks to collect.
 
     Returns
     -------
@@ -444,7 +462,7 @@ def count_sub_run(
     med = float(np.median(work))
     fill = int(round(med))
     windows: List[WindowSelection] = []
-    for _ in range(max_peaks):
+    for _ in range(_MAX_PEAKS):
         try:
             sel = select_window(CoincidenceHistogram(h.bin_width, h.origin, work))
         except NoPeakError:
@@ -452,13 +470,11 @@ def count_sub_run(
         if any(sel.start < prev.end and sel.end > prev.start for prev in windows):
             break
         windows.append(sel)
-        i_lo = (sel.start - h.origin) // h.bin_width
-        i_hi = (sel.end - h.origin) // h.bin_width
+        i_lo, i_hi = _window_bins(h, sel)
         work[i_lo:i_hi] = fill
     if not windows:
         raise NoPeakError("no coincidence peak above the flatline")
-    ta, tb = _times(herald), _times(detector)
-    return float(sum(corrected_coincidences(ta, tb, sel) for sel in windows))
+    return float(sum(corrected_coincidences(h, sel) for sel in windows))
 
 
 def _dataset_window(dataset) -> Tuple[int, int]:
@@ -563,31 +579,6 @@ def joint_probs_from_counts(
     return joint_tables(cells)
 
 
-def joint_probs_from_runs(
-    source,
-    bin_width: int = DEFAULT_BIN_WIDTH,
-    window: Optional[Tuple[int, int]] = None,
-) -> Dict[Tuple[str, ...], JointProbTable]:
-    """Joint probability tables from a dataset or precomputed counts.
-
-    Parameters
-    ----------
-    source : dataset or mapping
-        A dataset (counted via :func:`count_dataset`) or a (run, sub_run)
-        -> counts mapping as produced by it.
-    bin_width, window :
-        Histogram settings when counting a dataset.
-
-    Returns
-    -------
-    dict
-        See :func:`joint_probs_from_counts`.
-    """
-    if isinstance(source, Mapping):
-        return joint_probs_from_counts(source)
-    return joint_probs_from_counts(count_dataset(source, bin_width, window))
-
-
 def evaluate_inequalities(
     tables: Mapping[Tuple[str, ...], JointProbTable],
 ) -> ResultReport:
@@ -671,7 +662,7 @@ def _stds(batches: List[Dict[str, np.ndarray]]) -> Dict[str, float]:
 
 
 def error_distributions(
-    source,
+    counts: Mapping[Tuple[int, int], np.ndarray],
     n_samples: int = 1_000_000,
     seed: int = 0,
     exhaustive_limit: int = 20,
@@ -688,8 +679,8 @@ def error_distributions(
 
     Parameters
     ----------
-    source : dataset or mapping
-        Dataset or (run, sub_run) -> (iterations, 2) corrected counts.
+    counts : mapping
+        (run, sub_run) -> (iterations, 2) corrected counts.
     n_samples : int
         Random four-way combination draws.
     seed : int
@@ -713,10 +704,6 @@ def error_distributions(
     ValueError
         If any sub-run has fewer than 2 iterations.
     """
-    if isinstance(source, Mapping):
-        counts = source
-    else:
-        counts = count_dataset(source)
     arrays: Dict[Tuple[int, int], np.ndarray] = {}
     for run, cfgs in RUN_CONFIGS.items():
         for sub in range(len(cfgs)):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +62,7 @@ DEFAULT_ITERATIONS = {"interference": 300, "non_interference": 150}
 _PS_PER_SECOND = 1_000_000_000_000
 
 _DATASET_FORMAT = "macroreal-dataset-v2"
+_ITERATION_FILE = re.compile(r"run\d+_sub\d+/iter\d{4,}\.npz")
 
 
 @dataclass(frozen=True)
@@ -367,8 +369,9 @@ class ExperimentDataset:
         outdir : str
             Target directory; created if absent.
         force : bool
-            Overwrite into a non-empty directory.  Files this call does not
-            write are left in place; the manifest lists only its own.
+            Overwrite into a non-empty directory.  Iteration archives
+            (``run{r}_sub{s}/iter{NNNN}.npz``) that the new manifest does not
+            list are deleted afterwards; every other file is left in place.
 
         Returns
         -------
@@ -427,6 +430,11 @@ class ExperimentDataset:
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        written = {entry["path"] for entry in files}
+        for path in root.glob("run*_sub*/iter*.npz"):
+            rel = path.relative_to(root).as_posix()
+            if rel not in written and _ITERATION_FILE.fullmatch(rel):
+                path.unlink()
         return manifest_path
 
 

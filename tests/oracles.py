@@ -139,6 +139,21 @@ def brute_force_coincidences(times_a, times_b, lo, hi, bin_width):
     return counts
 
 
+def stream_corrected_coincidences(times_a, times_b, w):
+    """Corrected coincidences of window ``w`` counted on the raw streams.
+
+    Counts the pairs with t_b - t_a in [w.start, w.end) by two sorted-merge
+    lookups over the full streams, without any histogram, subtracts
+    ``w.flatline_mean`` per window bin and clamps at zero.
+    """
+    ta = np.asarray(times_a, dtype=np.int64)
+    tb = np.asarray(times_b, dtype=np.int64)
+    left = np.searchsorted(tb, ta + w.start, side="left")
+    right = np.searchsorted(tb, ta + w.end, side="left")
+    raw = int(np.sum(right - left))
+    return max(raw - w.flatline_mean * w.n_bins, 0.0)
+
+
 def grid_search_bound(value_fn, project_fn, support, eta, step=0.01, chunk=50000):
     """Exhaustive bound of a hidden-variable functional on a small support.
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from macroreal import analysis
 from macroreal.analysis import (
     BootstrapResult,
     CoincidenceHistogram,
@@ -25,7 +26,6 @@ from macroreal.analysis import (
     evaluate_inequalities,
     histogram,
     joint_probs_from_counts,
-    joint_probs_from_runs,
     load_run_counts_csv,
     per_iteration_values,
     representative_counts_path,
@@ -114,7 +114,6 @@ def test_select_window_gaussian_fwhm():
     width_bins = w.n_bins
     fwhm_bins = 2.355 * 400.0 / 100.0  # 9.42
     assert abs(width_bins - fwhm_bins) <= 1.0
-    assert w.policy == "FWHM"
 
 
 def test_select_window_centered_at_offset():
@@ -144,7 +143,7 @@ def test_corrected_zero_background_all_inside():
     a = np.arange(0, 100_000_000, 100_000, dtype=np.int64)
     b = a + 5000
     w = WindowSelection(start=4900, end=5100, flatline_mean=0.0)
-    assert corrected_coincidences(a, b, w) == len(a)
+    assert corrected_coincidences(histogram(a, b), w) == len(a)
 
 
 def test_corrected_uniform_accidentals_near_zero():
@@ -157,7 +156,7 @@ def test_corrected_uniform_accidentals_near_zero():
     raw = per_bin * 100
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # clamp is expected here
-        assert corrected_coincidences(a, b, w) <= 4.0 * math.sqrt(raw)
+        assert corrected_coincidences(histogram(a, b), w) <= 4.0 * math.sqrt(raw)
 
 
 def test_corrected_recovers_true_pairs():
@@ -168,7 +167,7 @@ def test_corrected_recovers_true_pairs():
     b = np.sort(np.concatenate([a + 5000, accidentals]))
     h = histogram(a, b)
     w = select_window(h)
-    corrected = corrected_coincidences(a, b, w)
+    corrected = corrected_coincidences(h, w)
     raw = corrected + w.flatline_mean * w.n_bins
     assert abs(corrected - 1000) <= 4.0 * math.sqrt(raw)
 
@@ -178,17 +177,31 @@ def test_corrected_clamps_negative_to_zero_with_warning():
     b = np.array([500_000], dtype=np.int64)
     w = WindowSelection(start=0, end=1000, flatline_mean=5.0)
     with pytest.warns(RuntimeWarning):
-        value = corrected_coincidences(a, b, w)
+        value = corrected_coincidences(histogram(a, b), w)
     assert value == 0.0
+
+
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        (WindowSelection(start=49_900, end=50_100, flatline_mean=0.0), "outside"),
+        (WindowSelection(start=4950, end=5050, flatline_mean=0.0), "bin grid"),
+        (WindowSelection(start=4800, end=5200, flatline_mean=0.0, bin_width=200), "bin_width"),
+    ],
+)
+def test_corrected_rejects_window_not_on_the_histogram(w, message):
+    a = np.arange(0, 100_000_000, 100_000, dtype=np.int64)
+    with pytest.raises(ValueError, match=message):
+        corrected_coincidences(histogram(a, a + 5000), w)
 
 
 def test_window_invariance_under_common_shift():
     a, b = gaussian_pair_streams(50_000, sigma=400.0, offset=5000)
     shift = 123_456_789
-    before = corrected_coincidences(a, b, select_window(histogram(a, b)))
-    after = corrected_coincidences(
-        a + shift, b + shift, select_window(histogram(a + shift, b + shift))
-    )
+    h_before = histogram(a, b)
+    h_after = histogram(a + shift, b + shift)
+    before = corrected_coincidences(h_before, select_window(h_before))
+    after = corrected_coincidences(h_after, select_window(h_after))
     assert before == after
 
 
@@ -209,6 +222,40 @@ def test_count_sub_run_no_peak_raises():
     b = poisson_stream(rng, 1e5, 10**11)
     with pytest.raises(NoPeakError):
         count_sub_run(a, b)
+
+
+def test_count_sub_run_equals_stream_oracle_on_every_sub_run(monkeypatch):
+    dataset = small_quiet_dataset()
+    window = analysis._dataset_window(dataset)
+    picked = []
+    counted = analysis.corrected_coincidences
+
+    def recording(h, w):
+        picked.append(w)
+        return counted(h, w)
+
+    monkeypatch.setattr(analysis, "corrected_coincidences", recording)
+    windows_per_call = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # clamps agree on both sides
+        for run in dataset.run_ids:
+            for sub in range(len(dataset.sub_run_blockers(run))):
+                for it in range(dataset.iteration_count(run)):
+                    h_s, *detectors = dataset.streams(run, sub, it)
+                    for det in detectors:
+                        picked.clear()
+                        try:
+                            value = count_sub_run(h_s, det, window=window)
+                        except NoPeakError:
+                            assert not picked
+                            continue
+                        expected = float(sum(
+                            oracles.stream_corrected_coincidences(h_s.times, det.times, w)
+                            for w in picked
+                        ))
+                        assert value == expected, (run, sub, it, det.channel)
+                        windows_per_call.append(len(picked))
+    assert max(windows_per_call) >= 2  # the multi-window path is covered
 
 
 def test_run2_peak_offsets_differ_by_arm_delay():
@@ -247,7 +294,7 @@ def test_count_dataset_shapes_and_probability_closure():
     } | {(4, 0)}
     assert counts[(1, 0)].shape == (2, 2)
     assert counts[(2, 0)].shape == (3, 2)
-    tables = joint_probs_from_runs(counts)
+    tables = joint_probs_from_counts(counts)
     assert set(tables) == {
         ("t2", "t3"), ("t1", "t3"), ("t1", "t2", "t3"), ("t1", "t2"), ("t3",)
     }

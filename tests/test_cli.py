@@ -292,12 +292,17 @@ def test_simulate_force_lists_only_the_files_it_wrote(tmp_path):
         json.dumps({"source": {**FAST_SOURCE, "iterations": {"interference": 1, "non_interference": 1}}}),
         encoding="utf-8",
     )
+    (out / "notes.txt").write_text("not part of the dataset", encoding="utf-8")
     assert main(["simulate", "--config", str(small), "--out", str(out), "--force"]) == 0
     dataset = read_json(out / "manifest.json")
     outputs = read_json(out / "run_manifest.json")["outputs"]
     assert len(dataset["files"]) == 9
     assert outputs == sorted(["manifest.json"] + [entry["path"] for entry in dataset["files"]])
-    assert (out / "run2_sub0" / "iter0002.npz").exists()  # left by the first run
+    assert not (out / "run2_sub0" / "iter0002.npz").exists()  # stale archive of the first run
+    assert sorted(p.relative_to(out).as_posix() for p in out.glob("run*/*.npz")) == sorted(
+        entry["path"] for entry in dataset["files"]
+    )
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "not part of the dataset"
 
 
 # ---------------------------------------------------------------------------
