@@ -90,7 +90,6 @@ from .analysis import (
     count_dataset,
     count_sub_run,
     error_distributions,
-    evaluate_inequalities,
     histogram,
     joint_probs_from_counts,
     load_run_counts_csv,
@@ -144,7 +143,6 @@ __all__ = [
     "derive_iteration_state",
     "detection_probs",
     "error_distributions",
-    "evaluate_inequalities",
     "fit_gamma",
     "fit_report",
     "generate_sub_run",

@@ -27,6 +27,7 @@ import numpy as np
 from .protocol import (
     RUN_CONFIGS,
     RUN_SUB_BY_BLOCKERS,
+    Evaluation,
     JointProbTable,
     UndefinedProbabilityError,
     combine,
@@ -50,7 +51,6 @@ __all__ = [
     "count_dataset",
     "count_sub_run",
     "error_distributions",
-    "evaluate_inequalities",
     "histogram",
     "joint_probs_from_counts",
     "load_run_counts_csv",
@@ -478,16 +478,9 @@ def count_sub_run(
 
 
 def _dataset_window(dataset) -> Tuple[int, int]:
-    """Delay search range centered on the dataset's nominal path delay.
-
-    Falls back to the zero-centered default when the dataset does not
-    carry a source configuration (e.g. external time-tagger exports).
-    """
-    source = getattr(dataset, "source", None)
-    if source is None:
-        return DEFAULT_WINDOW_RANGE
+    """Delay search range centered on the dataset's nominal path delay."""
     half = (DEFAULT_WINDOW_RANGE[1] - DEFAULT_WINDOW_RANGE[0]) // 2
-    center = int(round(source.base_delay))
+    center = int(round(dataset.source.base_delay))
     return (center - half, center + half)
 
 
@@ -579,40 +572,6 @@ def joint_probs_from_counts(
     return joint_tables(cells)
 
 
-def evaluate_inequalities(
-    tables: Mapping[Tuple[str, ...], JointProbTable],
-) -> ResultReport:
-    """Point values of the LGI, WLGI and NSIT expressions from tables.
-
-    Parameters
-    ----------
-    tables : mapping
-        Requires the ("t2","t3"), ("t1","t3"), ("t1","t2") and ("t3",)
-        tables (the last two usually derived from runs 3 and 4).
-
-    Returns
-    -------
-    ResultReport
-        Deltas are None; use :func:`analyze_dataset` for error bounds.
-
-    Raises
-    ------
-    ValueError
-        If a required table is missing (names the absent run).
-    """
-    values = evaluate(tables)
-    return ResultReport(
-        lgi=(values.lgi, None),
-        wlgi=(values.wlgi, None),
-        nsit12=(values.nsit12, None),
-        nsit23=(values.nsit23, None),
-        nsit13=(values.nsit13, None),
-        correlations={key: (c, None) for key, c in values.correlations.items()},
-        wlgi_terms=values.wlgi_terms,
-        provenance={"source": "tables"},
-    )
-
-
 def _two_run_values(
     a: np.ndarray, b: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray
 ) -> Dict[str, np.ndarray]:
@@ -666,16 +625,15 @@ def error_distributions(
     n_samples: int = 1_000_000,
     seed: int = 0,
     exhaustive_limit: int = 20,
-    pair_samples: Optional[int] = None,
 ) -> Dict[str, float]:
     """Standard deviations of cross-combination inequality ingredients.
 
     Every iteration of one sub-run may be combined with every iteration of
-    the others, giving a distribution per derived quantity: the full
-    cross-pairing is enumerated for the two-sub-run runs, while the
-    four-way combination space of the double-blocked run is subsampled
-    with ``n_samples`` uniform draws (enumerated exhaustively when every
-    sub-run has at most ``exhaustive_limit`` iterations).
+    the others, giving a distribution per derived quantity.  The full
+    cross-pairing of the two-sub-run runs (1 and 2) is always enumerated;
+    the four-way combination space of the double-blocked run 3 is
+    subsampled with ``n_samples`` uniform draws, or enumerated when every
+    sub-run has at most ``exhaustive_limit`` iterations.
 
     Parameters
     ----------
@@ -684,12 +642,9 @@ def error_distributions(
     n_samples : int
         Random four-way combination draws.
     seed : int
-        Seed for the combination sampler.
+        Seed for the run-3 combination sampler.
     exhaustive_limit : int
         Largest per-sub-run iteration count enumerated exhaustively.
-    pair_samples : int, optional
-        When set, also subsample the two-run cross-pairings with this many
-        draws instead of enumerating them (sampler validation aid).
 
     Returns
     -------
@@ -717,13 +672,7 @@ def error_distributions(
 
     def cross(run: int) -> Dict[str, float]:
         a, b = arrays[(run, 0)], arrays[(run, 1)]
-        if pair_samples is None:
-            idx_a, idx_b = np.meshgrid(
-                np.arange(a.shape[0]), np.arange(b.shape[0]), indexing="ij"
-            )
-        else:
-            idx_a = rng.integers(0, a.shape[0], size=pair_samples)
-            idx_b = rng.integers(0, b.shape[0], size=pair_samples)
+        idx_a, idx_b = np.meshgrid(np.arange(a.shape[0]), np.arange(b.shape[0]), indexing="ij")
         return _stds([_two_run_values(a, b, idx_a, idx_b)])
 
     run1, run2 = cross(1), cross(2)
@@ -885,25 +834,13 @@ def analyze_dataset(
         window = _dataset_window(dataset)
     if counts is None:
         counts = count_dataset(dataset, bin_width, window)
-    tables = joint_probs_from_counts(counts)
-    point = evaluate_inequalities(tables)
-    sig = error_distributions(counts, n_samples=n_samples, seed=seed)
     iterations = {
         str(run): int(dataset.iteration_count(run)) for run in dataset.run_ids
     }
-    return ResultReport(
-        lgi=(point.lgi[0], sig["delta"]),
-        wlgi=(point.wlgi[0], sig["wlgi_delta"]),
-        nsit12=(point.nsit12[0], sig["nsit12_delta"]),
-        nsit23=(point.nsit23[0], sig["nsit23_delta"]),
-        nsit13=(point.nsit13[0], sig["nsit13_delta"]),
-        correlations={
-            "t1t2": (point.correlations["t1t2"][0], sig["sigma12"]),
-            "t2t3": (point.correlations["t2t3"][0], sig["sigma23"]),
-            "t1t3": (point.correlations["t1t3"][0], sig["sigma13"]),
-        },
-        wlgi_terms=point.wlgi_terms,
-        provenance={
+    return _report(
+        evaluate(joint_probs_from_counts(counts)),
+        error_distributions(counts, n_samples=n_samples, seed=seed),
+        {
             "source": "dataset",
             "bin_width": int(bin_width),
             "window": [int(window[0]), int(window[1])],
@@ -928,19 +865,42 @@ def analyze_counts(counts: Mapping[Tuple[int, int], np.ndarray]) -> ResultReport
     ResultReport
         Deltas are None.
     """
-    report = evaluate_inequalities(joint_probs_from_counts(counts))
     iterations = {}
     for (run, _sub), arr in counts.items():
         iterations[str(run)] = int(np.asarray(arr).shape[0])
-    provenance = {"source": "counts", "iterations": iterations}
+    return _report(
+        evaluate(joint_probs_from_counts(counts)),
+        None,
+        {"source": "counts", "iterations": iterations},
+    )
+
+
+def _report(
+    values: Evaluation,
+    sigmas: Optional[Mapping[str, float]],
+    provenance: Dict[str, object],
+) -> ResultReport:
+    """The one place a :class:`ResultReport` is assembled.
+
+    ``sigmas`` is an :func:`error_distributions` result, or None for a
+    report without error bounds.
+    """
+
+    def err(key: str) -> Optional[float]:
+        return None if sigmas is None else sigmas[key]
+
+    correlation_sigmas = {"t1t2": "sigma12", "t2t3": "sigma23", "t1t3": "sigma13"}
     return ResultReport(
-        lgi=report.lgi,
-        wlgi=report.wlgi,
-        nsit12=report.nsit12,
-        nsit23=report.nsit23,
-        nsit13=report.nsit13,
-        correlations=report.correlations,
-        wlgi_terms=report.wlgi_terms,
+        lgi=(values.lgi, err("delta")),
+        wlgi=(values.wlgi, err("wlgi_delta")),
+        nsit12=(values.nsit12, err("nsit12_delta")),
+        nsit23=(values.nsit23, err("nsit23_delta")),
+        nsit13=(values.nsit13, err("nsit13_delta")),
+        correlations={
+            key: (value, err(correlation_sigmas[key]))
+            for key, value in values.correlations.items()
+        },
+        wlgi_terms=values.wlgi_terms,
         provenance=provenance,
     )
 

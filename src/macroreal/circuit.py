@@ -410,6 +410,11 @@ def generic_wlgi(theta1: float, theta2: float, t1: float, t2: float, t3: float) 
     )
 
 
+# ideal_maxima's coarse grid points per axis and the grid cells it polishes.
+_MAXIMA_GRID_POINTS = 13
+_MAXIMA_POLISH_STARTS = 12
+
+
 def _polish_maximum(fun, x0, bounds):
     res = optimize.minimize(
         lambda x: -fun(*x), x0, method="L-BFGS-B", bounds=bounds
@@ -417,10 +422,12 @@ def _polish_maximum(fun, x0, bounds):
     return -res.fun, res.x
 
 
-def ideal_maxima(grid_points: int = 13, polish_starts: int = 12) -> Dict[str, object]:
+def ideal_maxima() -> Dict[str, object]:
     """Global maxima of the generic-circuit combinations.
 
-    Coarse grid scan followed by local polish from the best grid cells.
+    Coarse grid scan (``_MAXIMA_GRID_POINTS`` points per angle and
+    transmission axis) followed by a bounded local polish from each of the
+    ``_MAXIMA_POLISH_STARTS`` best grid cells.
 
     Returns
     -------
@@ -428,14 +435,14 @@ def ideal_maxima(grid_points: int = 13, polish_starts: int = 12) -> Dict[str, ob
         ``lgi_max``, ``lgi_argmax`` (theta2, t2, t3), ``wlgi_max`` and
         ``wlgi_argmax`` (theta1, theta2, t1, t2, t3).
     """
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid_points)
+    thetas = np.linspace(0.0, 2.0 * math.pi, _MAXIMA_GRID_POINTS)
     # Keep transmissions off the hard 0/1 edges where the gradient vanishes.
-    ts = np.linspace(0.01, 0.99, grid_points)
+    ts = np.linspace(0.01, 0.99, _MAXIMA_GRID_POINTS)
 
     th2, t2, t3 = np.meshgrid(thetas, ts, ts, indexing="ij")
     r2, r3 = 1.0 - t2, 1.0 - t3
     lgi_vals = 1.0 - 4.0 * r2 * r3 + 4.0 * np.cos(th2) * np.sqrt(t2 * t3 * r2 * r3)
-    flat = np.argsort(lgi_vals.ravel())[::-1][:polish_starts]
+    flat = np.argsort(lgi_vals.ravel())[::-1][:_MAXIMA_POLISH_STARTS]
     lgi_best, lgi_arg = -math.inf, None
     for idx in flat:
         x0 = (th2.ravel()[idx], t2.ravel()[idx], t3.ravel()[idx])
@@ -452,7 +459,7 @@ def ideal_maxima(grid_points: int = 13, polish_starts: int = 12) -> Dict[str, ob
         - 2.0 * np.cos(th1) * r3 * np.sqrt(t1 * t2 * r1 * r2)
         - r2 * r3
     )
-    flat = np.argsort(wlgi_vals.ravel())[::-1][:polish_starts]
+    flat = np.argsort(wlgi_vals.ravel())[::-1][:_MAXIMA_POLISH_STARTS]
     wlgi_best, wlgi_arg = -math.inf, None
     for idx in flat:
         x0 = (

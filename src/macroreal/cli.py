@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -171,20 +170,14 @@ def _tolerances_from_config(
 
 
 def _source_from_config(config: Dict[str, dict], seed: Optional[int]):
-    """SourceConfig, iteration counts and visibility jitter from the config."""
+    """SourceConfig, iteration counts and visibility jitter from the config.
+
+    The iteration counts are passed on as given; :func:`run_protocol`
+    checks them.
+    """
     section = dict(config["source"])
     iterations = section.pop("iterations")
     v_jitter = section.pop("v_jitter")
-    if not isinstance(iterations, dict):
-        raise ConfigError("config: source.iterations must be a JSON object")
-    merged = dict(DEFAULT_ITERATIONS)
-    for key, value in iterations.items():
-        if key not in DEFAULT_ITERATIONS:
-            raise ConfigError(f"config: source.iterations: unknown class {key!r}")
-        count = int(value)
-        if count < 1:
-            raise ConfigError(f"config: source.iterations.{key} must be >= 1")
-        merged[key] = count
     if v_jitter is not None:
         try:
             v_jitter = (float(v_jitter[0]), float(v_jitter[1]))
@@ -196,21 +189,7 @@ def _source_from_config(config: Dict[str, dict], seed: Optional[int]):
         source = SourceConfig(**section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: source: {exc}") from exc
-    return source, merged, v_jitter
-
-
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        raw = os.environ.get("MACROREAL_THREADS", "1")
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"MACROREAL_THREADS: {raw!r} is not an integer") from exc
-    if n < 1:
-        raise ConfigError(f"threads: {n} must be >= 1")
-    return n
+    return source, iterations, v_jitter
 
 
 def _seed_or(args: argparse.Namespace, fallback: int) -> int:
@@ -465,7 +444,6 @@ def cmd_gamma_fit(args: argparse.Namespace) -> int:
     """Fit the multiphoton emission parameter to a twelve-count table."""
     started = time.time()
     config = load_config(args.config)
-    threads = _threads(args)
     seed = _seed_or(args, config["fit"]["seed"])
     n_starts = config["fit"]["n_starts"]
     if isinstance(n_starts, bool) or not isinstance(n_starts, int) or n_starts < 0:
@@ -481,7 +459,7 @@ def cmd_gamma_fit(args: argparse.Namespace) -> int:
         counts_label = str(args.counts)
     outdir = _ensure_outdir(args.out)
 
-    result = fit_gamma(observed, n_starts=n_starts, seed=seed, threads=threads)
+    result = fit_gamma(observed, n_starts=n_starts, seed=seed)
     payload = fit_report(result)
     payload["counts"] = counts_label
     path = _write_json(outdir / "gamma_fit.json", payload)
@@ -509,7 +487,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError("simulate: --out is required")
     source, iterations, v_jitter = _source_from_config(config, args.seed)
     setup = _setup_from_config(config)
-    dataset = run_protocol(source, setup, iterations=iterations, v_jitter=v_jitter)
+    try:
+        dataset = run_protocol(source, setup, iterations=iterations, v_jitter=v_jitter)
+    except ValueError as exc:
+        # run_protocol's messages start with the parameter they reject.
+        raise ConfigError(f"config: source.{exc}") from exc
     try:
         manifest_path = dataset.to_directory(args.out, force=args.force)
     except FileExistsError as exc:
@@ -719,25 +701,24 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser with one subcommand per workbench verb."""
+    # Each verb declares only the flags it reads.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--config", metavar="PATH", help="JSON config file (defaults: nominal setup)"
     )
     common.add_argument(
-        "--seed", type=int, metavar="U64", help="override the command's primary seed"
-    )
-    common.add_argument(
         "--out", metavar="DIR", help="output directory (default: current directory)"
     )
-    common.add_argument(
-        "--force", action="store_true", help="overwrite non-empty output directories"
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument(
+        "--seed", type=int, metavar="U64", help="override the command's primary seed"
     )
-    common.add_argument(
-        "--threads",
-        type=int,
-        metavar="N",
-        help="worker threads for gamma-fit's starts; the other commands run on"
-        " one thread and ignore it (default: $MACROREAL_THREADS or 1)",
+    # No effect: every verb runs on one thread.  bench/workloads.py passes
+    # --threads 2 to analyze and gamma-fit, so both accept it until the
+    # benchmark stops passing it.
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument(
+        "--threads", type=int, metavar="N", help="accepted and ignored; has no effect"
     )
 
     parser = argparse.ArgumentParser(
@@ -758,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "hv-bound",
-        parents=[common],
+        parents=[seeded],
         help="hidden-variable bound certificates vs detector efficiency",
     )
     p.add_argument(
@@ -772,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "gamma-fit",
-        parents=[common],
+        parents=[seeded, threads],
         help="fit the multiphoton emission parameter to a count table",
     )
     p.add_argument(
@@ -782,14 +763,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "simulate",
-        parents=[common],
+        parents=[seeded],
         help="generate a timestamped dataset for the full protocol",
+    )
+    p.add_argument(
+        "--force", action="store_true", help="write into a non-empty output directory"
     )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
         "analyze",
-        parents=[common],
+        parents=[seeded, threads],
         help="run the analysis pipeline on a dataset directory or counts CSV",
     )
     p.add_argument("input", metavar="PATH", help="dataset directory or per-run counts CSV")

@@ -589,40 +589,20 @@ def maximize_wlgi_detectors(
     return BoundCertificate(eta, bound, witness, wlgi_detectors_bound_formula(eta), findings)
 
 
-def critical_efficiency(inequality: str, tol: float = 1e-6) -> float:
+def critical_efficiency(inequality: str) -> float:
     """Efficiency at which the detector-only bound meets the quantum maximum.
 
-    Solves ``2/eta - eta = 3/2`` (correlator form, quantum maximum 1.5) or
-    ``(1-eta)/(2 eta - 1) = 0.4034`` (probability form) by bisection on
-    [2/3, 1] to the requested tolerance.  Above the returned efficiency
-    the detector-only experiment cannot be explained macrorealistically.
+    Returns the closed-form root in (2/3, 1] of ``2/eta - eta = 3/2``
+    (correlator form, quantum maximum 1.5), ``(-1.5 + sqrt(1.5**2 + 8))/2``,
+    or of ``(1-eta)/(2 eta - 1) = 0.4034`` (probability form),
+    ``(1 + 0.4034)/(1 + 2*0.4034)``.  Above the returned efficiency the
+    detector-only experiment cannot be explained macrorealistically.
     """
     if inequality == "LGI":
-        target = 1.5
-
-        def f(eta):
-            return 2.0 / eta - eta - target
-
-    elif inequality == "WLGI":
-        target = 0.4034
-
-        def f(eta):
-            return (1.0 - eta) / (2.0 * eta - 1.0) - target
-
-    else:
-        raise ValueError(f"inequality must be 'LGI' or 'WLGI', got {inequality!r}")
-
-    lo, hi = 2.0 / 3.0 + 1e-9, 1.0
-    flo = f(lo)
-    if flo <= 0.0:
-        raise RuntimeError("bisection bracket invalid at lower end")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        return (-1.5 + math.sqrt(1.5**2 + 8.0)) / 2.0
+    if inequality == "WLGI":
+        return (1.0 + 0.4034) / (1.0 + 2.0 * 0.4034)
+    raise ValueError(f"inequality must be 'LGI' or 'WLGI', got {inequality!r}")
 
 
 def blocker_setup_formula(inequality: str) -> float:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from importlib import resources
 from typing import Dict, NamedTuple, Sequence, Tuple
@@ -491,16 +490,14 @@ def _pearson_residuals(x: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return (pred - obs) / np.sqrt(np.maximum(pred, 1e-12))
 
 
-def fit_gamma(
-    observed: CountVector12, n_starts: int = 50, seed: int = 0, threads: int = 1
-) -> GammaFitResult:
+def fit_gamma(observed: CountVector12, n_starts: int = 50, seed: int = 0) -> GammaFitResult:
     """Fit the nine count-model parameters to an observed table.
 
     One bounded trust-region least-squares solve (``trf``) of the Pearson
-    residuals runs from each of ``n_starts`` random starting points inside
-    ``FIT_BOUNDS`` and from the box center; the solve whose end point has
-    the lowest chi-squared wins.  The count scale is searched on a log
-    axis.
+    residuals runs from the box center and then from each of ``n_starts``
+    random starting points inside ``FIT_BOUNDS``, one after another; the
+    solve whose end point has the lowest chi-squared wins, the first one
+    on a tie.  The count scale is searched on a log axis.
 
     The chi-squared landscape is exactly flat along the two-dimensional
     count-equivalent family of the module docstring.  That does not hinder
@@ -522,9 +519,6 @@ def fit_gamma(
         Number of random starts besides the box center, >= 0.
     seed : int
         Seed of the start stream.
-    threads : int
-        Solves run on this many worker threads; the result is identical
-        for any thread count.
 
     Returns
     -------
@@ -560,12 +554,7 @@ def fit_gamma(
             args=(obs,),
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solves = list(pool.map(solve, starts))
-    else:
-        solves = [solve(x0) for x0 in starts]
-
+    solves = [solve(x0) for x0 in starts]
     best = min(solves, key=lambda res: _guarded_chi2(obs, _predicted_flat(*_unpack(res.x))))
     params = canonical_gauge(GammaFitParams(*_unpack(best.x)))
     chi2 = _guarded_chi2(obs, predicted_counts(params).flat)

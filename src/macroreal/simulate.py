@@ -30,7 +30,7 @@ import re
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -270,15 +270,27 @@ def derive_iteration_state(
     return int(state[0]), int(state[1])
 
 
-def _run_iterations(iterations: Dict[str, int]) -> Dict[int, int]:
-    """Map run id to its iteration count."""
+def _positive_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+def _run_iterations(iterations: Mapping[str, int]) -> Dict[int, int]:
+    """Map run id to its iteration count.
+
+    Raises ``ValueError``, its message starting with ``iterations``, if
+    ``iterations`` is not a mapping, names an unknown class, or gives a
+    count that is not a positive integer (floats, strings and booleans
+    included).
+    """
+    if not isinstance(iterations, Mapping):
+        raise ValueError(f"iterations: {iterations!r} is not a mapping of class to count")
     unknown = set(iterations) - set(DEFAULT_ITERATIONS)
     if unknown:
-        raise ValueError(f"unknown iteration classes: {sorted(unknown)}")
+        raise ValueError(f"iterations: unknown classes {sorted(unknown)}")
     merged = {**DEFAULT_ITERATIONS, **iterations}
     for name, count in merged.items():
-        if int(count) != count or count < 1:
-            raise ValueError(f"{name} iteration count must be a positive integer")
+        if not _positive_int(count):
+            raise ValueError(f"iterations.{name}: {count!r} is not a positive integer")
     return {
         run: merged["interference" if run in INTERFERENCE_RUNS else "non_interference"]
         for run in RUN_CONFIGS
@@ -321,7 +333,7 @@ class ExperimentDataset:
         if self.v_jitter is not None:
             lo, hi = self.v_jitter
             if not -1.0 <= lo <= hi <= 1.0:
-                raise ValueError(f"v_jitter range must satisfy -1 <= lo <= hi <= 1, got {self.v_jitter}")
+                raise ValueError(f"v_jitter: range must satisfy -1 <= lo <= hi <= 1, got {self.v_jitter}")
             object.__setattr__(self, "v_jitter", (float(lo), float(hi)))
 
     @property
@@ -417,13 +429,7 @@ class ExperimentDataset:
             },
             "v_jitter": list(self.v_jitter) if self.v_jitter else None,
             "iterations": {str(run): count for run, count in sorted(self.iterations.items())},
-            "sub_runs": {
-                str(run): [
-                    {"block_t1": b.block_t1, "block_t2": b.block_t2}
-                    for b in self.sub_run_blockers(run)
-                ]
-                for run in self.run_ids
-            },
+            "sub_runs": _manifest_schedule(),
             "files": files,
         }
         manifest_path = root / "manifest.json"
@@ -462,8 +468,15 @@ def run_protocol(
     -------
     ExperimentDataset
         Lazy dataset covering all nine sub-runs.
+
+    Raises
+    ------
+    ValueError
+        Its message starting with the parameter it rejects: ``iterations``
+        (not a mapping, an unknown class, or a count that is not a positive
+        integer) or ``v_jitter`` (a range outside [-1, 1]).
     """
-    per_run = _run_iterations(iterations or {})
+    per_run = _run_iterations({} if iterations is None else iterations)
     return ExperimentDataset(
         source=src,
         setup=setup,
@@ -471,6 +484,14 @@ def run_protocol(
         v_jitter=v_jitter,
         master_seed=src.seed,
     )
+
+
+def _manifest_schedule() -> Dict[str, List[Dict[str, str]]]:
+    """The protocol's run schedule as a dataset manifest records it."""
+    return {
+        str(run): [{"block_t1": b.block_t1, "block_t2": b.block_t2} for b in blockers]
+        for run, blockers in RUN_CONFIGS.items()
+    }
 
 
 def _iteration_file(run: int, sub_run: int, iteration: int) -> str:
@@ -506,19 +527,17 @@ def _read_iteration(
 
 
 class _DirectoryDataset:
-    """Dataset view over a materialized ``.npz`` directory tree."""
+    """Dataset view over a materialized ``.npz`` directory tree.
+
+    The schedule is the protocol's; :func:`load_dataset` has checked that
+    the manifest records the same one.
+    """
 
     def __init__(self, root: Path, manifest: dict):
         self._root = root
         self._manifest = manifest
         self.master_seed = manifest["master_seed"]
         self.iterations = {int(k): v for k, v in manifest["iterations"].items()}
-        self._blockers = {
-            int(run): tuple(
-                BlockerConfig(entry["block_t1"], entry["block_t2"]) for entry in subs
-            )
-            for run, subs in manifest["sub_runs"].items()
-        }
         self._events = {
             (entry["run"], entry["sub_run"], entry["iteration"]): entry["events"]
             for entry in manifest["files"]
@@ -527,14 +546,14 @@ class _DirectoryDataset:
 
     @property
     def run_ids(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._blockers))
+        return tuple(sorted(RUN_CONFIGS))
 
     @property
     def source(self) -> SourceConfig:
         return SourceConfig(**self._manifest["source"])
 
     def sub_run_blockers(self, run: int) -> Tuple[BlockerConfig, ...]:
-        return self._blockers[run]
+        return RUN_CONFIGS[run]
 
     def iteration_count(self, run: int) -> int:
         return self.iterations[run]
@@ -589,9 +608,14 @@ def load_dataset(path: str) -> _DirectoryDataset:
     FileNotFoundError
         If there is no ``manifest.json``.
     ValueError
-        If the manifest has another format.  A ``macroreal-dataset-v1``
-        (CSV) directory is no longer read; its manifest holds the seed and
-        configuration to write it again with ``simulate``.
+        Naming ``manifest.json``, if the manifest has another format, if
+        its ``sub_runs`` differ from the protocol's ``RUN_CONFIGS`` (sub-runs
+        are counted by position, so a reordered or changed schedule would
+        be analysed as the protocol's), or if its ``iterations`` do not
+        give a positive integer count for exactly the runs 1 to 4.  A
+        ``macroreal-dataset-v1`` (CSV) directory is no longer read; its
+        manifest holds the seed and configuration to write it again with
+        ``simulate``.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -608,4 +632,16 @@ def load_dataset(path: str) -> _DirectoryDataset:
         )
     if fmt != _DATASET_FORMAT:
         raise ValueError(f"{manifest_path}: unrecognized dataset format {fmt!r}")
+    if manifest.get("sub_runs") != _manifest_schedule():
+        raise ValueError(f"{manifest_path}: sub_runs differ from the protocol's run schedule")
+    iterations = manifest.get("iterations")
+    if (
+        not isinstance(iterations, dict)
+        or set(iterations) != {str(run) for run in RUN_CONFIGS}
+        or not all(_positive_int(count) for count in iterations.values())
+    ):
+        raise ValueError(
+            f"{manifest_path}: iterations must give a positive integer count "
+            f"for each of the runs {sorted(RUN_CONFIGS)}, got {iterations!r}"
+        )
     return _DirectoryDataset(root, manifest)

@@ -393,11 +393,3 @@ def test_fit_reference_table_chi2():
     fit = fit_gamma(reference_counts(), seed=0)
     assert fit.chi2 <= 8.0, f"best reachable chi2 is {fit.chi2:.4f}"
     assert fit.chi2 == pytest.approx(7.2, abs=0.5)
-
-
-def test_fit_threads_deterministic():
-    observed = reference_counts()
-    serial = fit_gamma(observed, n_starts=6, seed=3, threads=1)
-    threaded = fit_gamma(observed, n_starts=6, seed=3, threads=2)
-    assert serial.params == threaded.params
-    assert serial.chi2 == threaded.chi2

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from macroreal.circuit import SetupParams
+from macroreal.cli import main
 from macroreal.protocol import RUN_CONFIGS, BlockerConfig
 from macroreal.simulate import (
     DEFAULT_ITERATIONS,
@@ -257,6 +258,35 @@ def test_load_dataset_rejects_old_formats_and_missing_entries(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="run1_sub0/iter0000.npz: the manifest has no entry"):
         load_dataset(tmp_path).streams(1, 0, 0)
+
+
+# Each case edits the schedule or iteration counts of a written manifest.
+_SCHEDULE_EDITS = {
+    "swapped sub-runs": lambda m: m["sub_runs"]["1"].reverse(),
+    "changed blocker": lambda m: m["sub_runs"]["3"][0].update(block_t1="none", block_t2="none"),
+    "missing run": lambda m: (m["sub_runs"].pop("4"), m["iterations"].pop("4")),
+    "iterations miss a run": lambda m: m["iterations"].pop("2"),
+    "zero iterations": lambda m: m["iterations"].update({"3": 0}),
+    "boolean iterations": lambda m: m["iterations"].update({"1": True}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCHEDULE_EDITS))
+def test_load_dataset_rejects_a_schedule_other_than_the_protocols(tmp_path, case):
+    data = tmp_path / "ds"
+    run_protocol(
+        SourceConfig(pair_rate=2.0e4, seed=5), SetupParams(),
+        iterations={"interference": 2, "non_interference": 2},
+    ).to_directory(data)
+    assert main(["analyze", str(data), "--out", str(tmp_path / "before")]) == 0
+    manifest_path = data / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    _SCHEDULE_EDITS[case](manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="manifest.json"):
+        load_dataset(data)
+    assert main(["analyze", str(data), "--out", str(tmp_path / "after")]) == 2
+    assert not (tmp_path / "after").exists()
 
 
 def _write_npy(path, arrays):
