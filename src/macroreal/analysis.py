@@ -29,8 +29,8 @@ from .protocol import (
     RUN_SUB_BY_BLOCKERS,
     Evaluation,
     JointProbTable,
-    UndefinedProbabilityError,
     combine,
+    correlation,
     evaluate,
     joint_tables,
 )
@@ -72,6 +72,8 @@ _MAX_PEAKS = 4
 # Detector column order used throughout: (+1 detector, -1 detector).
 _DETECTOR_COLUMNS = ("P", "M")
 _SAMPLE_CHUNK = 200_000
+# Pairings per table batch on the error path; its arrays then stay in cache.
+_TABLE_BATCH = 8192
 _BOOTSTRAP_CHUNK = 20_000
 
 
@@ -494,8 +496,10 @@ def count_dataset(
     Parameters
     ----------
     dataset : ExperimentDataset or directory dataset
-        Must expose ``run_ids``, ``sub_run_blockers``, ``iteration_count``
-        and ``streams``.
+        Read through three attributes: ``iterations`` (run -> iterations of
+        each of its sub-runs), ``source`` (for the default window) and
+        ``streams(run, sub_run, iteration)``.  The sub-runs are those of
+        :data:`~macroreal.protocol.RUN_CONFIGS`.
     bin_width, window :
         Histogram settings passed to :func:`count_sub_run`; by default the
         search window is centered on the dataset's base path delay.
@@ -510,10 +514,9 @@ def count_dataset(
     if window is None:
         window = _dataset_window(dataset)
     out: Dict[Tuple[int, int], np.ndarray] = {}
-    for run in dataset.run_ids:
-        n_subs = len(dataset.sub_run_blockers(run))
-        n_iter = dataset.iteration_count(run)
-        for sub in range(n_subs):
+    for run, cfgs in RUN_CONFIGS.items():
+        n_iter = dataset.iterations[run]
+        for sub in range(len(cfgs)):
             arr = np.zeros((n_iter, 2))
             for it in range(n_iter):
                 h_s, p_s, m_s = dataset.streams(run, sub, it)
@@ -526,16 +529,17 @@ def count_dataset(
     return out
 
 
-def _mean_cells(counts: Mapping[Tuple[int, int], np.ndarray], run: int) -> List[np.ndarray]:
-    cells = []
+def _run_arrays(counts: Mapping[Tuple[int, int], np.ndarray], run: int) -> List[np.ndarray]:
+    """One run's (iterations, 2) count arrays, in sub-run order."""
+    arrays = []
     for sub in range(len(RUN_CONFIGS[run])):
         if (run, sub) not in counts:
             raise ValueError(f"missing counts for run {run} sub-run {sub}")
         arr = np.asarray(counts[(run, sub)], dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("count arrays must have shape (iterations, 2)")
-        cells.append(arr.mean(axis=0))
-    return cells
+        arrays.append(arr)
+    return arrays
 
 
 def joint_probs_from_counts(
@@ -568,56 +572,89 @@ def joint_probs_from_counts(
     cells = {}
     for run, cfgs in RUN_CONFIGS.items():
         if any((run, sub) in counts for sub in range(len(cfgs))):
-            cells[run] = [(float(c[0]), float(c[1])) for c in _mean_cells(counts, run)]
+            means = [arr.mean(axis=0) for arr in _run_arrays(counts, run)]
+            cells[run] = [(float(c[0]), float(c[1])) for c in means]
     return joint_tables(cells)
 
 
-def _two_run_values(
-    a: np.ndarray, b: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray
-) -> Dict[str, np.ndarray]:
-    """Per-combination statistics for a two-sub-run measurement.
+def _pairing_tables(
+    arrays: Sequence[np.ndarray], run: int, idx: Sequence[np.ndarray]
+) -> Dict[Tuple[str, ...], JointProbTable]:
+    """Tables of one run whose entry k pairs iteration ``idx[sub][k]`` of each sub-run."""
+    return joint_tables({run: [(arr[:, 0][i], arr[:, 1][i]) for arr, i in zip(arrays, idx)]})
 
-    ``a`` rows are the (+ prefix) iteration cells, ``b`` rows the
-    (- prefix) ones; index arrays select the pairings (broadcastable).
+
+def _pairings(
+    sizes: Sequence[int], rng: np.random.Generator, n_samples: int, exhaustive_limit: int
+):
+    """Batches of iteration pairings of one run, one index array per sub-run.
+
+    A run of at most two sub-runs, or whose sub-runs all have at most
+    ``exhaustive_limit`` iterations, is enumerated; any other gets
+    ``n_samples`` uniform draws, drawn ``_SAMPLE_CHUNK`` at a time.  Both
+    are handed out in batches of at most ``_TABLE_BATCH`` pairings.
     """
-    cpp, cpm = a[idx_a, 0], a[idx_a, 1]
-    cmp_, cmm = b[idx_b, 0], b[idx_b, 1]
-    total = cpp + cpm + cmp_ + cmm
-    p_pp, p_pm = cpp / total, cpm / total
-    p_mp, p_mm = cmp_ / total, cmm / total
-    return {
-        "corr": p_pp - p_pm - p_mp + p_mm,
-        "minus_plus": p_mp,
-        "first_plus": p_pp + p_pm,
-        "last_plus": p_pp + p_mp,
-    }
+    if len(sizes) <= 2 or max(sizes) <= exhaustive_limit:
+        chunks = [[g.ravel() for g in np.meshgrid(*map(np.arange, sizes), indexing="ij")]]
+    else:
+        chunks = (
+            [rng.integers(0, n, size=min(_SAMPLE_CHUNK, n_samples - drawn)) for n in sizes]
+            for drawn in range(0, n_samples, _SAMPLE_CHUNK)
+        )
+    for idx in chunks:
+        for start in range(0, idx[0].size, _TABLE_BATCH):
+            yield [i[start : start + _TABLE_BATCH] for i in idx]
 
 
-def _four_way_values(
-    cells: Sequence[np.ndarray], indices: Sequence[np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """Marginal two-time statistics for a four-sub-run combination batch."""
-    per_prefix = [
-        (cells[k][indices[k], 0], cells[k][indices[k], 1]) for k in range(4)
-    ]
-    total = sum(plus + minus for plus, minus in per_prefix)
-    # Schedule order of the prefixes: (+,+), (+,-), (-,+), (-,-).
-    s_pp, s_pm, s_mp, s_mm = (
-        (plus + minus) / total for plus, minus in per_prefix
-    )
-    return {
-        "corr": s_pp - s_pm - s_mp + s_mm,
-        "minus_plus": s_mp,
-        "first_plus": s_pp + s_mp,
-    }
+def _suffix(key: Tuple[str, ...]) -> str:
+    """Name suffix of a table key: ``("t2", "t3")`` -> ``"23"``."""
+    return "".join(time[1:] for time in key)
 
 
-def _stds(batches: List[Dict[str, np.ndarray]]) -> Dict[str, float]:
-    keys = batches[0].keys()
-    return {
-        key: float(np.std(np.concatenate([b[key].ravel() for b in batches]), ddof=1))
-        for key in keys
-    }
+# Each NSIT compares P(+) at one time between two tables, as protocol.evaluate does.
+_NSIT_MARGINALS = {
+    "nsit12": ((("t2", "t3"), "t2"), (("t1", "t2"), "t2")),
+    "nsit23": ((("t3",), "t3"), (("t2", "t3"), "t3")),
+    "nsit13": ((("t3",), "t3"), (("t1", "t3"), "t3")),
+}
+
+
+def _error_statistics(tables: Mapping[Tuple[str, ...], JointProbTable]) -> Dict[object, np.ndarray]:
+    """The per-pairing values whose spreads :func:`error_distributions` reads.
+
+    Each two-time table gives its correlation (``sigma<ij>``) and its
+    P(-, +) entry (``wlgi_sigma<ij>``); each (table key, time) pair named in
+    ``_NSIT_MARGINALS`` gives P(+) at that time.
+    """
+    out: Dict[object, np.ndarray] = {}
+    for key, table in tables.items():
+        if table.order == "two-time":
+            out[f"sigma{_suffix(key)}"] = correlation(table)
+            out[f"wlgi_sigma{_suffix(key)}"] = table.entries[(-1, +1)]
+        for pos, time in enumerate(key):
+            if any((key, time) in pair for pair in _NSIT_MARGINALS.values()):
+                out[(key, time)] = sum(p for k, p in table.entries.items() if k[pos] == +1)
+    return out
+
+
+class _Spread:
+    """Sample standard deviation (ddof=1) of values that arrive in batches.
+
+    Batches merge by the pairwise update of Chan, Golub and LeVeque, so
+    none is kept; one batch gives ``np.std(values, ddof=1)`` exactly.
+    """
+
+    n, mean, m2 = 0, 0.0, 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        n, mean = values.size, float(values.mean())
+        total, delta = self.n + n, mean - self.mean
+        self.m2 += float(np.square(values - mean).sum()) + delta * delta * self.n * n / total
+        self.mean += delta * n / total
+        self.n = total
+
+    def std(self) -> float:
+        return math.sqrt(self.m2 / (self.n - 1))
 
 
 def error_distributions(
@@ -629,11 +666,12 @@ def error_distributions(
     """Standard deviations of cross-combination inequality ingredients.
 
     Every iteration of one sub-run may be combined with every iteration of
-    the others, giving a distribution per derived quantity.  The full
-    cross-pairing of the two-sub-run runs (1 and 2) is always enumerated;
-    the four-way combination space of the double-blocked run 3 is
-    subsampled with ``n_samples`` uniform draws, or enumerated when every
-    sub-run has at most ``exhaustive_limit`` iterations.
+    the others, giving a distribution per derived quantity, each read from
+    the run's :func:`~macroreal.protocol.joint_tables` for that pairing.
+    The full cross-pairing of the two-sub-run runs (1 and 2) is always
+    enumerated; the four-way combination space of the double-blocked run 3
+    is subsampled with ``n_samples`` uniform draws, or enumerated when
+    every sub-run has at most ``exhaustive_limit`` iterations.
 
     Parameters
     ----------
@@ -658,62 +696,30 @@ def error_distributions(
     ------
     ValueError
         If any sub-run has fewer than 2 iterations.
+    UndefinedProbabilityError
+        Naming the run, if some pairing's total count is zero.
     """
-    arrays: Dict[Tuple[int, int], np.ndarray] = {}
-    for run, cfgs in RUN_CONFIGS.items():
-        for sub in range(len(cfgs)):
-            arr = np.asarray(counts[(run, sub)], dtype=float)
+    arrays = {run: _run_arrays(counts, run) for run in RUN_CONFIGS}
+    for run, subs in arrays.items():
+        for sub, arr in enumerate(subs):
             if arr.shape[0] < 2:
-                raise ValueError(
-                    f"run {run} sub-run {sub} has fewer than 2 iterations"
-                )
-            arrays[(run, sub)] = arr
+                raise ValueError(f"run {run} sub-run {sub} has fewer than 2 iterations")
     rng = np.random.default_rng(seed)
-
-    def cross(run: int) -> Dict[str, float]:
-        a, b = arrays[(run, 0)], arrays[(run, 1)]
-        idx_a, idx_b = np.meshgrid(np.arange(a.shape[0]), np.arange(b.shape[0]), indexing="ij")
-        return _stds([_two_run_values(a, b, idx_a, idx_b)])
-
-    run1, run2 = cross(1), cross(2)
-
-    cells3 = [arrays[(3, sub)] for sub in range(4)]
-    sizes = [c.shape[0] for c in cells3]
-    if max(sizes) <= exhaustive_limit:
-        grids = np.meshgrid(*[np.arange(n) for n in sizes], indexing="ij")
-        batches = [_four_way_values(cells3, [g.ravel() for g in grids])]
-    else:
-        batches = []
-        drawn = 0
-        while drawn < n_samples:
-            block = min(_SAMPLE_CHUNK, n_samples - drawn)
-            indices = [rng.integers(0, n, size=block) for n in sizes]
-            batches.append(_four_way_values(cells3, indices))
-            drawn += block
-    run3 = _stds(batches)
-
-    totals4 = arrays[(4, 0)].sum(axis=1)
-    if np.any(totals4 <= 0.0):
-        raise UndefinedProbabilityError("run 4 iteration with zero total count")
-    p3 = arrays[(4, 0)][:, 0] / totals4
-    p3_sigma = float(np.std(p3, ddof=1))
-
-    delta = run3["corr"] + run1["corr"] + run2["corr"]
-    wlgi_delta = run2["minus_plus"] + run3["minus_plus"] + run1["minus_plus"]
-    return {
-        "sigma12": run3["corr"],
-        "sigma23": run1["corr"],
-        "sigma13": run2["corr"],
-        "delta": delta,
-        "wlgi_sigma12": run3["minus_plus"],
-        "wlgi_sigma23": run1["minus_plus"],
-        "wlgi_sigma13": run2["minus_plus"],
-        "wlgi_delta": wlgi_delta,
-        "p3_sigma": p3_sigma,
-        "nsit12_delta": run1["first_plus"] + run3["first_plus"],
-        "nsit23_delta": p3_sigma + run1["last_plus"],
-        "nsit13_delta": p3_sigma + run2["last_plus"],
-    }
+    spreads: Dict[object, _Spread] = {}
+    for run, subs in arrays.items():
+        sizes = [arr.shape[0] for arr in subs]
+        for idx in _pairings(sizes, rng, n_samples, exhaustive_limit):
+            for name, values in _error_statistics(_pairing_tables(subs, run, idx)).items():
+                spreads.setdefault(name, _Spread()).add(values)
+    sigma = {name: spread.std() for name, spread in spreads.items()}
+    out = {name: value for name, value in sigma.items() if isinstance(name, str)}
+    # Worst-case sums, in the order of the terms of LGI and WLGI.
+    out["delta"] = out["sigma12"] + out["sigma23"] + out["sigma13"]
+    out["wlgi_delta"] = out["wlgi_sigma13"] + out["wlgi_sigma12"] + out["wlgi_sigma23"]
+    out["p3_sigma"] = sigma[(("t3",), "t3")]
+    for name, pair in _NSIT_MARGINALS.items():
+        out[f"{name}_delta"] = sum(sigma[marginal] for marginal in pair)
+    return out
 
 
 def bootstrap_sdm(
@@ -775,29 +781,28 @@ def per_iteration_values(
     dict
         Arrays ``c23``, ``c13``, ``c12``, ``p3``, ``lgi`` and ``wlgi``
         (the last two truncated to the shortest contributing run).
+
+    Raises
+    ------
+    UndefinedProbabilityError
+        Naming the run, if some iteration's run total is zero.
     """
+    tables: Dict[Tuple[str, ...], JointProbTable] = {}
+    for run in RUN_CONFIGS:
+        arrays = _run_arrays(counts, run)
+        n = min(arr.shape[0] for arr in arrays)
+        tables.update(_pairing_tables(arrays, run, [np.arange(n)] * len(arrays)))
     out: Dict[str, np.ndarray] = {}
     terms: Dict[str, np.ndarray] = {}
-    for run, corr_key in ((1, "c23"), (2, "c13")):
-        a = np.asarray(counts[(run, 0)], dtype=float)
-        b = np.asarray(counts[(run, 1)], dtype=float)
-        n = min(a.shape[0], b.shape[0])
-        idx = np.arange(n)
-        values = _two_run_values(a, b, idx, idx)
-        out[corr_key] = values["corr"]
-        terms[corr_key] = values["minus_plus"]
-    cells3 = [np.asarray(counts[(3, sub)], dtype=float) for sub in range(4)]
-    n3 = min(c.shape[0] for c in cells3)
-    idx3 = [np.arange(n3)] * 4
-    values3 = _four_way_values(cells3, idx3)
-    out["c12"] = values3["corr"]
-    terms["c12"] = values3["minus_plus"]
-    arr4 = np.asarray(counts[(4, 0)], dtype=float)
-    out["p3"] = arr4[:, 0] / arr4.sum(axis=1)
-    n = min(out["c12"].size, out["c23"].size, out["c13"].size)
+    for key, table in tables.items():
+        if table.order == "two-time":
+            out[f"c{_suffix(key)}"] = correlation(table)
+            terms[f"c{_suffix(key)}"] = table.entries[(-1, +1)]
+    out["p3"] = tables[("t3",)].entries[(+1,)]
+    names = ("c12", "c23", "c13")
+    n = min(out[name].size for name in names)
     out["lgi"], out["wlgi"] = combine(
-        out["c12"][:n], out["c23"][:n], out["c13"][:n],
-        terms["c12"][:n], terms["c23"][:n], terms["c13"][:n],
+        *(out[name][:n] for name in names), *(terms[name][:n] for name in names)
     )
     return out
 
@@ -815,6 +820,7 @@ def analyze_dataset(
     Parameters
     ----------
     dataset : ExperimentDataset or directory dataset
+        Read as :func:`count_dataset` reads it.
     bin_width, window :
         Histogram settings; the search window defaults to one centered on
         the dataset's base path delay.
@@ -829,14 +835,18 @@ def analyze_dataset(
     ResultReport
         Point values with worst-case deltas (sum of the contributing
         cross-combination sigmas) and correlation sigmas.
+
+    Raises
+    ------
+    UndefinedProbabilityError
+        Naming the run, if a run's mean total or some iteration pairing's
+        total is zero.
     """
     if window is None:
         window = _dataset_window(dataset)
     if counts is None:
         counts = count_dataset(dataset, bin_width, window)
-    iterations = {
-        str(run): int(dataset.iteration_count(run)) for run in dataset.run_ids
-    }
+    iterations = {str(run): int(dataset.iterations[run]) for run in RUN_CONFIGS}
     return _report(
         evaluate(joint_probs_from_counts(counts)),
         error_distributions(counts, n_samples=n_samples, seed=seed),

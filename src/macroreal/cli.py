@@ -43,7 +43,7 @@ from .hvmodels import (
     wlgi_detectors_bound_formula,
 )
 from .multiphoton import fit_gamma, fit_report, load_counts_csv, reference_counts
-from .protocol import BOUNDS, evaluate
+from .protocol import BOUNDS, RUN_CONFIGS, evaluate
 from .simulate import DEFAULT_ITERATIONS, SourceConfig, load_dataset, run_protocol
 
 __all__ = [
@@ -500,8 +500,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Only what this run wrote: --force leaves older files in place.
     files = json.loads(manifest_path.read_text(encoding="utf-8"))["files"]
     outputs = [manifest_path] + [outdir / entry["path"] for entry in files]
-    n_iters = sum(dataset.iteration_count(run) for run in dataset.run_ids)
-    print(f"Wrote {len(dataset.run_ids)}-run dataset ({n_iters} iterations) to {outdir}")
+    n_iters = sum(dataset.iterations[run] for run in RUN_CONFIGS)
+    print(f"Wrote {len(RUN_CONFIGS)}-run dataset ({n_iters} iterations) to {outdir}")
     _write_run_manifest(outdir, "simulate", config, source.seed, outputs, started)
     return _EXIT_OK
 
@@ -563,9 +563,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 seed=seed,
                 counts=counts,
             )
+            per_iteration = per_iteration_values(counts)
         except (FileNotFoundError, KeyError, ValueError) as exc:
             raise ConfigError(f"input: {exc}") from exc
-        per_iteration = per_iteration_values(counts)
         sdm = _sdm_rows(counts, seed)
     else:
         try:

@@ -13,9 +13,10 @@ WLGI (bound 0) and the three NSIT measures (each 0) from them.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "ARM_LABELS",
@@ -142,10 +143,12 @@ def joint_tables(
     """Joint outcome tables from per-sub-run detector cells.
 
     ``cells`` maps any subset of the runs to one (+1, -1) weight pair per
-    sub-run, in :data:`RUN_CONFIGS` order.  Each run's table, keyed by
-    :data:`RUN_TIMES`, holds its cells over their ``math.fsum``; run 3
-    also gives its (t1, t2) marginal.  A run whose total is not positive
-    raises :class:`UndefinedProbabilityError`.
+    sub-run, in :data:`RUN_CONFIGS` order.  A weight is a scalar or a NumPy
+    array; arrays of one shape give tables of arrays, one entry per
+    element.  Each run's table, keyed by :data:`RUN_TIMES`, holds its cells
+    over their sum; run 3 also gives its (t1, t2) marginal.  A run whose
+    total is not positive (for arrays: at any element) raises
+    :class:`UndefinedProbabilityError`.
     """
     tables: Dict[Tuple[str, ...], JointProbTable] = {}
     for run, subs in cells.items():
@@ -154,8 +157,8 @@ def joint_tables(
             prefix = outcome_prefix(cfg)
             raw[prefix + (+1,)] = plus
             raw[prefix + (-1,)] = minus
-        total = math.fsum(raw.values())
-        if total <= 0.0:
+        total = sum(raw.values())
+        if np.any(total <= 0.0):
             raise UndefinedProbabilityError(f"run {run} total weight vanishes; table undefined")
         times = RUN_TIMES[run]
         entries = {

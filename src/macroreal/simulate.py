@@ -336,18 +336,6 @@ class ExperimentDataset:
                 raise ValueError(f"v_jitter: range must satisfy -1 <= lo <= hi <= 1, got {self.v_jitter}")
             object.__setattr__(self, "v_jitter", (float(lo), float(hi)))
 
-    @property
-    def run_ids(self) -> Tuple[int, ...]:
-        return tuple(sorted(RUN_CONFIGS))
-
-    def sub_run_blockers(self, run: int) -> Tuple[BlockerConfig, ...]:
-        """Blocker schedule of one run."""
-        return RUN_CONFIGS[run]
-
-    def iteration_count(self, run: int) -> int:
-        """Number of iterations of each sub-run of one run."""
-        return self.iterations[run]
-
     def iteration_setup(self, run: int, sub_run: int, iteration: int) -> SetupParams:
         """Setup parameters of one iteration (with the jittered visibility)."""
         if self.v_jitter is None:
@@ -363,7 +351,7 @@ class ExperimentDataset:
         stream_seed, _ = derive_iteration_state(self.master_seed, run, sub_run, iteration)
         src = dataclasses.replace(self.source, seed=stream_seed)
         setup = self.iteration_setup(run, sub_run, iteration)
-        return generate_sub_run(src, setup, self.sub_run_blockers(run)[sub_run])
+        return generate_sub_run(src, setup, RUN_CONFIGS[run][sub_run])
 
     def to_directory(self, outdir: str, force: bool = False) -> Path:
         """Write every iteration as an ``.npz`` archive plus a dataset manifest.
@@ -396,11 +384,11 @@ class ExperimentDataset:
             raise FileExistsError(f"output directory {root} is not empty (use force)")
 
         files = []
-        for run in self.run_ids:
-            for sub_run in range(len(self.sub_run_blockers(run))):
+        for run, blockers in RUN_CONFIGS.items():
+            for sub_run in range(len(blockers)):
                 sub_dir = root / f"run{run}_sub{sub_run}"
                 sub_dir.mkdir(exist_ok=True)
-                for iteration in range(self.iteration_count(run)):
+                for iteration in range(self.iterations[run]):
                     streams = self.streams(run, sub_run, iteration)
                     rel = _iteration_file(run, sub_run, iteration)
                     np.savez(root / rel, **{s.channel: s.times for s in streams})
@@ -545,18 +533,8 @@ class _DirectoryDataset:
         self._duration_ps = self.source.duration_ps
 
     @property
-    def run_ids(self) -> Tuple[int, ...]:
-        return tuple(sorted(RUN_CONFIGS))
-
-    @property
     def source(self) -> SourceConfig:
         return SourceConfig(**self._manifest["source"])
-
-    def sub_run_blockers(self, run: int) -> Tuple[BlockerConfig, ...]:
-        return RUN_CONFIGS[run]
-
-    def iteration_count(self, run: int) -> int:
-        return self.iterations[run]
 
     def streams(
         self, run: int, sub_run: int, iteration: int

@@ -31,7 +31,14 @@ from macroreal.analysis import (
     select_window,
 )
 from macroreal.circuit import NOMINAL_PARAMS, SetupParams, qm_lgi, qm_nsit
-from macroreal.protocol import JointProbTable, UndefinedProbabilityError, evaluate
+from macroreal.protocol import (
+    RUN_CONFIGS,
+    JointProbTable,
+    UndefinedProbabilityError,
+    correlation,
+    evaluate,
+    joint_tables,
+)
 from macroreal.simulate import SourceConfig, run_protocol
 
 QUIET = dict(dark_rate_h=0.0, dark_rate_p=0.0, dark_rate_m=0.0, jitter_sigma=0.0)
@@ -237,9 +244,9 @@ def test_count_sub_run_equals_stream_oracle_on_every_sub_run(monkeypatch):
     windows_per_call = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # clamps agree on both sides
-        for run in dataset.run_ids:
-            for sub in range(len(dataset.sub_run_blockers(run))):
-                for it in range(dataset.iteration_count(run)):
+        for run, cfgs in RUN_CONFIGS.items():
+            for sub in range(len(cfgs)):
+                for it in range(dataset.iterations[run]):
                     h_s, *detectors = dataset.streams(run, sub, it)
                     for det in detectors:
                         picked.clear()
@@ -263,7 +270,7 @@ def test_run2_peak_offsets_differ_by_arm_delay():
         src, NOMINAL_PARAMS, iterations={"interference": 1, "non_interference": 1}
     )
     centers = {}
-    for sub, cfg in enumerate(dataset.sub_run_blockers(2)):
+    for sub, cfg in enumerate(RUN_CONFIGS[2]):
         h_s, p_s, _ = dataset.streams(2, sub, 0)
         w = select_window(histogram(h_s, p_s, window=(50_000, 150_000)))
         centers[cfg.block_t1] = 0.5 * (w.start + w.end)
@@ -343,6 +350,31 @@ def test_zero_run_total_raises():
     counts[(4, 0)] = np.zeros((1, 2))
     with pytest.raises(UndefinedProbabilityError):
         joint_probs_from_counts(counts)
+
+
+def test_joint_tables_on_array_cells_match_the_scalar_path():
+    rng = np.random.default_rng(67)
+    n = 7
+    cells = {
+        run: [tuple(rng.uniform(0.0, 1000.0, size=(2, n))) for _ in cfgs]
+        for run, cfgs in RUN_CONFIGS.items()
+    }
+    tables = joint_tables(cells)
+    assert set(tables) == {("t2", "t3"), ("t1", "t3"), ("t1", "t2", "t3"), ("t1", "t2"), ("t3",)}
+    for k in range(n):
+        scalar = joint_tables(
+            {run: [(float(plus[k]), float(minus[k])) for plus, minus in subs]
+             for run, subs in cells.items()}
+        )
+        assert set(scalar) == set(tables)
+        for key, table in scalar.items():
+            assert tables[key].order == table.order
+            for outcome, p in table.entries.items():
+                assert tables[key].entries[outcome][k] == pytest.approx(p, rel=0, abs=1e-15)
+    cells[1][0][0][3] = cells[1][0][1][3] = 0.0
+    cells[1][1][0][3] = cells[1][1][1][3] = 0.0
+    with pytest.raises(UndefinedProbabilityError, match="run 1"):
+        joint_tables(cells)
 
 
 @given(
@@ -476,6 +508,20 @@ def test_cross_pairing_sigma_matches_oracle():
     assert sig["wlgi_sigma23"] == pytest.approx(expected_wlgi23, rel=1e-12)
 
 
+def test_sigma_merged_over_table_batches_matches_oracle():
+    # 120 x 120 and 100 x 100 pairings span several batches of the error path.
+    assert 100 * 100 > analysis._TABLE_BATCH
+    counts = random_counts(np.random.default_rng(73), {1: 120, 2: 100, 3: 3, 4: 4})
+    sig = error_distributions(counts)
+
+    def corr(p):
+        return p[(+1, +1)] - p[(+1, -1)] - p[(-1, +1)] + p[(-1, -1)]
+
+    for run, name in ((1, "sigma23"), (2, "sigma13")):
+        expected = oracles.exhaustive_cross_sigma(counts[(run, 0)], counts[(run, 1)], corr)
+        assert sig[name] == pytest.approx(expected, rel=1e-12)
+
+
 def test_four_way_sigma_matches_oracle_exhaustively():
     rng = np.random.default_rng(31)
     counts = random_counts(rng, {1: 3, 2: 3, 3: 5, 4: 3})
@@ -509,6 +555,30 @@ def test_error_distributions_requires_two_iterations():
     counts = random_counts(rng, {1: 1, 2: 3, 3: 3, 4: 3})
     with pytest.raises(ValueError, match="fewer than 2"):
         error_distributions(counts)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        error_distributions,
+        per_iteration_values,
+        lambda counts: analyze_dataset(
+            run_protocol(
+                SourceConfig(seed=5), NOMINAL_PARAMS,
+                iterations={"interference": 3, "non_interference": 3},
+            ),
+            n_samples=1000,
+            counts=counts,
+        ),
+    ],
+    ids=["error_distributions", "per_iteration_values", "analyze_dataset"],
+)
+def test_a_zero_total_pairing_raises_naming_the_run(call):
+    # Iteration 0 of both run-1 sub-runs is empty, so that pairing has no table.
+    counts = random_counts(np.random.default_rng(71), {1: 3, 2: 3, 3: 3, 4: 3})
+    counts[(1, 0)][0] = counts[(1, 1)][0] = 0.0
+    with pytest.raises(UndefinedProbabilityError, match="run 1"):
+        call(counts)
 
 
 def test_delta_is_sum_of_sigmas():
@@ -608,6 +678,18 @@ def test_per_iteration_values_shapes():
     assert np.allclose(
         values["lgi"], values["c12"] + values["c23"] - values["c13"][:4]
     )
+    # Each entry is the value of that iteration's rows alone.
+    for name, run, key in [
+        ("c23", 1, ("t2", "t3")), ("c13", 2, ("t1", "t3")), ("c12", 3, ("t1", "t2")),
+    ]:
+        for i, value in enumerate(values[name]):
+            rows = {(run, sub): counts[(run, sub)][i : i + 1] for sub in range(len(RUN_CONFIGS[run]))}
+            expected = correlation(joint_probs_from_counts(rows)[key])
+            assert value == pytest.approx(expected, rel=0, abs=1e-15), (name, i)
+    for i, value in enumerate(values["p3"]):
+        rows = {(4, 0): counts[(4, 0)][i : i + 1]}
+        expected = joint_probs_from_counts(rows)[("t3",)].entries[(+1,)]
+        assert value == pytest.approx(expected, rel=0, abs=1e-15), i
 
 
 def test_analyze_counts_fixture_has_no_deltas():

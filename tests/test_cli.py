@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from macroreal import cli
 from macroreal.analysis import representative_counts_path
 from macroreal.circuit import NOMINAL_PARAMS, Tolerances, qm_range
 from macroreal.cli import ConfigError, build_parser, default_config, load_config, main
@@ -376,6 +377,24 @@ def test_analyze_damaged_dataset_exits_2_naming_the_file(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["analyze", str(ds), "--config", cfg, "--out", str(out)]) == 2
     assert "run3_sub1/iter0001.npz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_zero_total_counts_exit_2_naming_the_run(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, source=FAST_SOURCE, analysis={"n_samples": 20000})
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(ds)]) == 0
+    counted = cli.count_dataset
+
+    def zero_first_run1_iteration(*args, **kwargs):
+        counts = counted(*args, **kwargs)
+        counts[(1, 0)][0] = counts[(1, 1)][0] = 0.0
+        return counts
+
+    monkeypatch.setattr(cli, "count_dataset", zero_first_run1_iteration)
+    out = tmp_path / "out"
+    assert main(["analyze", str(ds), "--config", cfg, "--out", str(out)]) == 2
+    assert "run 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -166,12 +166,12 @@ def test_unit_probability_guard():
 
 def test_run_protocol_schedule():
     dataset = run_protocol(SourceConfig(seed=7), SetupParams())
-    assert dataset.run_ids == (1, 2, 3, 4)
-    assert sum(len(dataset.sub_run_blockers(run)) for run in dataset.run_ids) == 9
-    assert dataset.iteration_count(2) == 300
-    assert dataset.iteration_count(4) == 300
-    assert dataset.iteration_count(1) == 150
-    assert dataset.iteration_count(3) == 150
+    assert tuple(dataset.iterations) == tuple(RUN_CONFIGS) == (1, 2, 3, 4)
+    assert sum(len(RUN_CONFIGS[run]) for run in dataset.iterations) == 9
+    assert dataset.iterations[2] == 300
+    assert dataset.iterations[4] == 300
+    assert dataset.iterations[1] == 150
+    assert dataset.iterations[3] == 150
     with pytest.raises(ValueError):
         run_protocol(SourceConfig(), SetupParams(), iterations={"weird": 4})
 
@@ -221,8 +221,8 @@ def test_dataset_round_trip_through_directory(tmp_path):
     assert manifest["format"] == "macroreal-dataset-v2"
     assert len(manifest["files"]) == 18
     loaded = load_dataset(tmp_path / "data")
-    assert loaded.run_ids == dataset.run_ids
-    assert loaded.iteration_count(2) == 2
+    assert loaded.iterations == dataset.iterations
+    assert loaded.iterations[2] == 2
     for entry in manifest["files"]:
         run, sub, iteration = entry["run"], entry["sub_run"], entry["iteration"]
         assert entry["path"] == f"run{run}_sub{sub}/iter{iteration:04d}.npz"
@@ -347,5 +347,5 @@ def test_default_iterations_mapping():
     dataset = run_protocol(
         SourceConfig(), SetupParams(), iterations={"non_interference": 10}
     )
-    assert dataset.iteration_count(1) == 10
-    assert dataset.iteration_count(2) == 300
+    assert dataset.iterations[1] == 10
+    assert dataset.iterations[2] == 300
