@@ -678,7 +678,7 @@ def error_distributions(
     counts : mapping
         (run, sub_run) -> (iterations, 2) corrected counts.
     n_samples : int
-        Random four-way combination draws.
+        Random four-way combination draws; at least 2.
     seed : int
         Seed for the run-3 combination sampler.
     exhaustive_limit : int
@@ -695,10 +695,13 @@ def error_distributions(
     Raises
     ------
     ValueError
-        If any sub-run has fewer than 2 iterations.
+        If ``n_samples`` is below 2, or any sub-run has fewer than 2
+        iterations.
     UndefinedProbabilityError
         Naming the run, if some pairing's total count is zero.
     """
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     arrays = {run: _run_arrays(counts, run) for run in RUN_CONFIGS}
     for run, subs in arrays.items():
         for sub, arr in enumerate(subs):

@@ -37,7 +37,10 @@ from .circuit import SetupParams, Tolerances, joint_probs, qm_range
 from .hvmodels import (
     blocker_setup_bound,
     critical_efficiency,
+    detector_certificates,
     lgi_detectors_bound_formula,
+    # Not called here, but bench/tracing.py looks both up on this module to
+    # install its wrappers, so they must stay importable from it.
     maximize_lgi_detectors,
     maximize_wlgi_detectors,
     wlgi_detectors_bound_formula,
@@ -385,8 +388,9 @@ def cmd_hv_bound(args: argparse.Namespace) -> int:
             raise ConfigError(f"eta: {eta} outside (0, 1]")
     names = ("LGI", "WLGI") if args.inequality == "both" else (args.inequality,)
     outdir = _ensure_outdir(args.out)
-    maximizers = {"LGI": maximize_lgi_detectors, "WLGI": maximize_wlgi_detectors}
 
+    # Every (eta, inequality) certificate's search runs in one batch.
+    found = iter(detector_certificates(etas, names, n_starts=args.starts, seed=seed))
     rows = []
     certificates = []
     for eta in etas:
@@ -401,7 +405,7 @@ def cmd_hv_bound(args: argparse.Namespace) -> int:
         )
         entry: Dict[str, object] = {"eta": eta}
         for name in names:
-            cert = maximizers[name](eta, n_starts=args.starts, seed=seed)
+            cert = next(found)
             entry[name.lower()] = {
                 "bound": cert.bound,
                 "formula_value": cert.formula_value,
@@ -542,6 +546,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     section = config["analysis"]
     seed = _seed_or(args, section["seed"])
+    n_samples = section["n_samples"]
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 2:
+        raise ConfigError(f"config: analysis.n_samples: {n_samples!r} must be an integer >= 2")
     bin_width = int(section["bin_width"])
     window = section["window"]
     if window is not None:
@@ -559,7 +566,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 dataset,
                 bin_width=bin_width,
                 window=window,
-                n_samples=int(section["n_samples"]),
+                n_samples=n_samples,
                 seed=seed,
                 counts=counts,
             )

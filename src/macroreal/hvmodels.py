@@ -23,10 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .protocol import BOUNDS, combine
 
@@ -39,6 +38,7 @@ __all__ = [
     "blocker_setup_bound",
     "blocker_setup_formula",
     "critical_efficiency",
+    "detector_certificates",
     "lgi_detectors_bound_formula",
     "lgi_detectors_value",
     "low_efficiency_witness",
@@ -279,11 +279,16 @@ _WLGI = _RatioMap(*_wlgi_fractions(np.eye(56)), _WLGI_SIGNS)
 
 
 def _ratio_value_batch(w: np.ndarray, ratios: _RatioMap) -> np.ndarray:
-    """Signed ratio sum per row of w (..., 56); -inf where any denominator vanishes."""
-    nums = w @ ratios.num
-    dens = w @ ratios.den
+    """Signed ratio sum per row of w (..., 56); -inf where any denominator vanishes.
+
+    Each row's value is the same bits however the rows are batched: the
+    products are plain ``einsum`` loops, where BLAS ``w @ num`` rounds a
+    row differently alone and inside a matrix.
+    """
+    nums = np.einsum("...i,ij->...j", w, ratios.num)
+    dens = np.einsum("...i,ij->...j", w, ratios.den)
     positive = dens > 0.0
-    vals = (nums / np.where(positive, dens, 1.0)) @ ratios.signs
+    vals = np.einsum("...j,j->...", nums / np.where(positive, dens, 1.0), ratios.signs)
     return np.where(np.all(positive, axis=-1), vals, -np.inf)
 
 
@@ -346,8 +351,10 @@ def wlgi_detectors_bound_formula(eta: float) -> float:
     return 1.0 if eta < 2.0 / 3.0 else (1.0 - eta) / (2.0 * eta - 1.0)
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 < eta <= 1.0:
+def _check_eta(eta) -> None:
+    """Reject an efficiency, or any of an array of them, outside (0, 1]."""
+    arr = np.asarray(eta)
+    if not np.all((0.0 < arr) & (arr <= 1.0)):
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
 
 
@@ -400,13 +407,17 @@ _SHARED_OF_TIME = np.array(
 )
 
 
-def project_feasible(weights: np.ndarray, eta: float) -> np.ndarray:
+def project_feasible(weights: np.ndarray, eta) -> np.ndarray:
     """Map arbitrary weight vectors onto the constraint set.
 
-    Works on arrays of shape (..., 56).  The result is nonnegative, each
-    time's detection total equals ``eta`` exactly, and the grand total is
-    at most one.  Points already satisfying the constraints are returned
-    unchanged, so the projection parameterizes the whole feasible set.
+    Works on arrays of shape (..., 56).  ``eta`` is one efficiency or an
+    array of them that broadcasts over ``weights.shape[:-1]``, one per
+    weight vector.  The result is nonnegative, each time's detection total
+    equals that vector's ``eta`` exactly, and the grand total is at most
+    one.  Points already satisfying the constraints are returned unchanged,
+    so the projection parameterizes the whole feasible set.  Every step
+    acts on one vector at a time, so a vector's result does not depend on
+    the batch it is projected in.
 
     The steps: clip negatives; scale the shared classes (a, b, c, d) down
     if any time's shared weight exceeds ``eta``; if topping the exclusive
@@ -415,6 +426,7 @@ def project_feasible(weights: np.ndarray, eta: float) -> np.ndarray:
     finally rescale or fill the exclusive classes q, p, s so each time's
     total is exactly ``eta``.
     """
+    eta = np.asarray(eta, dtype=float)
     _check_eta(eta)
     w = np.maximum(np.asarray(weights, dtype=float), 0.0)
     blocks = w.reshape(w.shape[:-1] + (7, 8))  # classes in BLOCK_NAMES order
@@ -441,7 +453,7 @@ def project_feasible(weights: np.ndarray, eta: float) -> np.ndarray:
     d_block += (t * eta)[..., None] * d_shape
 
     totals = blocks.sum(axis=-1)
-    need = np.maximum(eta - shared_at_times(totals), 0.0)
+    need = np.maximum(eta[..., None] - shared_at_times(totals), 0.0)
     e_tot = totals[..., :3]
     filled = e_tot > 0.0
     factor = np.divide(need, e_tot, out=np.zeros(need.shape), where=filled)
@@ -471,76 +483,230 @@ def _witness_starts(eta: float) -> list:
     return starts
 
 
-def _certification_witness(kind: str, eta: float) -> HVWeights:
+def _certification_witness(inequality: str, eta: float) -> HVWeights:
     """Extremal witness assignment for the efficiency regime."""
     if eta < 2.0 / 3.0:
         return low_efficiency_witness(eta)
-    if kind == "lgi":
+    if inequality == "LGI":
         return lgi_high_efficiency_witness(eta)
     return wlgi_high_efficiency_witness(eta)
 
 
-def _maximize_ratio(
-    kind: str, ratios: _RatioMap, eta: float, n_starts: int, seed: int, support
-) -> Tuple[float, HVWeights, Tuple[ProbeFinding, ...]]:
+# scipy's non-adaptive Nelder-Mead: reflection, expansion, contraction and
+# shrink coefficients, and the initial simplex's relative and zero steps.
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+
+# Per-start budget and stopping tolerances of the probe's local search.
+_MAXFEV, _XATOL, _FATOL = 4000, 1e-7, 1e-10
+
+
+def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray):
+    """Each simplex reordered by ``np.argsort`` of its values, as scipy does."""
+    n_runs, n_vert, n = sim.shape
+    rows = np.argsort(fsim, axis=-1) + n_vert * np.arange(n_runs)[:, None]
+    return (
+        sim.reshape(-1, n).take(rows.ravel(), axis=0).reshape(sim.shape),
+        fsim.take(rows),
+    )
+
+
+def _nelder_mead_batch(func, x0: np.ndarray, maxfev: int = _MAXFEV):
+    """Minimize ``func`` over [0, 1]^N from every row of ``x0``, in lockstep.
+
+    Each start takes exactly the steps of scipy's bounded, non-adaptive
+    ``minimize(method="Nelder-Mead")`` with options ``maxfev``, ``xatol``
+    (``_XATOL``) and ``fatol`` (``_FATOL``), so it ends at the same
+    (x, fun, nfev).  That includes scipy's bookkeeping: the simplex is
+    argsorted and reordered after every step, and the centroid is
+    ``np.add.reduce`` over the sorted vertices.  A start whose budget runs
+    out inside a step stops as scipy's does: an expansion or contraction
+    it cannot evaluate changes nothing, and a shrink cut short has moved
+    one more vertex than it evaluated.  What differs is that every start's
+    evaluations of a step go to ``func`` as one batch.
+
+    ``func(points, owners)`` takes an (M, N) array of points and the index
+    of the start each point belongs to, and returns the M values.  It must
+    give each point the same value however the points are batched.
+    Returns the (B, N) best points, their (B,) values and evaluation counts.
+    """
+    def evaluate(points: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        return func(points, owners) if owners.size else np.empty(0)
+
+    x0 = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    n_runs, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    diag = np.arange(n)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
+    # Reflect a vertex stepped past the upper bound back into the box.
+    sim = np.clip(np.where(sim > 1.0, 2.0 - sim, sim), 0.0, 1.0)
+
+    n_first = min(n + 1, maxfev)
+    calls = np.full(n_runs, n_first)
+    fsim = np.full((n_runs, n + 1), np.inf)
+    fsim[:, :n_first] = evaluate(
+        sim[:, :n_first].reshape(-1, n), np.repeat(np.arange(n_runs), n_first)
+    ).reshape(n_runs, n_first)
+    # scipy sorts the initial simplex twice; an unstable sort may swap ties.
+    sim, fsim = _sorted_simplex(*_sorted_simplex(sim, fsim))
+
+    x_best, f_best, nfev = np.empty((n_runs, n)), np.empty(n_runs), np.empty(n_runs, dtype=int)
+    owner = np.arange(n_runs)
+    while owner.size:
+        stop = calls >= maxfev
+        flat = np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= _FATOL
+        flat[flat] = np.max(np.abs(sim[flat, 1:] - sim[flat, :1]), axis=(1, 2)) <= _XATOL
+        stop |= flat
+        if stop.any():
+            done = owner[stop]
+            x_best[done], f_best[done], nfev[done] = sim[stop, 0], fsim[stop].min(axis=1), calls[stop]
+            keep = ~stop
+            owner, sim, fsim, calls = owner[keep], sim[keep], fsim[keep], calls[keep]
+            if not owner.size:
+                break
+
+        xbar = np.add.reduce(sim[:, :-1], axis=1) / n
+        worst, f_low, f_second, f_worst = sim[:, -1], fsim[:, 0], fsim[:, -2], fsim[:, -1]
+        xr = np.clip((1 + _RHO) * xbar - _RHO * worst, 0.0, 1.0)
+        fxr = evaluate(xr, owner)
+        calls += 1
+
+        expand = fxr < f_low
+        accept = ~expand & (fxr < f_second)
+        outside = ~expand & ~accept & (fxr < f_worst)
+        replace = accept.copy()
+
+        # One more evaluation: expansion, or outside or inside contraction.
+        # A start without budget for it keeps its simplex (scipy's
+        # _MaxFuncCallError), even after an improving reflection.
+        idx = np.flatnonzero(~accept & (calls < maxfev))
+        xb, wv, e, o = xbar[idx], worst[idx], expand[idx], outside[idx]
+        y = np.where(
+            e[:, None],
+            (1 + _RHO * _CHI) * xb - _RHO * _CHI * wv,
+            np.where(
+                o[:, None], (1 + _PSI * _RHO) * xb - _PSI * _RHO * wv, (1 - _PSI) * xb + _PSI * wv
+            ),
+        )
+        y = np.clip(y, 0.0, 1.0)
+        fy = evaluate(y, owner[idx])
+        calls[idx] += 1
+        fr = fxr[idx]
+        better = np.where(e, fy < fr, np.where(o, fy <= fr, fy < f_worst[idx]))
+        replace[idx[e | better]] = True
+        xr[idx[better]], fxr[idx[better]] = y[better], fy[better]
+        shrink = idx[~(e | better)]
+        sim[replace, -1], fsim[replace, -1] = xr[replace], fxr[replace]
+
+        if shrink.size:
+            # Vertex j moves if the budget allows j - 1 more calls, and is
+            # evaluated if it allows j.
+            left = maxfev - calls[shrink]
+            j = np.arange(1, n + 1)
+            move, scored = j <= left[:, None] + 1, j <= left[:, None]
+            best = sim[shrink, :1]
+            verts, fverts = sim[shrink, 1:], fsim[shrink, 1:]
+            verts[move] = np.clip(best + _SIGMA * (verts - best), 0.0, 1.0)[move]
+            fverts[scored] = evaluate(verts[scored], np.repeat(owner[shrink], scored.sum(axis=1)))
+            sim[shrink, 1:], fsim[shrink, 1:] = verts, fverts
+            calls[shrink] += scored.sum(axis=1)
+
+        sim, fsim = _sorted_simplex(sim, fsim)
+    return x_best, f_best, nfev
+
+
+# The ratio maps and closed-form bounds of the two tested inequalities.
+_INEQUALITIES = {
+    "LGI": (_LGI, lgi_detectors_bound_formula),
+    "WLGI": (_WLGI, wlgi_detectors_bound_formula),
+}
+
+
+def _certify(jobs, n_starts: int, seed: int, support) -> List[BoundCertificate]:
+    """One certificate per (eta, inequality) job, every start in one search."""
     if n_starts < 0:
         raise ValueError(f"n_starts must be >= 0, got {n_starts}")
-    rng = np.random.default_rng(seed)
+    for eta, name in jobs:
+        _check_eta(eta)
+        if name not in _INEQUALITIES:
+            raise ValueError(f"inequality must be 'LGI' or 'WLGI', got {name!r}")
     if support is not None:
         support = list(support)
+    dim = 56 if support is None else len(support)
 
     def embed(x: np.ndarray) -> np.ndarray:
         if support is None:
             return x
-        w = np.zeros(56)
-        w[support] = x
+        w = np.zeros(x.shape[:-1] + (56,))
+        w[..., support] = x
         return w
 
-    def value_of(x: np.ndarray) -> float:
-        w = project_feasible(embed(np.asarray(x, dtype=float)), eta)
-        return float(_ratio_value_batch(w, ratios))
+    starts, job_of = [], []
+    for k, (eta, _) in enumerate(jobs):
+        rng = np.random.default_rng(seed)
+        mine = [w if support is None else w[support] for w in _witness_starts(eta)]
+        for _ in range(n_starts):
+            mine.append(_sparse_start(rng, eta) if support is None else rng.uniform(0.0, eta, size=dim))
+        starts += mine
+        job_of += [k] * len(mine)
+    x0 = np.array(starts, dtype=float).reshape(-1, dim)
+    job_of = np.array(job_of, dtype=int)
+    etas = np.array([eta for eta, _ in jobs], dtype=float)[job_of]
+    is_lgi = np.array([name == "LGI" for _, name in jobs], dtype=bool)[job_of]
 
-    def objective(x: np.ndarray) -> float:
-        return -value_of(x)
+    def values(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Probe value of each point; rows[i] is the start point i belongs to."""
+        w = project_feasible(embed(x), etas[rows])
+        lgi = is_lgi[rows]
+        if lgi.all() or not lgi.any():
+            return _ratio_value_batch(w, _LGI if lgi.all() else _WLGI)
+        out = np.empty(len(rows))
+        out[lgi] = _ratio_value_batch(w[lgi], _LGI)
+        out[~lgi] = _ratio_value_batch(w[~lgi], _WLGI)
+        return out
 
-    starts = []
-    for w in _witness_starts(eta):
-        starts.append(w[support] if support is not None else w)
-    dim = len(support) if support is not None else 56
-    for _ in range(n_starts):
-        if support is None:
-            starts.append(_sparse_start(rng, eta))
+    f0 = values(x0, np.arange(len(x0)))
+    x_opt, f_opt, _ = _nelder_mead_batch(lambda x, rows: -values(x, rows), x0)
+
+    certificates = []
+    for k, (eta, name) in enumerate(jobs):
+        ratios, formula = _INEQUALITIES[name]
+        probe_val, probe_x = -math.inf, None
+        for i in np.flatnonzero(job_of == k):
+            if f0[i] > probe_val:
+                probe_val, probe_x = float(f0[i]), x0[i]
+            if -f_opt[i] > probe_val:
+                probe_val, probe_x = float(-f_opt[i]), x_opt[i]
+        probe_w = project_feasible(embed(probe_x), eta)
+        if support is not None:
+            # Diagnostic mode: report the honest maximum on the slice.
+            cert = BoundCertificate(eta, probe_val, HVWeights(probe_w), formula(eta))
         else:
-            starts.append(rng.uniform(0.0, eta, size=dim))
+            witness = _certification_witness(name, eta)
+            bound = _detectors_value(witness, ratios)
+            findings: Tuple[ProbeFinding, ...] = ()
+            if probe_val > bound + 1e-6:
+                findings = (ProbeFinding(probe_val, HVWeights(probe_w)),)
+            cert = BoundCertificate(eta, bound, witness, formula(eta), findings)
+        certificates.append(cert)
+    return certificates
 
-    probe_val, probe_x = -math.inf, None
-    for x0 in starts:
-        x0 = np.asarray(x0, dtype=float)
-        f0 = value_of(x0)
-        if f0 > probe_val:
-            probe_val, probe_x = f0, x0
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=[(0.0, 1.0)] * dim,
-            options={"maxfev": 4000, "xatol": 1e-7, "fatol": 1e-10},
-        )
-        if -res.fun > probe_val:
-            probe_val, probe_x = -res.fun, res.x
 
-    if support is not None:
-        # Diagnostic mode: report the honest maximum on the slice.
-        witness = HVWeights(project_feasible(embed(np.asarray(probe_x)), eta))
-        return probe_val, witness, ()
+def detector_certificates(
+    etas: Sequence[float], inequalities: Sequence[str], n_starts: int = 8, seed: int = 0
+) -> List[BoundCertificate]:
+    """Certify the detector-only bounds of every (eta, inequality) pair at once.
 
-    witness = _certification_witness(kind, eta)
-    bound = _detectors_value(witness, ratios)
-    findings: Tuple[ProbeFinding, ...] = ()
-    if probe_val > bound + 1e-6:
-        probe_weights = HVWeights(project_feasible(embed(np.asarray(probe_x)), eta))
-        findings = (ProbeFinding(probe_val, probe_weights),)
-    return bound, witness, findings
+    Returns one :class:`BoundCertificate` per pair, eta-major: for each
+    efficiency in ``etas`` (order and repeats kept), one per name in
+    ``inequalities`` ("LGI" or "WLGI").  Each certificate equals the one
+    :func:`maximize_lgi_detectors` or :func:`maximize_wlgi_detectors` gives
+    for the same eta, ``n_starts`` and ``seed``: it keeps its own starts and
+    its own random stream.  The local searches of all certificates run as
+    one lockstep Nelder-Mead batch, so each of its steps projects and
+    evaluates the points of every start together.
+    """
+    return _certify([(eta, name) for eta in etas for name in inequalities], n_starts, seed, None)
 
 
 def maximize_lgi_detectors(
@@ -555,7 +721,9 @@ def maximize_lgi_detectors(
     sparse supports, every candidate projected onto the constraint set)
     probes for assignments exceeding that value; any such excess is
     attached to the certificate as a finding rather than adopted as the
-    bound.
+    bound.  The starts run as one lockstep batch of bounded Nelder-Mead
+    searches (at most 4000 evaluations each); see
+    :func:`detector_certificates` to certify many efficiencies in one batch.
 
     Parameters
     ----------
@@ -571,9 +739,7 @@ def maximize_lgi_detectors(
         In this mode the bound is the best value found on the slice and
         no findings are reported.
     """
-    _check_eta(eta)
-    bound, witness, findings = _maximize_ratio("lgi", _LGI, eta, n_starts, seed, support)
-    return BoundCertificate(eta, bound, witness, lgi_detectors_bound_formula(eta), findings)
+    return _certify([(eta, "LGI")], n_starts, seed, support)[0]
 
 
 def maximize_wlgi_detectors(
@@ -584,9 +750,7 @@ def maximize_wlgi_detectors(
     See :func:`maximize_lgi_detectors` for the search and for why the
     reported bound is a lower bound on the maximum.
     """
-    _check_eta(eta)
-    bound, witness, findings = _maximize_ratio("wlgi", _WLGI, eta, n_starts, seed, support)
-    return BoundCertificate(eta, bound, witness, wlgi_detectors_bound_formula(eta), findings)
+    return _certify([(eta, "WLGI")], n_starts, seed, support)[0]
 
 
 def critical_efficiency(inequality: str) -> float:

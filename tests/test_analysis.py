@@ -550,6 +550,14 @@ def test_sampled_four_way_matches_exhaustive():
     assert sampled["wlgi_sigma12"] == pytest.approx(exact["wlgi_sigma12"], rel=0.03)
 
 
+@pytest.mark.parametrize("n_samples", [1, 0, -5])
+def test_error_distributions_rejects_fewer_than_two_samples(n_samples):
+    # Run 3 has more iterations than exhaustive_limit, so it is sampled.
+    counts = random_counts(np.random.default_rng(47), {1: 3, 2: 3, 3: 5, 4: 3})
+    with pytest.raises(ValueError, match="n_samples"):
+        error_distributions(counts, n_samples=n_samples, exhaustive_limit=4)
+
+
 def test_error_distributions_requires_two_iterations():
     rng = np.random.default_rng(43)
     counts = random_counts(rng, {1: 1, 2: 3, 3: 3, 4: 3})

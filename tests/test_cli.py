@@ -162,6 +162,16 @@ def test_hv_bound_low_efficiency_rows(tmp_path):
         assert float(row["wlgi_detectors_bound"]) == 1.0
 
 
+def test_hv_bound_keeps_eta_order_and_repeats(tmp_path):
+    out = tmp_path / "out"
+    assert main(["hv-bound", "--eta", "0.8,0.5,0.8", "--starts", "0", "--out", str(out)]) == 0
+    certificates = read_json(out / "hv_bounds.json")["certificates"]
+    assert [cert["eta"] for cert in certificates] == [0.8, 0.5, 0.8]
+    assert certificates[0] == certificates[2]
+    assert certificates[1]["lgi"]["bound"] == pytest.approx(8 / 3, abs=1e-5)
+    assert [row["eta"] for row in read_csv(out / "bound_vs_eta.csv")] == ["0.8", "0.5", "0.8"]
+
+
 def test_hv_bound_invalid_eta_exits_2(tmp_path):
     assert main(["hv-bound", "--eta", "0.0,0.5", "--out", str(tmp_path / "x")]) == 2
     assert main(["hv-bound", "--eta", "1.5", "--out", str(tmp_path / "y")]) == 2
@@ -366,6 +376,16 @@ def test_analyze_bundled_counts_fixture(tmp_path):
     assert results["wlgi"]["mean"] == pytest.approx(0.09, abs=0.005)
     assert results["lgi"]["delta"] is None
     assert not (out / "per_iteration.csv").exists()
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -5, 2.5, True, "1000"])
+def test_analyze_rejects_n_samples_below_two(tmp_path, capsys, n_samples):
+    cfg = write_config(tmp_path, analysis={"n_samples": n_samples})
+    out = tmp_path / "out"
+    argv = ["analyze", str(representative_counts_path()), "--config", cfg, "--out", str(out)]
+    assert main(argv) == 2
+    assert "analysis.n_samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_damaged_dataset_exits_2_naming_the_file(tmp_path, capsys):

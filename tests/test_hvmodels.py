@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from macroreal.hvmodels import (
     BoundCertificate,
@@ -10,6 +11,7 @@ from macroreal.hvmodels import (
     TRIPLES,
     blocker_setup_bound,
     critical_efficiency,
+    detector_certificates,
     lgi_detectors_bound_formula,
     lgi_detectors_value,
     lgi_high_efficiency_witness,
@@ -23,11 +25,14 @@ from macroreal.hvmodels import (
     wlgi_high_efficiency_witness,
 )
 from macroreal.hvmodels import (
+    _FATOL,
     _LGI,
     _LGI_SIGNS,
     _WLGI,
     _WLGI_SIGNS,
+    _XATOL,
     _lgi_fractions,
+    _nelder_mead_batch,
     _ratio_value_batch,
     _wlgi_fractions,
 )
@@ -184,6 +189,154 @@ def test_value_path_matches_reference_oracle():
             assert np.any(undefined) and not np.all(undefined)
             assert np.array_equal(got == -np.inf, undefined)
             assert np.max(np.abs(got[~undefined] - want[~undefined])) <= 1e-12
+
+
+def _batch_splits(n_rows):
+    """Row ranges covering n_rows one at a time and in batches of 2, 5, 16 and 57."""
+    for size in (1, 2, 5, 16, 57):
+        yield [slice(i, i + size) for i in range(0, n_rows, size)]
+
+
+def test_batching_never_changes_a_projection_or_value():
+    rng = np.random.default_rng(8)
+    rows = np.concatenate([_oracle_batch(rng, eta) for eta in (0.3, 0.8)])
+    etas = np.repeat([0.3, 0.8], len(rows) // 2)
+    order = rng.permutation(len(rows))
+    rows, etas = rows[order], etas[order]
+    projected = project_feasible(rows, etas)
+    for i in range(0, len(rows), 37):
+        assert np.array_equal(project_feasible(rows[i], etas[i]), projected[i])
+    for ratios in (_LGI, _WLGI):
+        values = _ratio_value_batch(projected, ratios)
+        assert np.isfinite(values).any() and (values == -np.inf).any()
+        for splits in _batch_splits(len(rows)):
+            assert np.array_equal(
+                np.concatenate([project_feasible(rows[s], etas[s]) for s in splits]), projected
+            )
+            assert np.array_equal(
+                np.concatenate([_ratio_value_batch(projected[s], ratios) for s in splits]), values
+            )
+
+
+def test_projection_takes_one_eta_per_row():
+    rng = np.random.default_rng(9)
+    rows = rng.uniform(-0.1, 0.5, size=(4, 3, 56))
+    etas = np.array([0.2, 0.5, 2.0 / 3.0])
+    projected = project_feasible(rows, etas)
+    for j, eta in enumerate(etas):
+        assert np.array_equal(projected[:, j], project_feasible(rows[:, j], eta))
+        for row in projected[:, j]:
+            assert HVWeights(row).is_feasible(eta, tol=1e-9)
+    with pytest.raises(ValueError, match="eta"):
+        project_feasible(rows, np.array([0.5, 0.0, 0.5]))
+
+
+_KINK_AT = np.array([0.3, 0.95, 0.0, 0.6, 0.25, 0.8, 0.1, 0.45, 0.7, 0.05, 0.5, 0.9])
+
+
+def _kinked(x, owners):
+    """A convex objective with kinks, so that Nelder-Mead shrinks."""
+    d = x - _KINK_AT[: x.shape[-1]]
+    return np.abs(d).sum(axis=-1) + 3.0 * np.square(d[..., :1]).sum(axis=-1)
+
+
+def _scipy_nelder_mead(func, x0, maxfev):
+    return optimize.minimize(
+        func,
+        x0,
+        method="Nelder-Mead",
+        bounds=[(0.0, 1.0)] * len(x0),
+        options={"maxfev": maxfev, "xatol": _XATOL, "fatol": _FATOL},
+    )
+
+
+def _assert_matches_scipy(func, x0, maxfev):
+    """(x, fun, nfev) of every lockstep start equal scipy's, bit for bit."""
+    x, fun, nfev = _nelder_mead_batch(func, x0, maxfev)
+    results = []
+    for b, start in enumerate(x0):
+        res = _scipy_nelder_mead(lambda p: float(func(p[None], np.array([b]))[0]), start, maxfev)
+        assert np.array_equal(x[b], res.x)
+        assert fun[b] == res.fun
+        assert nfev[b] == res.nfev
+        results.append(res)
+    return results
+
+
+def _starts(n):
+    rng = np.random.default_rng(n)
+    x0 = rng.uniform(0.0, 1.0, size=(4, n))
+    x0[0, 0] = 1.0  # on the upper bound: the initial step is reflected
+    x0[1, -1] = 0.0  # a zero entry: the initial step is absolute
+    x0[2] = 0.0
+    x0[3, : n // 2] = 0.98  # the 5 % step crosses the bound
+    return x0
+
+
+def test_lockstep_nelder_mead_matches_scipy_when_the_budget_ends_anywhere():
+    n = 3
+    x0 = _starts(n)
+    cut_in_shrink = converged = 0
+    for maxfev in range(1, 140):
+        for res in _assert_matches_scipy(_kinked, x0, maxfev):
+            sim, fsim = res.final_simplex
+            # A shrink cut short leaves a moved vertex with its old value.
+            cut_in_shrink += np.any(_kinked(sim, None) != fsim)
+            converged += res.nfev < maxfev
+    assert cut_in_shrink
+    assert not converged  # the budgets above end every search
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_lockstep_nelder_mead_matches_scipy_to_convergence(n):
+    results = _assert_matches_scipy(_kinked, _starts(n), 4000)
+    assert any(res.nfev < 4000 for res in results)
+
+
+def test_lockstep_nelder_mead_matches_scipy_on_the_probe():
+    # The probe's objective at two efficiencies and both ratio maps in one batch.
+    etas = np.array([0.5, 0.8, 0.5, 0.8])
+    lgi = np.array([True, True, False, False])
+    x0 = np.array([low_efficiency_witness(0.5).values, lgi_high_efficiency_witness(0.8).values,
+                   np.full(56, 0.01), wlgi_high_efficiency_witness(0.8).values])
+
+    def objective(x, owners):
+        w = project_feasible(x, etas[owners])
+        out = np.empty(len(x))
+        for mask, ratios in ((lgi[owners], _LGI), (~lgi[owners], _WLGI)):
+            out[mask] = -_ratio_value_batch(w[mask], ratios)
+        return out
+
+    results = _assert_matches_scipy(objective, x0, 400)
+    assert all(res.nfev == 400 for res in results)
+
+
+def test_detector_certificates_equal_one_call_per_certificate():
+    batch = detector_certificates([0.5, 0.8], ["LGI", "WLGI"], n_starts=1, seed=4)
+    single = [
+        maximize(eta, n_starts=1, seed=4)
+        for eta in (0.5, 0.8)
+        for maximize in (maximize_lgi_detectors, maximize_wlgi_detectors)
+    ]
+    assert len(batch) == len(single) == 4
+    assert sum(len(cert.findings) for cert in batch) >= 2
+    for got, want in zip(batch, single):
+        assert (got.eta, got.bound, got.formula_value) == (want.eta, want.bound, want.formula_value)
+        assert np.array_equal(got.witness.values, want.witness.values)
+        assert len(got.findings) == len(want.findings)
+        for a, b in zip(got.findings, want.findings):
+            assert a.value == b.value
+            assert np.array_equal(a.weights.values, b.weights.values)
+
+
+def test_detector_certificates_reject_bad_input():
+    with pytest.raises(ValueError, match="inequality"):
+        detector_certificates([0.5], ["NSIT"], n_starts=0)
+    with pytest.raises(ValueError, match="eta"):
+        detector_certificates([0.5, 1.5], ["LGI"], n_starts=0)
+    with pytest.raises(ValueError, match="n_starts"):
+        detector_certificates([0.5], ["WLGI"], n_starts=-1)
+    assert detector_certificates([], ["LGI"]) == []
 
 
 def test_maximize_lgi_matches_formula():
