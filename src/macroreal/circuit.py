@@ -33,7 +33,6 @@ from .protocol import (
     BlockerConfig,
     JointProbTable,
     UndefinedProbabilityError,
-    combine,
     evaluate,
     joint_tables,
 )
@@ -299,7 +298,8 @@ class Tolerances:
     v_range : tuple of float, optional
         Visibility interval; ``None`` keeps the nominal visibility fixed.
     grid_points : int
-        Grid resolution per swept axis (endpoints included).
+        Grid resolution per swept axis (endpoints included).  Must be an
+        integer (not a bool), and at least 2 unless every width is zero.
     """
 
     hwp_angle_deg: float = 1.0
@@ -310,46 +310,164 @@ class Tolerances:
     def __post_init__(self) -> None:
         if self.hwp_angle_deg < 0.0 or self.t_delta < 0.0:
             raise ValueError("tolerance widths must be nonnegative")
-        if self.grid_points < 1:
-            raise ValueError("grid_points must be at least 1")
+        n = self.grid_points
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"grid_points must be an integer >= 1, got {n!r}")
+        swept_v = False
         if self.v_range is not None:
             lo, hi = self.v_range
             if not -1.0 <= lo <= hi <= 1.0:
                 raise ValueError(f"v_range must be ordered within [-1, 1], got {self.v_range}")
+            swept_v = lo < hi
+        if n == 1 and (self.hwp_angle_deg > 0.0 or self.t_delta > 0.0 or swept_v):
+            raise ValueError(
+                "grid_points 1 samples only the low corner of a box with nonzero "
+                "width; use at least 2"
+            )
 
 
-def _sweep_values(a2, v, t1, t2, t3, t4):
-    """Vectorized (lgi, wlgi, nsit23) over broadcastable parameter arrays."""
-    b2 = 1.0 - a2
+# Transmission points times alpha_sq points in one chunk of qm_range's
+# sweep.  At 256 KB an array, a chunk's ≈20 arrays hold ≈5 MB at any grid
+# size; chunks twice as large ran ≈20 % faster at 15 points per axis but
+# raised the peak memory of an 11-point sweep above the per-slice sweep's.
+_SWEEP_CHUNK = 1 << 15
+
+
+def _free_run_weights(v, bases, roots):
+    """Detector weights (wp_p, wm_p, wp_m, wm_m) of the free run at visibility v.
+
+    ``wx_y`` reaches detector x from outer arm y; ``bases`` and ``roots``
+    are the v-free terms and square-root products of the four weights.
+    """
+    tv = 2.0 * v
+    return (
+        bases[0] - tv * roots[0],
+        bases[1] + tv * roots[1],
+        bases[2] + tv * roots[2],
+        bases[3] - tv * roots[3],
+    )
+
+
+def _lgi_wlgi_values(a2, b2, terms, w, d):
+    """(lgi, wlgi) from the v-free terms (c12 + c23, P12(-,+), P23(-,+))."""
+    c12_c23, mp12, mp23 = terms
+    c13 = a2 * (w[0] - w[1])
+    c13 += b2 * (w[3] - w[2])
+    c13 /= d
+    wlgi = b2 * w[2]
+    wlgi /= d
+    # protocol.combine's order: (c12 + c23) - c13 and (P13 - P12) - P23.
+    wlgi -= mp12
+    wlgi -= mp23
+    return np.subtract(c12_c23, c13, out=c13), wlgi
+
+
+def _chunk_extremes(alpha_axis, v_axis, t1, t2, t3, t4):
+    """[min, max] of lgi, wlgi and nsit23 over alpha_axis x v_axis x the t points."""
     r1, r2, r3, r4 = 1.0 - t1, 1.0 - t2, 1.0 - t3, 1.0 - t4
-    wp_p = t1 * t2 + r1 * r3 - 2.0 * v * np.sqrt(t1 * t2 * r1 * r3)
-    wm_p = t1 * r2 + r1 * t3 + 2.0 * v * np.sqrt(t1 * r1 * r2 * t3)
-    wp_m = r4 * t2 + t4 * r3 + 2.0 * v * np.sqrt(t2 * t4 * r3 * r4)
-    wm_m = r2 * r4 + t3 * t4 - 2.0 * v * np.sqrt(r2 * r4 * t3 * t4)
-    d = a2 * (wp_p + wm_p) + b2 * (wp_m + wm_m)
-    inner_p = a2 * t1 + b2 * r4
+    bases = (t1 * t2 + r1 * r3, t1 * r2 + r1 * t3, r4 * t2 + t4 * r3, r2 * r4 + t3 * t4)
+    roots = (
+        np.sqrt(t1 * t2 * r1 * r3),
+        np.sqrt(t1 * r1 * r2 * t3),
+        np.sqrt(t2 * t4 * r3 * r4),
+        np.sqrt(r2 * r4 * t3 * t4),
+    )
+    # Rows are alpha_sq values, columns transmission points.
+    a2 = alpha_axis[:, None]
+    b2 = 1.0 - a2
+    mp12 = b2 * r4
+    inner_p = a2 * t1 + mp12
     inner_m = a2 * r1 + b2 * t4
+    mp23 = inner_m * r3
     c12 = a2 * (2.0 * t1 - 1.0) + b2 * (2.0 * t4 - 1.0)
-    c23 = inner_p * (t2 - r2) + inner_m * (t3 - r3)
-    c13 = (a2 * (wp_p - wm_p) + b2 * (wm_m - wp_m)) / d
-    # P12(-,+), P23(-,+) and P13(-,+) in closed form.
-    lgi, wlgi = combine(c12, c23, c13, b2 * r4, inner_m * r3, b2 * wp_m / d)
-    p3_plus = (a2 * wp_p + b2 * wp_m) / d
-    nsit23 = np.abs(p3_plus - (inner_p * t2 + inner_m * r3))
-    return lgi, wlgi, nsit23
+    terms = (c12 + (inner_p * (t2 - r2) + inner_m * (t3 - r3)), mp12, mp23)
+    marginal = inner_p * t2 + mp23
+
+    ext = {name: [math.inf, -math.inf] for name in ("lgi", "wlgi", "nsit23")}
+    # Reused for every v: fresh arrays this size cost more than the arithmetic.
+    d, nsit23, product = (np.empty(marginal.shape) for _ in range(3))
+
+    def at(v):
+        """Weights at v; fills d and nsit23 and takes nsit23's minimum."""
+        w = _free_run_weights(v, bases, roots)
+        np.multiply(a2, w[0] + w[1], out=d)
+        np.add(d, np.multiply(b2, w[2] + w[3], out=product), out=d)
+        d_min = d.min()
+        if not d_min > 0.0:
+            i, j = np.argwhere(~(d > 0.0))[0]
+            raise UndefinedProbabilityError(
+                f"total detected weight {d[i, j]} at alpha_sq={alpha_axis[i]}, v={v}, "
+                f"t_ratios=({t1[j]}, {t2[j]}, {t3[j]}, {t4[j]}); probabilities are undefined"
+            )
+        p3 = np.multiply(a2, w[0], out=nsit23)
+        np.add(p3, np.multiply(b2, w[2], out=product), out=p3)
+        np.divide(p3, d, out=p3)
+        np.subtract(p3, marginal, out=p3)
+        np.abs(p3, out=p3)
+        ext["nsit23"][0] = min(ext["nsit23"][0], nsit23.min())
+        return w, d_min
+
+    def extend(lgi, wlgi, nsit23_values):
+        for name, vals in (("lgi", lgi), ("wlgi", wlgi)):
+            ext[name] = [min(ext[name][0], vals.min()), max(ext[name][1], vals.max())]
+        ext["nsit23"][1] = max(ext["nsit23"][1], nsit23_values.max())
+
+    # For fixed (alpha_sq, t) every weight and d are linear in v, so c13,
+    # P13(-,+) and P3(+) are linear-fractional in v with the positive
+    # denominator d (d > 0 at both end points makes it positive between
+    # them).  So lgi and wlgi are monotone in v and nsit23 = |P3(+) -
+    # marginal| is quasi-convex: their extremes lie at the two v end points,
+    # except nsit23's minimum, which scans every v.  Rounding (a few ulps
+    # an operation, every term at most 4 in size) can lift an interior value
+    # above both end points by at most (52 / d + 6) eps.  Every point whose
+    # end-point value comes within four times that of an extreme is
+    # therefore evaluated at each interior v as well, which keeps the result
+    # equal, bit for bit, to evaluating everything at every grid point.
+    ends, d_min = [], math.inf
+    for v in v_axis[[0, -1]] if v_axis.size > 1 else v_axis:
+        w, v_d_min = at(v)
+        d_min = min(d_min, v_d_min)
+        ends.append((*_lgi_wlgi_values(a2, b2, terms, w, d), nsit23.copy()))
+        extend(*ends[-1])
+    if v_axis.size > 2:
+        slack = 4.0 * (52.0 / d_min + 6.0) * np.finfo(float).eps
+        near = np.zeros(d.shape, dtype=bool)
+        for lgi, wlgi, nsit23_end in ends:
+            near |= (lgi <= ext["lgi"][0] + slack) | (lgi >= ext["lgi"][1] - slack)
+            near |= (wlgi <= ext["wlgi"][0] + slack) | (wlgi >= ext["wlgi"][1] - slack)
+            near |= nsit23_end >= ext["nsit23"][1] - slack
+        i, j = np.nonzero(near)
+        a2_near, b2_near = alpha_axis[i], b2[i, 0]
+        terms_near = [term[i, j] for term in terms]
+        for v in v_axis[1:-1]:
+            w, _ = at(v)
+            w_near = [weight[j] for weight in w]
+            extend(*_lgi_wlgi_values(a2_near, b2_near, terms_near, w_near, d[i, j]), nsit23[i, j])
+    return ext
 
 
 def qm_range(params: SetupParams, tol: Tolerances) -> Dict[str, Tuple[float, float]]:
     """Extremes of lgi, wlgi and nsit23 over a parameter uncertainty box.
 
-    Sweeps a full grid over the half-wave-plate angle, the four
+    Takes a full grid over the half-wave-plate angle, the four
     transmissions and (optionally) the visibility, with ``tol.grid_points``
-    points per axis, and returns the observed (min, max) of each quantity.
+    points per axis, and returns the (min, max) of each quantity over its
+    points.  lgi, wlgi and the nsit23 maximum are monotone or quasi-convex
+    in v, so they are evaluated in full only at the two visibility end
+    points (and at every v for the few points near an extreme, against
+    rounding); nsit23's minimum takes every v.  The result equals
+    evaluating every grid point, bit for bit.
 
     Returns
     -------
     dict
         Keys ``"lgi"``, ``"wlgi"``, ``"nsit23"``; values (min, max).
+
+    Raises
+    ------
+    UndefinedProbabilityError
+        Naming a grid point (alpha_sq, v, t1..t4) whose detected weight is
+        not positive (or NaN), where :func:`qm_lgi` raises too.
     """
     n = tol.grid_points
     rotation0 = math.asin(min(1.0, math.sqrt(params.alpha_sq)))
@@ -368,23 +486,14 @@ def qm_range(params: SetupParams, tol: Tolerances) -> Dict[str, Tuple[float, flo
     else:
         v_axis = np.linspace(tol.v_range[0], tol.v_range[1], n)
 
-    # The transmissions form the large inner grid; the cheap outer loop runs
-    # over (alpha_sq, v) so the sqrt products are recomputed only 4 times per
-    # combination on the flattened grid.
-    grids = np.meshgrid(*t_axes, indexing="ij")
-    t1, t2, t3, t4 = (g.ravel() for g in grids)
-
+    t_points = [g.ravel() for g in np.meshgrid(*t_axes, indexing="ij")]
+    step = max(1, _SWEEP_CHUNK // alpha_axis.size)
     bounds = {name: [math.inf, -math.inf] for name in ("lgi", "wlgi", "nsit23")}
-    for a2 in alpha_axis:
-        for v in v_axis:
-            lgi, wlgi, nsit23 = _sweep_values(a2, v, t1, t2, t3, t4)
-            for name, vals in (("lgi", lgi), ("wlgi", wlgi), ("nsit23", nsit23)):
-                lo, hi = float(np.min(vals)), float(np.max(vals))
-                if lo < bounds[name][0]:
-                    bounds[name][0] = lo
-                if hi > bounds[name][1]:
-                    bounds[name][1] = hi
-    return {name: (lo, hi) for name, (lo, hi) in bounds.items()}
+    for start in range(0, t_points[0].size, step):
+        chunk = _chunk_extremes(alpha_axis, v_axis, *(t[start : start + step] for t in t_points))
+        for name, (lo, hi) in chunk.items():
+            bounds[name] = [min(bounds[name][0], lo), max(bounds[name][1], hi)]
+    return {name: (float(lo), float(hi)) for name, (lo, hi) in bounds.items()}
 
 
 def generic_lgi(theta2: float, t2: float, t3: float) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from macroreal.circuit import SetupParams
 from macroreal.hvmodels import _BLOCK_SLICES, _check_eta
-from macroreal.protocol import BlockerConfig
+from macroreal.protocol import BlockerConfig, combine
 
 
 def transfer_matrix_probs(params: SetupParams, blockers: BlockerConfig):
@@ -125,6 +125,68 @@ def nsit23_closed_form(params: SetupParams) -> float:
         2.0 * a2 * v * math.sqrt(t1 * t2 * r1 * r3)
         - 2.0 * b2 * v * math.sqrt(t2 * t4 * r3 * r4)
     )
+
+
+def _sweep_values(a2, v, t1, t2, t3, t4):
+    """Vectorized (lgi, wlgi, nsit23) over broadcastable parameter arrays."""
+    b2 = 1.0 - a2
+    r1, r2, r3, r4 = 1.0 - t1, 1.0 - t2, 1.0 - t3, 1.0 - t4
+    wp_p = t1 * t2 + r1 * r3 - 2.0 * v * np.sqrt(t1 * t2 * r1 * r3)
+    wm_p = t1 * r2 + r1 * t3 + 2.0 * v * np.sqrt(t1 * r1 * r2 * t3)
+    wp_m = r4 * t2 + t4 * r3 + 2.0 * v * np.sqrt(t2 * t4 * r3 * r4)
+    wm_m = r2 * r4 + t3 * t4 - 2.0 * v * np.sqrt(r2 * r4 * t3 * t4)
+    d = a2 * (wp_p + wm_p) + b2 * (wp_m + wm_m)
+    inner_p = a2 * t1 + b2 * r4
+    inner_m = a2 * r1 + b2 * t4
+    c12 = a2 * (2.0 * t1 - 1.0) + b2 * (2.0 * t4 - 1.0)
+    c23 = inner_p * (t2 - r2) + inner_m * (t3 - r3)
+    c13 = (a2 * (wp_p - wm_p) + b2 * (wm_m - wp_m)) / d
+    # P12(-,+), P23(-,+) and P13(-,+) in closed form.
+    lgi, wlgi = combine(c12, c23, c13, b2 * r4, inner_m * r3, b2 * wp_m / d)
+    p3_plus = (a2 * wp_p + b2 * wp_m) / d
+    nsit23 = np.abs(p3_plus - (inner_p * t2 + inner_m * r3))
+    return lgi, wlgi, nsit23
+
+
+def qm_range_grid(params: SetupParams, tol):
+    """``circuit.qm_range`` by evaluating every expression at every grid point.
+
+    The full sweep over (alpha_sq, v) slices of the flattened transmission
+    grid, every expression recomputed per slice.  A slice holding an
+    undefined (NaN) point is silently skipped, so only compare on boxes
+    where the detected weight is positive everywhere.
+    """
+    n = tol.grid_points
+    rotation0 = math.asin(min(1.0, math.sqrt(params.alpha_sq)))
+    half_width = math.radians(tol.hwp_angle_deg)
+    deltas = np.linspace(-half_width, half_width, n) if half_width > 0 else np.zeros(1)
+    alpha_axis = np.sin(rotation0 + deltas) ** 2
+
+    t_axes = []
+    for t in params.t_ratios:
+        if tol.t_delta > 0:
+            t_axes.append(np.clip(np.linspace(t - tol.t_delta, t + tol.t_delta, n), 0.0, 1.0))
+        else:
+            t_axes.append(np.array([t]))
+    if tol.v_range is None:
+        v_axis = np.array([params.visibility])
+    else:
+        v_axis = np.linspace(tol.v_range[0], tol.v_range[1], n)
+
+    grids = np.meshgrid(*t_axes, indexing="ij")
+    t1, t2, t3, t4 = (g.ravel() for g in grids)
+
+    bounds = {name: [math.inf, -math.inf] for name in ("lgi", "wlgi", "nsit23")}
+    for a2 in alpha_axis:
+        for v in v_axis:
+            lgi, wlgi, nsit23 = _sweep_values(a2, v, t1, t2, t3, t4)
+            for name, vals in (("lgi", lgi), ("wlgi", wlgi), ("nsit23", nsit23)):
+                lo, hi = float(np.min(vals)), float(np.max(vals))
+                if lo < bounds[name][0]:
+                    bounds[name][0] = lo
+                if hi > bounds[name][1]:
+                    bounds[name][1] = hi
+    return {name: (lo, hi) for name, (lo, hi) in bounds.items()}
 
 
 def brute_force_coincidences(times_a, times_b, lo, hi, bin_width):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from macroreal.circuit import (
@@ -28,6 +28,7 @@ from macroreal.protocol import RUN_CONFIGS, BlockerConfig, UndefinedProbabilityE
 from oracles import (
     lgi_closed_form,
     nsit23_closed_form,
+    qm_range_grid,
     run_total_closed_form,
     transfer_matrix_probs,
     wlgi_closed_form,
@@ -263,6 +264,82 @@ def test_qm_range_nested_boxes_nest_intervals():
         assert small[name][1] <= large[name][1] + 1e-12
 
 
+@pytest.mark.parametrize("v_range", [None, (0.7, 0.85)], ids=["v-fixed", "v-swept"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 11, 15])
+def test_qm_range_equals_grid_oracle_on_nominal_boxes(n, v_range):
+    if n == 1:
+        # One point per axis samples only a box of zero width.
+        tol = Tolerances(0.0, 0.0, None if v_range is None else (0.7, 0.7), grid_points=1)
+    else:
+        tol = Tolerances(v_range=v_range, grid_points=n)
+    assert qm_range(NOMINAL_PARAMS, tol) == qm_range_grid(NOMINAL_PARAMS, tol)
+
+
+unit_st = st.floats(0.0, 1.0)
+
+
+@st.composite
+def v_ranges(draw):
+    lo = draw(st.floats(-1.0, 1.0))
+    return draw(st.sampled_from([None, (lo, lo), (lo, draw(st.floats(lo, 1.0)))]))
+
+
+@given(
+    params=st.builds(
+        SetupParams,
+        alpha_sq=unit_st,
+        t_ratios=st.tuples(unit_st, unit_st, unit_st, unit_st),
+        visibility=st.floats(-1.0, 1.0),
+    ),
+    hwp=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    t_delta=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    v_range=v_ranges(),
+    n=st.integers(2, 7),
+)
+@example(SetupParams(0.3, (0.02, 0.99, 0.5, 1.0), -0.4), 0.0, 0.05, (-0.6, -0.6), 5)
+@example(SetupParams(0.8, (0.0, 0.97, 0.03, 0.6), 0.2), 2.0, 0.1, (-0.9, -0.2), 6)
+@settings(max_examples=150, deadline=None)
+def test_qm_range_equals_grid_oracle_on_drawn_boxes(params, hwp, t_delta, v_range, n):
+    tol = Tolerances(hwp, t_delta, v_range, n)
+    try:
+        got = qm_range(params, tol)
+    except UndefinedProbabilityError:
+        assume(False)
+    assert got == qm_range_grid(params, tol)
+
+
+def test_qm_range_keeps_interior_visibility_extremes_lifted_by_rounding():
+    # In the ideal circuit P3(+) is 1/2 for every v, so nsit23 is rounding
+    # noise: an interior v beats both end points by one ulp.
+    tol = Tolerances(0.0, 0.0, (0.3, 0.9), grid_points=21)
+    ends = qm_range_grid(IDEAL_PARAMS, Tolerances(0.0, 0.0, (0.3, 0.9), grid_points=2))
+    full = qm_range_grid(IDEAL_PARAMS, tol)
+    assert full["nsit23"][1] > ends["nsit23"][1]
+    assert qm_range(IDEAL_PARAMS, tol) == full
+
+
+UNDEFINED_AT_V1 = SetupParams(alpha_sq=1.0, t_ratios=(0.5, 1.0, 0.0, 0.5), visibility=1.0)
+
+
+@pytest.mark.parametrize("t_delta", [0.0, 0.01])
+def test_qm_range_raises_where_every_slice_is_undefined(t_delta):
+    with pytest.raises(UndefinedProbabilityError) as err:
+        qm_range(UNDEFINED_AT_V1, Tolerances(hwp_angle_deg=0.0, t_delta=t_delta))
+    assert "alpha_sq=1.0, v=1.0" in str(err.value)
+    with pytest.raises(UndefinedProbabilityError):
+        qm_lgi(UNDEFINED_AT_V1)
+
+
+def test_qm_range_raises_where_one_alpha_slice_is_undefined():
+    # alpha_sq = 1 only at the centre of the +/-1 degree box.
+    tol = Tolerances(hwp_angle_deg=1.0, t_delta=0.0, grid_points=5)
+    with np.errstate(invalid="ignore"):
+        dropped = qm_range_grid(UNDEFINED_AT_V1, tol)
+    assert all(math.isfinite(x) for span in dropped.values() for x in span)
+    with pytest.raises(UndefinedProbabilityError, match=r"alpha_sq=1\.0, v=1\.0"):
+        qm_range(UNDEFINED_AT_V1, tol)
+
+
 def test_generic_circuit_formulas():
     assert generic_lgi(0.0, 0.75, 0.75) == pytest.approx(1.5, abs=1e-15)
     assert generic_lgi(math.pi / 2, 0.5, 0.5) == pytest.approx(0.0, abs=1e-15)
@@ -298,6 +375,14 @@ def test_invalid_inputs_raise():
         Tolerances(t_delta=-0.1)
     with pytest.raises(ValueError):
         Tolerances(v_range=(0.9, 0.2))
+    for n in (2.5, True, "3", 0, 3.0):
+        with pytest.raises(ValueError, match="grid_points"):
+            Tolerances(grid_points=n)
+    # One point per axis samples only the low corner of a box of nonzero width.
+    for widths in ((1.0, 0.0, None), (0.0, 0.02, None), (0.0, 0.0, (0.7, 0.85))):
+        with pytest.raises(ValueError, match="grid_points 1"):
+            Tolerances(*widths, grid_points=1)
+    assert Tolerances(grid_points=np.int64(2)).grid_points == 2
     with pytest.raises(ValueError):
         correlation(joint_probs(NOMINAL_PARAMS)[("t3",)])
     with pytest.raises(ValueError):
