@@ -33,6 +33,7 @@ from .protocol import (
     BlockerConfig,
     JointProbTable,
     UndefinedProbabilityError,
+    combine,
     evaluate,
     joint_tables,
 )
@@ -349,17 +350,10 @@ def _free_run_weights(v, bases, roots):
 
 
 def _lgi_wlgi_values(a2, b2, terms, w, d):
-    """(lgi, wlgi) from the v-free terms (c12 + c23, P12(-,+), P23(-,+))."""
-    c12_c23, mp12, mp23 = terms
-    c13 = a2 * (w[0] - w[1])
-    c13 += b2 * (w[3] - w[2])
-    c13 /= d
-    wlgi = b2 * w[2]
-    wlgi /= d
-    # protocol.combine's order: (c12 + c23) - c13 and (P13 - P12) - P23.
-    wlgi -= mp12
-    wlgi -= mp23
-    return np.subtract(c12_c23, c13, out=c13), wlgi
+    """(lgi, wlgi) from the v-free terms (c12, c23, P12(-,+), P23(-,+))."""
+    c12, c23, mp12, mp23 = terms
+    c13 = (a2 * (w[0] - w[1]) + b2 * (w[3] - w[2])) / d
+    return combine(c12, c23, c13, mp12, mp23, b2 * w[2] / d)
 
 
 def _chunk_extremes(alpha_axis, v_axis, t1, t2, t3, t4):
@@ -380,7 +374,7 @@ def _chunk_extremes(alpha_axis, v_axis, t1, t2, t3, t4):
     inner_m = a2 * r1 + b2 * t4
     mp23 = inner_m * r3
     c12 = a2 * (2.0 * t1 - 1.0) + b2 * (2.0 * t4 - 1.0)
-    terms = (c12 + (inner_p * (t2 - r2) + inner_m * (t3 - r3)), mp12, mp23)
+    terms = (c12, inner_p * (t2 - r2) + inner_m * (t3 - r3), mp12, mp23)
     marginal = inner_p * t2 + mp23
 
     ext = {name: [math.inf, -math.inf] for name in ("lgi", "wlgi", "nsit23")}
@@ -417,12 +411,34 @@ def _chunk_extremes(alpha_axis, v_axis, t1, t2, t3, t4):
     # denominator d (d > 0 at both end points makes it positive between
     # them).  So lgi and wlgi are monotone in v and nsit23 = |P3(+) -
     # marginal| is quasi-convex: their extremes lie at the two v end points,
-    # except nsit23's minimum, which scans every v.  Rounding (a few ulps
-    # an operation, every term at most 4 in size) can lift an interior value
-    # above both end points by at most (52 / d + 6) eps.  Every point whose
-    # end-point value comes within four times that of an extreme is
-    # therefore evaluated at each interior v as well, which keeps the result
-    # equal, bit for bit, to evaluating everything at every grid point.
+    # except nsit23's minimum, which scans every v.
+    #
+    # Rounding can lift a computed interior value above both computed end
+    # values (by one ulp in the ideal circuit, where P3(+) is 1/2 at every
+    # v).  Bound of the lift, to first order in u = eps / 2: take the v-free
+    # floats (a2, b2, bases B, roots R, c12, c23, P12, P23, marginal) as
+    # exact constants, since they carry the same bits at every v, and let
+    # capitals denote exact arithmetic on them.  Then W_k = B_k -+ 2v R_k
+    # with 0 <= W_k <= 2 and |2v R_k| <= 1, and D = a2 (W0 + W1) +
+    # b2 (W2 + W3) with a2 + b2 = 1.  Each computed weight errs by
+    # u (1 + W_k).  d and the c13 numerator N take two sums, two products
+    # and one add of those weights, so each errs by u (2 + D) + 3 u D;
+    # |N| <= D.  Hence c13 = N / d errs by E = u (4 / D + 9),
+    # P13 = b2 w2 / d by u (3 / D + 7) and P3(+) by u (3 / D + 8).  The exact
+    # C13 is monotone in v, so an interior c13 lies at most 2 E beyond the
+    # better end's computed c13; likewise P13, and P3(+) against the end
+    # farther from the marginal.  The final subtractions (c12 + c23) - c13,
+    # (P13 - P12) - P23 and P3(+) - marginal round monotonically, and each
+    # adds at most 2 u times the size of its result: 3 for lgi, 1 and then
+    # 2 for wlgi, 1 for nsit23.  The lift is thus at most u (8 / D + 24) for
+    # lgi, u (6 / D + 20) for wlgi and u (6 / D + 18) for nsit23's maximum,
+    # all within eps (4 / D + 12).  D between the end points is at least
+    # d_low = d_min - eps (1 + 2 d_min), the computed minimum less its error.
+    # Every point whose end-point value comes within twice that bound of a
+    # chunk extreme (the factor 2 covers the second-order terms) is
+    # therefore evaluated at each interior v as well, and when d_low <= 0
+    # every point is.  That keeps the result equal, bit for bit, to
+    # evaluating everything at every grid point.
     ends, d_min = [], math.inf
     for v in v_axis[[0, -1]] if v_axis.size > 1 else v_axis:
         w, v_d_min = at(v)
@@ -430,7 +446,9 @@ def _chunk_extremes(alpha_axis, v_axis, t1, t2, t3, t4):
         ends.append((*_lgi_wlgi_values(a2, b2, terms, w, d), nsit23.copy()))
         extend(*ends[-1])
     if v_axis.size > 2:
-        slack = 4.0 * (52.0 / d_min + 6.0) * np.finfo(float).eps
+        eps = np.finfo(float).eps
+        d_low = d_min - eps * (1.0 + 2.0 * d_min)
+        slack = 2.0 * eps * (4.0 / d_low + 12.0) if d_low > 0.0 else math.inf
         near = np.zeros(d.shape, dtype=bool)
         for lgi, wlgi, nsit23_end in ends:
             near |= (lgi <= ext["lgi"][0] + slack) | (lgi >= ext["lgi"][1] - slack)

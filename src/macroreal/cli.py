@@ -161,15 +161,12 @@ def _tolerances_from_config(
     config: Dict[str, dict], v_range: Optional[Sequence[float]]
 ) -> Tolerances:
     setup = config["setup"]
-    grid_points = setup["grid_points"]
-    if isinstance(grid_points, bool) or not isinstance(grid_points, int):
-        raise ConfigError(f"config: setup.grid_points: {grid_points!r} is not an integer")
     try:
         return Tolerances(
             hwp_angle_deg=float(setup["hwp_angle_deg"]),
             t_delta=float(setup["t_delta"]),
             v_range=None if v_range is None else (float(v_range[0]), float(v_range[1])),
-            grid_points=grid_points,
+            grid_points=setup["grid_points"],
         )
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"config: setup: {exc}") from exc

@@ -623,10 +623,7 @@ _INEQUALITIES = {
 
 
 def _certify(jobs, n_starts: int, seed: int, support) -> List[BoundCertificate]:
-    """One certificate per (eta, inequality) job, every start in one search.
-
-    A repeated job is searched once; its certificate repeats in job order.
-    """
+    """One certificate per (eta, inequality) job, every start in one search."""
     if n_starts < 0:
         raise ValueError(f"n_starts must be >= 0, got {n_starts}")
     for eta, name in jobs:
@@ -635,7 +632,6 @@ def _certify(jobs, n_starts: int, seed: int, support) -> List[BoundCertificate]:
             raise ValueError(f"inequality must be 'LGI' or 'WLGI', got {name!r}")
     if support is not None:
         support = list(support)
-    distinct = list(dict.fromkeys(jobs))
     dim = 56 if support is None else len(support)
 
     def embed(x: np.ndarray) -> np.ndarray:
@@ -646,7 +642,7 @@ def _certify(jobs, n_starts: int, seed: int, support) -> List[BoundCertificate]:
         return w
 
     starts, job_of = [], []
-    for k, (eta, _) in enumerate(distinct):
+    for k, (eta, _) in enumerate(jobs):
         rng = np.random.default_rng(seed)
         mine = [w if support is None else w[support] for w in _witness_starts(eta)]
         for _ in range(n_starts):
@@ -655,8 +651,8 @@ def _certify(jobs, n_starts: int, seed: int, support) -> List[BoundCertificate]:
         job_of += [k] * len(mine)
     x0 = np.array(starts, dtype=float).reshape(-1, dim)
     job_of = np.array(job_of, dtype=int)
-    etas = np.array([eta for eta, _ in distinct], dtype=float)[job_of]
-    is_lgi = np.array([name == "LGI" for _, name in distinct], dtype=bool)[job_of]
+    etas = np.array([eta for eta, _ in jobs], dtype=float)[job_of]
+    is_lgi = np.array([name == "LGI" for _, name in jobs], dtype=bool)[job_of]
 
     def values(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Probe value of each point; rows[i] is the start point i belongs to."""
@@ -672,8 +668,8 @@ def _certify(jobs, n_starts: int, seed: int, support) -> List[BoundCertificate]:
     f0 = values(x0, np.arange(len(x0)))
     x_opt, f_opt, _ = _nelder_mead_batch(lambda x, rows: -values(x, rows), x0)
 
-    certificates = {}
-    for k, (eta, name) in enumerate(distinct):
+    certificates = []
+    for k, (eta, name) in enumerate(jobs):
         ratios, formula = _INEQUALITIES[name]
         probe_val, probe_x = -math.inf, None
         for i in np.flatnonzero(job_of == k):
@@ -692,8 +688,8 @@ def _certify(jobs, n_starts: int, seed: int, support) -> List[BoundCertificate]:
             if probe_val > bound + 1e-6:
                 findings = (ProbeFinding(probe_val, HVWeights(probe_w)),)
             cert = BoundCertificate(eta, bound, witness, formula(eta), findings)
-        certificates[eta, name] = cert
-    return [certificates[job] for job in jobs]
+        certificates.append(cert)
+    return certificates
 
 
 def detector_certificates(
@@ -703,8 +699,7 @@ def detector_certificates(
 
     Returns one :class:`BoundCertificate` per pair, eta-major: for each
     efficiency in ``etas`` (order and repeats kept), one per name in
-    ``inequalities`` ("LGI" or "WLGI").  A repeated pair is searched once
-    and its certificate repeated.  Each certificate equals the one
+    ``inequalities`` ("LGI" or "WLGI").  Each certificate equals the one
     :func:`maximize_lgi_detectors` or :func:`maximize_wlgi_detectors` gives
     for the same eta, ``n_starts`` and ``seed``: it keeps its own starts and
     its own random stream.  The local searches of all certificates run as

@@ -318,7 +318,28 @@ def test_qm_range_keeps_interior_visibility_extremes_lifted_by_rounding():
     assert qm_range(IDEAL_PARAMS, tol) == full
 
 
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_qm_range_rescans_points_near_an_extreme_lifted_by_rounding(n):
+    # An ulp-wide transmission box around the ideal circuit: the points'
+    # nsit23 values differ by rounding only, and an interior v of a point
+    # that is not extreme at either end point beats every end-point value.
+    tol = Tolerances(0.0, 1e-16, (-0.9, -0.6), grid_points=n)
+    assert qm_range(IDEAL_PARAMS, tol) == qm_range_grid(IDEAL_PARAMS, tol)
+
+
 UNDEFINED_AT_V1 = SetupParams(alpha_sq=1.0, t_ratios=(0.5, 1.0, 0.0, 0.5), visibility=1.0)
+
+
+@pytest.mark.parametrize("t_delta", [0.0, 0.01])
+@pytest.mark.parametrize("v_hi", [1.0 - 1e-12, 1.0 - np.finfo(float).eps], ids=["1e-12", "eps"])
+def test_qm_range_equals_grid_oracle_where_detected_weight_nearly_vanishes(v_hi, t_delta):
+    # At the box centre (alpha_sq = 1) the detected weight is d = 1 - v, so
+    # d_min is 1e-12 or eps.  The rounding bound grows as 1/d_min, and
+    # d_min = eps lies within its own rounding error, so every point is
+    # rescanned.
+    tol = Tolerances(hwp_angle_deg=1.0, t_delta=t_delta, v_range=(0.9, v_hi), grid_points=7)
+    assert qm_range(UNDEFINED_AT_V1, tol) == qm_range_grid(UNDEFINED_AT_V1, tol)
 
 
 @pytest.mark.parametrize("t_delta", [0.0, 0.01])

@@ -7,18 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from macroreal import cli, hvmodels
+from macroreal import cli
 from macroreal.analysis import representative_counts_path
 from macroreal.circuit import NOMINAL_PARAMS, Tolerances, qm_range
 from macroreal.cli import ConfigError, build_parser, default_config, load_config, main
-from macroreal.hvmodels import (
-    lgi_detectors_bound_formula,
-    project_feasible,
-    wlgi_detectors_bound_formula,
-)
+from macroreal.hvmodels import lgi_detectors_bound_formula, wlgi_detectors_bound_formula
 
 FAST_SOURCE = {
     "pair_rate": 20000.0,
@@ -177,23 +172,6 @@ def test_hv_bound_keeps_eta_order_and_repeats(tmp_path):
     assert [row["eta"] for row in read_csv(out / "bound_vs_eta.csv")] == ["0.8", "0.5", "0.8"]
 
 
-def test_hv_bound_searches_a_repeated_eta_once(tmp_path, monkeypatch):
-    rows = []
-
-    def counted(weights, eta):
-        rows.append(len(np.atleast_2d(weights)))
-        return project_feasible(weights, eta)
-
-    monkeypatch.setattr(hvmodels, "project_feasible", counted)
-    evaluated = []
-    for etas in ("0.8,0.5,0.8", "0.8,0.5"):
-        rows.clear()
-        args = ["hv-bound", "--eta", etas, "--starts", "0", "--out", str(tmp_path / etas)]
-        assert main(args) == 0
-        evaluated.append(sum(rows))
-    assert evaluated[0] == evaluated[1] > 0
-
-
 def test_hv_bound_invalid_eta_exits_2(tmp_path):
     assert main(["hv-bound", "--eta", "0.0,0.5", "--out", str(tmp_path / "x")]) == 2
     assert main(["hv-bound", "--eta", "1.5", "--out", str(tmp_path / "y")]) == 2
@@ -233,8 +211,8 @@ def test_gamma_fit_missing_column_exits_2(tmp_path):
     "argv, message",
     [
         (["predict", "--config", "{tmp}/bad.json"], "config"),
-        (["predict", "--config", "{tmp}/grid-float.json"], "setup.grid_points"),
-        (["predict", "--config", "{tmp}/grid-bool.json"], "setup.grid_points"),
+        (["predict", "--config", "{tmp}/grid-float.json"], "setup: grid_points"),
+        (["predict", "--config", "{tmp}/grid-bool.json"], "setup: grid_points"),
         (["predict", "--config", "{tmp}/grid-one.json"], "grid_points 1"),
         (["hv-bound", "--eta", "0.0"], "eta"),
         (["hv-bound", "--eta", "0.5", "--starts", "-3"], "starts"),
