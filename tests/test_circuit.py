@@ -275,6 +275,10 @@ def test_qm_range_equals_grid_oracle_on_nominal_boxes(n, v_range):
     assert qm_range(NOMINAL_PARAMS, tol) == qm_range_grid(NOMINAL_PARAMS, tol)
 
 
+# d = 1 - v at alpha_sq = 1: undefined at v = 1.
+UNDEFINED_AT_V1 = SetupParams(alpha_sq=1.0, t_ratios=(0.5, 1.0, 0.0, 0.5), visibility=1.0)
+
+
 unit_st = st.floats(0.0, 1.0)
 
 
@@ -298,6 +302,12 @@ def v_ranges(draw):
 )
 @example(SetupParams(0.3, (0.02, 0.99, 0.5, 1.0), -0.4), 0.0, 0.05, (-0.6, -0.6), 5)
 @example(SetupParams(0.8, (0.0, 0.97, 0.03, 0.6), 0.2), 2.0, 0.1, (-0.9, -0.2), 6)
+# An ulp-wide t box around the ideal circuit, where rounding lifts an interior
+# v of a point extreme at neither v end point above every end-point value.
+@example(IDEAL_PARAMS, 0.0, 1e-16, (-0.9, -0.6), 7)
+# d_min = 1e-12 at the box centre, and d_min = eps, within its own rounding error.
+@example(UNDEFINED_AT_V1, 1.0, 0.01, (0.9, 1.0 - 1e-12), 7)
+@example(UNDEFINED_AT_V1, 1.0, 0.0, (0.9, 1.0 - np.finfo(float).eps), 7)
 @settings(max_examples=150, deadline=None)
 def test_qm_range_equals_grid_oracle_on_drawn_boxes(params, hwp, t_delta, v_range, n):
     tol = Tolerances(hwp, t_delta, v_range, n)
@@ -316,30 +326,6 @@ def test_qm_range_keeps_interior_visibility_extremes_lifted_by_rounding():
     full = qm_range_grid(IDEAL_PARAMS, tol)
     assert full["nsit23"][1] > ends["nsit23"][1]
     assert qm_range(IDEAL_PARAMS, tol) == full
-
-
-
-@pytest.mark.parametrize("n", [5, 7, 9])
-def test_qm_range_rescans_points_near_an_extreme_lifted_by_rounding(n):
-    # An ulp-wide transmission box around the ideal circuit: the points'
-    # nsit23 values differ by rounding only, and an interior v of a point
-    # that is not extreme at either end point beats every end-point value.
-    tol = Tolerances(0.0, 1e-16, (-0.9, -0.6), grid_points=n)
-    assert qm_range(IDEAL_PARAMS, tol) == qm_range_grid(IDEAL_PARAMS, tol)
-
-
-UNDEFINED_AT_V1 = SetupParams(alpha_sq=1.0, t_ratios=(0.5, 1.0, 0.0, 0.5), visibility=1.0)
-
-
-@pytest.mark.parametrize("t_delta", [0.0, 0.01])
-@pytest.mark.parametrize("v_hi", [1.0 - 1e-12, 1.0 - np.finfo(float).eps], ids=["1e-12", "eps"])
-def test_qm_range_equals_grid_oracle_where_detected_weight_nearly_vanishes(v_hi, t_delta):
-    # At the box centre (alpha_sq = 1) the detected weight is d = 1 - v, so
-    # d_min is 1e-12 or eps.  The rounding bound grows as 1/d_min, and
-    # d_min = eps lies within its own rounding error, so every point is
-    # rescanned.
-    tol = Tolerances(hwp_angle_deg=1.0, t_delta=t_delta, v_range=(0.9, v_hi), grid_points=7)
-    assert qm_range(UNDEFINED_AT_V1, tol) == qm_range_grid(UNDEFINED_AT_V1, tol)
 
 
 @pytest.mark.parametrize("t_delta", [0.0, 0.01])
