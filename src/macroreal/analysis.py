@@ -262,9 +262,12 @@ def histogram(
     """Histogram of pairwise time differences t_b - t_a within a range.
 
     Counts every pair whose difference falls in ``[window[0], window[1])``
-    into uniform bins.  The pairing cost is linear in the number of events
-    plus the number of in-range pairs (sorted-merge lookups, no quadratic
-    scan).
+    into uniform bins.  Each test-stream stamp ``t_b`` is looked up in the
+    reference stream: two binary searches find the ``t_a`` with
+    ``t_b - window[1] < t_a <= t_b - window[0]``, so the cost is
+    O(n_b log n_a + pairs) and no quadratic scan is made.  The herald
+    reference is the larger stream, so querying from the test side halves
+    the searches.
 
     Parameters
     ----------
@@ -294,8 +297,9 @@ def histogram(
     if ta.size == 0 or tb.size == 0:
         return CoincidenceHistogram(bin_width, lo, counts)
 
-    left = np.searchsorted(tb, ta + lo, side="left")
-    right = np.searchsorted(tb, ta + hi, side="left")
+    # lo <= tb - ta < hi  <=>  tb - hi < ta <= tb - lo
+    left = np.searchsorted(ta, tb - hi, side="right")
+    right = np.searchsorted(ta, tb - lo, side="right")
     per = right - left
     total = int(per.sum())
     if total == 0:
@@ -303,7 +307,7 @@ def histogram(
 
     offsets = np.concatenate(([0], np.cumsum(per)[:-1]))
     flat = np.arange(total, dtype=np.int64) - np.repeat(offsets, per) + np.repeat(left, per)
-    diffs = tb[flat] - np.repeat(ta, per)
+    diffs = np.repeat(tb, per) - ta[flat]
     counts = np.bincount((diffs - lo) // bin_width, minlength=n_bins)
     return CoincidenceHistogram(bin_width, lo, counts.astype(np.int64))
 

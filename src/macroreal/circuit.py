@@ -309,8 +309,10 @@ class Tolerances:
     grid_points: int = 21
 
     def __post_init__(self) -> None:
-        if self.hwp_angle_deg < 0.0 or self.t_delta < 0.0:
-            raise ValueError("tolerance widths must be nonnegative")
+        for name in ("hwp_angle_deg", "t_delta"):
+            width = getattr(self, name)
+            if not (math.isfinite(width) and width >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {width}")
         n = self.grid_points
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"grid_points must be an integer >= 1, got {n!r}")

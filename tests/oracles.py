@@ -201,6 +201,12 @@ def brute_force_coincidences(times_a, times_b, lo, hi, bin_width):
     return counts
 
 
+def unique_in_range(raw, dark, duration_ps):
+    """Distinct stamps of both click arrays in [0, duration_ps), ascending."""
+    merged = np.unique(np.concatenate([raw, dark]))
+    return merged[(merged >= 0) & (merged < duration_ps)]
+
+
 def stream_corrected_coincidences(times_a, times_b, w):
     """Corrected coincidences of window ``w`` counted on the raw streams.
 

@@ -63,6 +63,42 @@ def test_histogram_matches_brute_force():
     assert h.origin == -5000 and h.bin_width == 100
 
 
+# (lo, hi, bin_width): windows that hold 0, start at it, and lie wholly on
+# one side of it, like the dataset window around the path delay.
+_LATTICE_WINDOWS = [
+    (-5000, 5000, 1000),
+    (0, 3000, 1000),
+    (50_000, 150_000, 10_000),
+    (-150_000, -50_000, 10_000),
+]
+
+
+@st.composite
+def _lattice_streams(draw):
+    """Two sorted streams on a lattice of half a bin, so pair differences
+    land on ``lo`` and ``hi`` exactly; small index ranges repeat stamps."""
+    lo, hi, bin_width = draw(st.sampled_from(_LATTICE_WINDOWS))
+    step = bin_width // 2
+    span = 2 * max(abs(lo), abs(hi)) // step + 2
+    offset = draw(st.integers(0, 10**9)) * step
+    index = st.integers(0, span)
+    a, b = (
+        offset + step * np.sort(np.array(draw(st.lists(index, max_size=30)), dtype=np.int64))
+        for _ in range(2)
+    )
+    return a, b, (lo, hi), bin_width
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_streams())
+def test_histogram_equals_brute_force_on_window_edges_and_repeats(case):
+    a, b, window, bin_width = case
+    h = histogram(a, b, bin_width=bin_width, window=window)
+    expected = oracles.brute_force_coincidences(a, b, *window, bin_width)
+    assert h.counts.dtype == np.int64
+    assert np.array_equal(h.counts, expected)
+
+
 def test_histogram_shifted_delta_stream():
     a = np.arange(0, 200_000_000, 200_000, dtype=np.int64)
     b = a + 5000

@@ -248,6 +248,13 @@ def test_qm_range_degenerate_box_recovers_point_values():
     assert ranges["nsit23"][1] == pytest.approx(qm_nsit(NOMINAL_PARAMS).nsit23, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("field", ["hwp_angle_deg", "t_delta"])
+def test_tolerances_reject_widths_that_are_not_finite_and_nonnegative(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and >= 0"):
+        Tolerances(**{field: value})
+
+
 def test_qm_range_contains_nominal_point():
     ranges = qm_range(NOMINAL_PARAMS, Tolerances(grid_points=5))
     assert ranges["lgi"][0] <= qm_lgi(NOMINAL_PARAMS) <= ranges["lgi"][1]

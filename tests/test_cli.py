@@ -3,12 +3,14 @@
 import argparse
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import macroreal
 from macroreal import cli
 from macroreal.analysis import representative_counts_path
 from macroreal.circuit import NOMINAL_PARAMS, Tolerances, qm_range
@@ -214,6 +216,8 @@ def test_gamma_fit_missing_column_exits_2(tmp_path):
         (["predict", "--config", "{tmp}/grid-float.json"], "setup: grid_points"),
         (["predict", "--config", "{tmp}/grid-bool.json"], "setup: grid_points"),
         (["predict", "--config", "{tmp}/grid-one.json"], "grid_points 1"),
+        (["predict", "--config", "{tmp}/t_delta-nan.json"], "t_delta must be finite"),
+        (["predict", "--config", "{tmp}/hwp_angle_deg-inf.json"], "hwp_angle_deg must be finite"),
         (["hv-bound", "--eta", "0.0"], "eta"),
         (["hv-bound", "--eta", "0.5", "--starts", "-3"], "starts"),
         (["hv-bound", "--eta", "0.5", "--seed", "-1"], "seed"),
@@ -225,6 +229,8 @@ def test_gamma_fit_missing_column_exits_2(tmp_path):
         (["simulate", "--config", "{tmp}/iterations-float.json"], "source.iterations"),
         (["simulate", "--config", "{tmp}/iterations-string.json"], "source.iterations"),
         (["simulate", "--config", "{tmp}/iterations-bool.json"], "source.iterations"),
+        (["simulate", "--config", "{tmp}/base_delay-nan.json"], "base_delay must be finite"),
+        (["simulate", "--config", "{tmp}/duration-inf.json"], "duration must be finite"),
         (["analyze", "{tmp}/missing"], "input"),
         (["analyze", "{tmp}/empty"], "input"),
         (["report", "--analysis", "{tmp}/missing.json"], "analysis"),
@@ -249,6 +255,15 @@ def test_rejected_invocation_leaves_no_output_directory(tmp_path, capsys, argv, 
     for name, grid_points in {"float": 2.5, "bool": True, "one": 1}.items():
         setup = {"grid_points": grid_points}
         (tmp_path / f"grid-{name}.json").write_text(json.dumps({"setup": setup}), encoding="utf-8")
+    # json writes and reads the bare NaN and Infinity tokens.
+    non_finite = {
+        "t_delta-nan": {"setup": {"t_delta": float("nan")}},
+        "hwp_angle_deg-inf": {"setup": {"hwp_angle_deg": float("inf")}},
+        "base_delay-nan": {"source": {**FAST_SOURCE, "base_delay": float("nan")}},
+        "duration-inf": {"source": {**FAST_SOURCE, "duration": float("inf")}},
+    }
+    for name, config in non_finite.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
     (tmp_path / "counts.csv").write_text("set_label,C1,C2\nA,1,2\n", encoding="utf-8")
     (tmp_path / "empty").mkdir()
     out = tmp_path / "out"
@@ -493,10 +508,16 @@ def test_cli_subprocess_smoke(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"setup": {"grid_points": 3}}), encoding="utf-8")
     out = tmp_path / "out"
+    # The child must import the macroreal this test imported, whether or
+    # not the caller put it on PYTHONPATH.
+    package_root = str(Path(macroreal.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "macroreal.cli", "predict", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert (out / "prediction.json").exists()

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import oracles
 from macroreal.circuit import SetupParams
 from macroreal.cli import main
 from macroreal.protocol import RUN_CONFIGS, BlockerConfig
@@ -14,6 +17,7 @@ from macroreal.simulate import (
     ExperimentDataset,
     SourceConfig,
     TimestampStream,
+    _finalize_times,
     derive_iteration_state,
     generate_sub_run,
     load_dataset,
@@ -48,6 +52,34 @@ def test_source_config_validation():
         SourceConfig(eta_herald=1.2)
     with pytest.raises(ValueError):
         SourceConfig(seed=-3)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SourceConfig)])
+def test_source_config_rejects_non_finite_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        SourceConfig(**{field: value})
+
+
+_DURATION_PS = 1000
+# Stamps on both range edges and just outside them, repeated within and
+# across the two arrays; the lists may be empty.
+_STAMPS = st.lists(
+    st.one_of(
+        st.sampled_from([-1, 0, _DURATION_PS - 1, _DURATION_PS]),
+        st.integers(-5, _DURATION_PS + 5),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STAMPS, _STAMPS)
+def test_finalize_times_equals_unique_reference(raw, dark):
+    raw, dark = np.array(raw, dtype=np.int64), np.array(dark, dtype=np.int64)
+    got = _finalize_times(raw, dark, _DURATION_PS)
+    assert got.dtype == np.int64
+    assert np.all(np.diff(got) > 0)
+    assert np.array_equal(got, oracles.unique_in_range(raw, dark, _DURATION_PS))
 
 
 def test_blocked_survivor_split_reproduces_port_ratios():
