@@ -34,7 +34,7 @@ from .protocol import (
     evaluate,
     joint_tables,
 )
-from .simulate import TimestampStream
+from .simulate import TimestampStream, as_stamps
 
 __all__ = [
     "DEFAULT_BIN_WIDTH",
@@ -242,14 +242,14 @@ class ResultReport:
 Stream = Union[TimestampStream, Sequence[int], np.ndarray]
 
 
-def _times(stream: Stream) -> np.ndarray:
+def _times(stream: Stream, label: str) -> np.ndarray:
     if isinstance(stream, TimestampStream):
         return stream.times
-    times = np.asarray(stream, dtype=np.int64)
+    times = as_stamps(stream, label)
     if times.ndim != 1:
-        raise ValueError("timestamp input must be one-dimensional")
+        raise ValueError(f"{label} timestamps must be one-dimensional")
     if times.size > 1 and np.any(np.diff(times) < 0):
-        raise ValueError("timestamps must be sorted ascending")
+        raise ValueError(f"{label} timestamps must be sorted ascending")
     return times
 
 
@@ -262,17 +262,22 @@ def histogram(
     """Histogram of pairwise time differences t_b - t_a within a range.
 
     Counts every pair whose difference falls in ``[window[0], window[1])``
-    into uniform bins.  Each test-stream stamp ``t_b`` is looked up in the
-    reference stream: two binary searches find the ``t_a`` with
-    ``t_b - window[1] < t_a <= t_b - window[0]``, so the cost is
-    O(n_b log n_a + pairs) and no quadratic scan is made.  The herald
-    reference is the larger stream, so querying from the test side halves
-    the searches.
+    into uniform bins.  A pair needs ``t_b - window[1] < t_a <= t_b -
+    window[0]``.  One binary search per test-stream stamp ``t_b`` finds
+    its first candidate, the first ``t_a`` above ``t_b - window[1]``; the
+    walk then tries candidate k = 0, 1, ... of every stamp still active,
+    bins the pairs whose k-th candidate is not past ``t_b - window[0]``
+    and drops the stamps whose candidate is.  The active set shrinks with
+    every pass, so the cost is O(n_b log n_a + pairs) with no quadratic
+    scan and no second search for the upper end.  The herald reference is
+    the larger stream, so searching from the test side halves the
+    searches.
 
     Parameters
     ----------
     a, b : TimestampStream or sorted integer array
-        Reference (e.g. herald) and test streams.
+        Reference (e.g. herald) and test streams.  Float arrays must hold
+        whole numbers (see :func:`macroreal.simulate.as_stamps`).
     bin_width : int
         Bin width in picoseconds.
     window : tuple of int
@@ -292,24 +297,28 @@ def histogram(
     if n_bins < 3:
         raise ValueError("range must cover at least 3 bins")
 
-    ta, tb = _times(a), _times(b)
+    ta, tb = _times(a, "reference (a)"), _times(b, "test (b)")
     counts = np.zeros(n_bins, dtype=np.int64)
-    if ta.size == 0 or tb.size == 0:
-        return CoincidenceHistogram(bin_width, lo, counts)
 
-    # lo <= tb - ta < hi  <=>  tb - hi < ta <= tb - lo
-    left = np.searchsorted(ta, tb - hi, side="right")
-    right = np.searchsorted(ta, tb - lo, side="right")
-    per = right - left
-    total = int(per.sum())
-    if total == 0:
-        return CoincidenceHistogram(bin_width, lo, counts)
-
-    offsets = np.concatenate(([0], np.cumsum(per)[:-1]))
-    flat = np.arange(total, dtype=np.int64) - np.repeat(offsets, per) + np.repeat(left, per)
-    diffs = np.repeat(tb, per) - ta[flat]
-    counts = np.bincount((diffs - lo) // bin_width, minlength=n_bins)
-    return CoincidenceHistogram(bin_width, lo, counts.astype(np.int64))
+    # lo <= tb - ta < hi  <=>  tb - hi < ta <= tb - lo.  cand is each
+    # active stamp's current candidate index into ta, top its tb - lo.
+    cand = np.searchsorted(ta, tb - hi, side="right")
+    top = tb - lo
+    while cand.size:
+        # cand is nondecreasing, so the stamps whose candidate ran off the
+        # end of ta are a suffix.
+        inside = int(np.searchsorted(cand, ta.size))
+        cand, top = cand[:inside], top[:inside]
+        gap = top - ta[cand]
+        live = gap >= 0
+        gap = np.compress(live, gap)
+        if gap.size == 0:
+            break
+        # gap = tb - ta - lo lies in [0, hi - lo).
+        counts += np.bincount(gap // bin_width, minlength=n_bins)
+        cand = np.compress(live, cand) + 1
+        top = np.compress(live, top)
+    return CoincidenceHistogram(bin_width, lo, counts)
 
 
 def _expand_window(counts: np.ndarray, peak_idx: int, level: float) -> Tuple[int, int]:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from macroreal.circuit import SetupParams
+from macroreal.circuit import SetupParams, arm_branch_weights
 from macroreal.hvmodels import _BLOCK_SLICES, _check_eta
 from macroreal.protocol import BlockerConfig, combine
 
@@ -460,3 +460,53 @@ def two_photon_event_counts(n1, n2, a, p, s1, s2, eta1, eta2):
     c2 = n1 * q2 + n2 * (1.0 - (1.0 - q2) ** 2)
     c12 = n2 * 2.0 * q1 * q2
     return c1, c2, c12
+
+
+def reference_generate_sub_run(src, setup: SetupParams, blockers: BlockerConfig):
+    """Straightforward sub-run generator: the same draws in the same order.
+
+    Selects with boolean masks, builds per-photon probability and delay
+    arrays with ``np.where`` and finalises each channel with
+    ``unique_in_range``.  Returns the (herald, plus, minus) int64 arrays,
+    which must equal ``generate_sub_run``'s streams bit for bit; that pins
+    the draw order: poisson, pair times, herald, doubled, arm, u, jitter,
+    then the dark counts of H, P and M.
+    """
+    arm_probs = {}
+    for arm in (+1, -1):
+        w = arm_branch_weights(setup, blockers, arm)
+        p_plus, p_minus = w.w_plus * src.eta1, w.w_minus * src.eta2
+        if p_plus + p_minus > 1.0:
+            raise ValueError(f"branch weights times efficiencies exceed 1 for arm {arm:+d}")
+        arm_probs[arm] = (p_plus, p_minus)
+
+    rng = np.random.default_rng(src.seed)
+    duration_ps = src.duration_ps
+    n_pairs = int(rng.poisson(src.pair_rate * src.duration))
+    pair_times = rng.integers(0, duration_ps, size=n_pairs, dtype=np.int64)
+    herald_hit = rng.random(n_pairs) < src.eta_herald
+    doubled = rng.random(n_pairs) < src.gamma
+    photon_times = np.concatenate([pair_times, pair_times[doubled]])
+    n_photons = photon_times.size
+    on_plus_arm = rng.random(n_photons) < setup.alpha_sq
+    u = rng.random(n_photons)
+    jitter = (
+        rng.normal(0.0, src.jitter_sigma, n_photons)
+        if src.jitter_sigma > 0.0
+        else np.zeros(n_photons)
+    )
+    p_plus = np.where(on_plus_arm, arm_probs[+1][0], arm_probs[-1][0])
+    p_minus = np.where(on_plus_arm, arm_probs[+1][1], arm_probs[-1][1])
+    to_plus = u < p_plus
+    to_minus = ~to_plus & (u < p_plus + p_minus)
+    delay = src.base_delay + np.where(on_plus_arm, 0.0, src.arm_delay_tau)
+    click_times = photon_times + np.rint(delay + jitter).astype(np.int64)
+
+    def dark(rate):
+        n = int(rng.poisson(rate * src.duration))
+        return rng.integers(0, duration_ps, size=n, dtype=np.int64)
+
+    herald = unique_in_range(pair_times[herald_hit], dark(src.dark_rate_h), duration_ps)
+    plus = unique_in_range(click_times[to_plus], dark(src.dark_rate_p), duration_ps)
+    minus = unique_in_range(click_times[to_minus], dark(src.dark_rate_m), duration_ps)
+    return herald, plus, minus

@@ -53,14 +53,34 @@ def poisson_stream(rng, rate, duration_ps):
 # histogram
 
 
-def test_histogram_matches_brute_force():
-    rng = np.random.default_rng(7)
+def _random_pair(rng):
     a = np.sort(rng.integers(0, 10_000_000, size=1000))
-    b = np.sort(rng.integers(0, 10_000_000, size=1000))
-    h = histogram(a, b, bin_width=100, window=(-5000, 5000))
-    expected = oracles.brute_force_coincidences(a, b, -5000, 5000, 100)
-    assert np.array_equal(h.counts, expected)
-    assert h.origin == -5000 and h.bin_width == 100
+    return a, np.sort(rng.integers(0, 10_000_000, size=1000))
+
+
+def _dense_reference(rng):
+    """300 reference stamps inside one 10 ns window: each test stamp near
+    the burst has up to 300 candidates, so the walk makes that many passes."""
+    spread, burst = rng.integers(0, 10_000_000, 300), 5_000_000 + rng.integers(0, 9000, 300)
+    a = np.sort(np.concatenate([spread, burst]))
+    return a, np.sort(rng.integers(4_990_000, 5_020_000, size=200))
+
+
+def _far_apart(rng):
+    """Test stamps between two reference clusters, 1 µs from each: every
+    stamp has a first candidate, and none lies in the window."""
+    low, high = rng.integers(0, 1_000_000, 250), rng.integers(4_000_000, 5_000_000, 250)
+    a = np.sort(np.concatenate([low, high]))
+    return a, np.sort(rng.integers(2_000_000, 3_000_000, size=500))
+
+
+def test_histogram_matches_brute_force():
+    for streams in (_random_pair, _dense_reference, _far_apart):
+        a, b = streams(np.random.default_rng(7))
+        h = histogram(a, b, bin_width=100, window=(-5000, 5000))
+        expected = oracles.brute_force_coincidences(a, b, -5000, 5000, 100)
+        assert np.array_equal(h.counts, expected), streams.__name__
+        assert h.origin == -5000 and h.bin_width == 100
 
 
 # (lo, hi, bin_width): windows that hold 0, start at it, and lie wholly on
@@ -137,6 +157,21 @@ def test_histogram_validation():
         histogram(a, a, bin_width=100, window=(0, 200))
     with pytest.raises(ValueError):
         histogram(np.array([200, 100]), a)
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ([0.5, 1.7, 2.9], [1, 2], r"^reference \(a\) timestamps must be whole"),
+        ([1, 2], [0.2, 0.7], r"^test \(b\) timestamps must be whole"),
+        ([1.0, math.nan], [1, 2], r"^reference \(a\) timestamps must be whole"),
+        ([1, 2], [1.0, -math.inf], r"^test \(b\) timestamps must be whole"),
+    ],
+    ids=["fractional-a", "fractional-b", "nan-a", "inf-b"],
+)
+def test_histogram_refuses_stamps_that_are_not_whole_numbers(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        histogram(np.array(a), np.array(b), bin_width=1, window=(-3, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,8 @@ def test_gamma_fit_missing_column_exits_2(tmp_path):
         (["simulate", "--config", "{tmp}/iterations-bool.json"], "source.iterations"),
         (["simulate", "--config", "{tmp}/base_delay-nan.json"], "base_delay must be finite"),
         (["simulate", "--config", "{tmp}/duration-inf.json"], "duration must be finite"),
+        (["simulate", "--config", "{tmp}/duration-1e8.json"], "source: duration must be shorter"),
+        (["simulate", "--config", "{tmp}/base_delay-1e19.json"], "source: base_delay + arm"),
         (["analyze", "{tmp}/missing"], "input"),
         (["analyze", "{tmp}/empty"], "input"),
         (["report", "--analysis", "{tmp}/missing.json"], "analysis"),
@@ -261,6 +263,9 @@ def test_rejected_invocation_leaves_no_output_directory(tmp_path, capsys, argv, 
         "hwp_angle_deg-inf": {"setup": {"hwp_angle_deg": float("inf")}},
         "base_delay-nan": {"source": {**FAST_SOURCE, "base_delay": float("nan")}},
         "duration-inf": {"source": {**FAST_SOURCE, "duration": float("inf")}},
+        # Finite, but click times would leave int64.
+        "duration-1e8": {"source": {**FAST_SOURCE, "pair_rate": 1e-6, "duration": 1e8}},
+        "base_delay-1e19": {"source": {**FAST_SOURCE, "base_delay": 1e19}},
     }
     for name, config in non_finite.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")

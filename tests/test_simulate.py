@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -39,6 +40,21 @@ def test_timestamp_stream_validation():
         TimestampStream("P", np.array([-1, 2], dtype=np.int64))
 
 
+@pytest.mark.parametrize(
+    "times",
+    [[0.5, 1.7, 2.9], [0.2, 0.7], [1.0, math.nan], [1.0, math.inf], [2.0**63]],
+    ids=["fractional", "fractional-below-one", "nan", "inf", "beyond-int64"],
+)
+def test_timestamp_stream_rejects_stamps_that_are_not_whole_numbers(times):
+    with pytest.raises(ValueError, match=r"^M timestamps must be whole picoseconds"):
+        TimestampStream("M", np.array(times))
+
+
+def test_timestamp_stream_takes_whole_float_and_empty_input_exactly():
+    assert TimestampStream("H", [3.0, 2.0**53 + 2.0]).times.tolist() == [3, 2**53 + 2]
+    assert TimestampStream("H", []).times.dtype == np.int64
+
+
 def test_source_config_validation():
     with pytest.raises(ValueError):
         SourceConfig(pair_rate=-1.0)
@@ -59,6 +75,31 @@ def test_source_config_validation():
 def test_source_config_rejects_non_finite_values_naming_the_field(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be finite"):
         SourceConfig(**{field: value})
+
+
+# Each would put a click time or the run length beyond int64: a 1e19 ps
+# delay used to empty P and M with only a cast warning, a 1e8 s run to fail
+# inside the random generator without naming a field.
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"duration": 1e8}, r"^duration must be shorter than 2\*\*62 ps"),
+        ({"base_delay": 1e19}, r"^base_delay \+ arm_delay_tau \+ 64 \* jitter_sigma"),
+        ({"arm_delay_tau": 2.0**62}, r"^base_delay \+ arm_delay_tau \+ 64 \* jitter_sigma"),
+        ({"jitter_sigma": 2.0**56}, r"^base_delay \+ arm_delay_tau \+ 64 \* jitter_sigma"),
+    ],
+    ids=["duration", "base_delay", "arm_delay_tau", "jitter_sigma"],
+)
+def test_source_config_keeps_click_times_inside_int64(fields, message):
+    with pytest.raises(ValueError, match=message):
+        SourceConfig(**fields)
+
+
+def test_source_config_accepts_delays_and_duration_just_inside_int64():
+    src = SourceConfig(
+        duration=4.6e6, base_delay=2.0**61, arm_delay_tau=2.0**60, jitter_sigma=2.0**53
+    )
+    assert src.duration_ps < 2**62
 
 
 _DURATION_PS = 1000
@@ -178,6 +219,45 @@ def test_arm_delay_shifts_click_times():
         assert np.isin(clicks - int(expected), herald.times).all()
         offsets[name] = expected
     assert offsets["plus"] - offsets["minus"] == src.arm_delay_tau
+
+
+_BLOCKERS = sorted({b for subs in RUN_CONFIGS.values() for b in subs}, key=repr)
+_SHORT = dict(duration=0.1, seed=17)
+# Source variants covering every branch of the generator: no doubled
+# photons and many, no jitter, no dark counts, unit efficiencies, clicks
+# pushed past the end of a run, and a run too short to hold any stamp.
+_REFERENCE_SOURCES = {
+    "default": {},
+    "gamma-0": dict(gamma=0.0),
+    "gamma-0.3": dict(gamma=0.3),
+    "no-jitter": dict(jitter_sigma=0.0),
+    "no-dark": dict(dark_rate_h=0.0, dark_rate_p=0.0, dark_rate_m=0.0),
+    "eta-1": dict(eta_herald=1.0, eta1=1.0, eta2=1.0),
+    "past-end": dict(duration=2e-6, pair_rate=5e8, base_delay=1.5e6, arm_delay_tau=4e5),
+    "empty": dict(duration=1e-9),
+}
+
+
+@pytest.mark.parametrize("source", sorted(_REFERENCE_SOURCES))
+def test_generate_sub_run_matches_reference_generator_bit_for_bit(source):
+    """Same draws in the same order: every stream equals the reference's."""
+    src = SourceConfig(**{**_SHORT, **_REFERENCE_SOURCES[source]})
+    setups = [SetupParams()] + [
+        SetupParams(visibility=float(v)) for v in np.random.default_rng(5).uniform(0.7, 0.85, 2)
+    ]
+    for setup, blockers in itertools.product(setups, _BLOCKERS):
+        try:
+            expected = oracles.reference_generate_sub_run(src, setup, blockers)
+        except ValueError:
+            with pytest.raises(ValueError):
+                generate_sub_run(src, setup, blockers)
+            continue
+        got = generate_sub_run(src, setup, blockers)
+        for stream, times in zip(got, expected):
+            assert stream.times.dtype == np.int64
+            assert np.array_equal(stream.times, times)
+    if source == "empty":
+        assert all(len(s) == 0 for s in got)
 
 
 def test_generate_sub_run_is_deterministic():
