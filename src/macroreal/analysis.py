@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -74,6 +76,8 @@ _DETECTOR_COLUMNS = ("P", "M")
 _SAMPLE_CHUNK = 200_000
 # Pairings per table batch on the error path; its arrays then stay in cache.
 _TABLE_BATCH = 8192
+# Iterations per pool task: few enough that two workers finish together.
+_POOL_CHUNK = 4
 _BOOTSTRAP_CHUNK = 20_000
 
 
@@ -322,17 +326,66 @@ def histogram(
 
 
 def _expand_window(counts: np.ndarray, peak_idx: int, level: float) -> Tuple[int, int]:
-    i_lo = peak_idx
-    while i_lo > 0 and counts[i_lo - 1] >= level:
-        i_lo -= 1
-    i_hi = peak_idx
-    while i_hi + 1 < counts.size and counts[i_hi + 1] >= level:
-        i_hi += 1
+    """Widest bin range [i_lo, i_hi] around ``peak_idx`` whose counts are >= ``level``.
+
+    ``level`` lies between the flatline and the peak, so the peak bin itself
+    is never below it and each walk outwards stops at the first bin that is.
+    """
+    below = counts < level
+    left = below[peak_idx::-1]
+    k = int(left.argmax())
+    i_lo = peak_idx - k + 1 if left[k] else 0
+    right = below[peak_idx:]
+    k = int(right.argmax())
+    i_hi = peak_idx + k - 1 if right[k] else counts.size - 1
     return i_lo, i_hi
 
 
 def _detectable(peak: float, flatline: float) -> bool:
     return peak >= flatline + PEAK_THRESHOLD_SIGMAS * math.sqrt(flatline + 1.0)
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a nonempty array of finite values, from a partial sort.
+
+    The middle element for odd sizes, else the mean of the two middle ones:
+    the float ``np.median`` returns, without its generic dispatch.
+    """
+    half = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, half)[half])
+    low, high = np.partition(values, (half - 1, half))[half - 1 : half + 1]
+    return (float(low) + float(high)) / 2.0
+
+
+def _find_window(counts: np.ndarray) -> Tuple[int, int, float]:
+    """Bin range [i_lo, i_hi) and flatline of the FWHM window around the peak.
+
+    ``counts`` is an int64 array of counts far below 2**53, so every sum
+    and mean of them is exact.  Raises :class:`NoPeakError` as
+    :func:`select_window` documents.
+    """
+    flatline = _median(counts)
+    peak_idx = int(np.argmax(counts))
+    peak = float(counts[peak_idx])
+    if not _detectable(peak, flatline):
+        raise NoPeakError("no coincidence peak above the flatline")
+
+    i_lo, i_hi = _expand_window(counts, peak_idx, flatline + 0.5 * (peak - flatline))
+    margin = _FLATLINE_EXCLUSION_FACTOR * (i_hi - i_lo + 1)
+    cut_lo, cut_hi = max(0, i_lo - margin), min(counts.size, i_hi + margin + 1)
+    if cut_lo > 0 or cut_hi < counts.size:
+        rest = np.concatenate((counts[:cut_lo], counts[cut_hi:]))
+        med = _median(rest)
+        # A second delay peak elsewhere must not inflate the background.
+        keep = rest < med + PEAK_THRESHOLD_SIGMAS * math.sqrt(med + 1.0)
+        if keep.any():
+            rest = np.compress(keep, rest)
+        flatline = float(rest.sum()) / rest.size
+    if not _detectable(peak, flatline):
+        raise NoPeakError("no coincidence peak above the flatline")
+    i_lo, i_hi = _expand_window(counts, peak_idx, flatline + 0.5 * (peak - flatline))
+    return i_lo, i_hi + 1, max(flatline, 0.0)
 
 
 def select_window(h: CoincidenceHistogram) -> WindowSelection:
@@ -359,34 +412,8 @@ def select_window(h: CoincidenceHistogram) -> WindowSelection:
         If the maximum bin does not exceed the flatline by at least
         5 * sqrt(flatline + 1) counts (blocked or noise-only input).
     """
-    counts = h.counts.astype(float)
-    flatline = float(np.median(counts))
-    peak_idx = int(np.argmax(counts))
-    peak = float(counts[peak_idx])
-    if not _detectable(peak, flatline):
-        raise NoPeakError("no coincidence peak above the flatline")
-
-    i_lo, i_hi = _expand_window(counts, peak_idx, flatline + 0.5 * (peak - flatline))
-    width = i_hi - i_lo + 1
-    margin = _FLATLINE_EXCLUSION_FACTOR * width
-    mask = np.ones(counts.size, dtype=bool)
-    mask[max(0, i_lo - margin) : min(counts.size, i_hi + margin + 1)] = False
-    if mask.any():
-        rest = counts[mask]
-        med = float(np.median(rest))
-        # A second delay peak elsewhere must not inflate the background.
-        keep = rest < med + PEAK_THRESHOLD_SIGMAS * math.sqrt(med + 1.0)
-        flatline = float(rest[keep].mean()) if keep.any() else float(rest.mean())
-    if not _detectable(peak, flatline):
-        raise NoPeakError("no coincidence peak above the flatline")
-    i_lo, i_hi = _expand_window(counts, peak_idx, flatline + 0.5 * (peak - flatline))
-
-    return WindowSelection(
-        start=h.bin_start(i_lo),
-        end=h.bin_start(i_hi + 1),
-        flatline_mean=max(flatline, 0.0),
-        bin_width=h.bin_width,
-    )
+    i_lo, i_hi, flatline = _find_window(h.counts)
+    return WindowSelection(h.bin_start(i_lo), h.bin_start(i_hi), flatline, h.bin_width)
 
 
 def _window_bins(h: CoincidenceHistogram, w: WindowSelection) -> Tuple[int, int]:
@@ -473,23 +500,25 @@ def count_sub_run(
         If no detectable peak exists at all.
     """
     h = histogram(herald, detector, bin_width, window)
-    work = h.counts.astype(np.int64).copy()
-    med = float(np.median(work))
-    fill = int(round(med))
-    windows: List[WindowSelection] = []
+    work = h.counts.copy()
+    fill = int(round(_median(work)))
+    found: List[Tuple[int, int, float]] = []
     for _ in range(_MAX_PEAKS):
         try:
-            sel = select_window(CoincidenceHistogram(h.bin_width, h.origin, work))
+            i_lo, i_hi, flatline = _find_window(work)
         except NoPeakError:
             break
-        if any(sel.start < prev.end and sel.end > prev.start for prev in windows):
+        if any(i_lo < prev_hi and i_hi > prev_lo for prev_lo, prev_hi, _ in found):
             break
-        windows.append(sel)
-        i_lo, i_hi = _window_bins(h, sel)
+        found.append((i_lo, i_hi, flatline))
         work[i_lo:i_hi] = fill
-    if not windows:
+    if not found:
         raise NoPeakError("no coincidence peak above the flatline")
-    return float(sum(corrected_coincidences(h, sel) for sel in windows))
+    windows = [
+        WindowSelection(h.bin_start(lo), h.bin_start(hi), flatline, h.bin_width)
+        for lo, hi, flatline in found
+    ]
+    return float(sum(corrected_coincidences(h, w) for w in windows))
 
 
 def _dataset_window(dataset) -> Tuple[int, int]:
@@ -499,12 +528,90 @@ def _dataset_window(dataset) -> Tuple[int, int]:
     return (center - half, center + half)
 
 
+def _count_iteration(
+    dataset, bin_width: int, window: Tuple[int, int], key
+) -> Tuple[float, float]:
+    """Corrected counts on the (+1, -1) detectors of iteration ``key``.
+
+    ``key`` is (run, sub_run, iteration).  A detector whose histogram shows
+    no peak (fully blocked) counts as zero.
+    """
+    herald, *detectors = dataset.streams(*key)
+    values = []
+    for det in detectors:
+        try:
+            values.append(count_sub_run(herald, det, bin_width, window))
+        except NoPeakError:
+            values.append(0.0)
+    return values[0], values[1]
+
+
+# The (dataset, bin_width, window) a pool worker counts, set once per worker.
+_worker_job: Optional[tuple] = None
+
+
+def _start_worker(dataset, bin_width: int, window: Tuple[int, int]) -> None:
+    global _worker_job
+    _worker_job = (dataset, bin_width, window)
+
+
+def _count_in_worker(key) -> Tuple[float, float]:
+    return _count_iteration(*_worker_job, key)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _count_iterations(dataset, bin_width: int, window: Tuple[int, int], keys) -> list:
+    """:func:`_count_iteration` of every key, in order, over the usable CPUs.
+
+    Workers are forked, so each inherits the dataset and makes or reads its
+    own streams; only keys and counts cross between processes.  The
+    executor's ``map`` yields in key order, so an error is the one of the
+    first failing key; it cancels the keys not yet started, and every
+    worker has exited when the call returns or raises.  A worker that dies
+    (killed, out of memory) raises ``BrokenProcessPool`` instead of leaving
+    the call waiting for its result, as a ``multiprocessing.Pool`` would.
+    Counting stays in this process when it need not or cannot fork safely:
+    one usable CPU or one key, no ``fork`` start method, a daemonic process
+    (a pool worker itself), which may not have children, or other threads
+    running, one of which may hold a lock the forked child would inherit.
+    """
+    # Imported here: ``import macroreal.cli`` stays free of multiprocessing.
+    import multiprocessing
+
+    workers = min(_usable_cpus(), len(keys))
+    if (
+        workers < 2
+        or multiprocessing.current_process().daemon
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        return [_count_iteration(dataset, bin_width, window, key) for key in keys]
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    job = (dataset, bin_width, window)
+    with ProcessPoolExecutor(workers, context, _start_worker, job) as pool:
+        return list(pool.map(_count_in_worker, keys, chunksize=_POOL_CHUNK))
+
+
 def count_dataset(
     dataset,
     bin_width: int = DEFAULT_BIN_WIDTH,
     window: Optional[Tuple[int, int]] = None,
 ) -> Dict[Tuple[int, int], np.ndarray]:
     """Corrected coincidence counts for every sub-run iteration.
+
+    Iterations are counted independently, in up to one forked worker
+    process per CPU this process may use (``taskset`` limits them).  With
+    one usable CPU, without the ``fork`` start method, inside a daemonic
+    process such as a pool worker, or while other threads run, they are
+    counted here, one after another.  The counts are the same either way.
 
     Parameters
     ----------
@@ -523,22 +630,31 @@ def count_dataset(
         Maps (run, sub_run) to an (iterations, 2) array of corrected
         counts on the (+1, -1) detectors; sub-runs whose histogram shows
         no peak (fully blocked) contribute zeros.
+
+    Raises
+    ------
+    Exception
+        Whatever ``dataset.streams`` or :func:`count_sub_run` raises for the
+        first failing iteration in schedule order, e.g. the ``ValueError``
+        naming a damaged archive of a directory dataset.
+    concurrent.futures.process.BrokenProcessPool
+        If a worker process dies while counting (killed, out of memory).
     """
     if window is None:
         window = _dataset_window(dataset)
+    keys = [
+        (run, sub, it)
+        for run, cfgs in RUN_CONFIGS.items()
+        for sub in range(len(cfgs))
+        for it in range(dataset.iterations[run])
+    ]
+    values = iter(_count_iterations(dataset, bin_width, window, keys))
     out: Dict[Tuple[int, int], np.ndarray] = {}
     for run, cfgs in RUN_CONFIGS.items():
         n_iter = dataset.iterations[run]
         for sub in range(len(cfgs)):
-            arr = np.zeros((n_iter, 2))
-            for it in range(n_iter):
-                h_s, p_s, m_s = dataset.streams(run, sub, it)
-                for col, det in enumerate((p_s, m_s)):
-                    try:
-                        arr[it, col] = count_sub_run(h_s, det, bin_width, window)
-                    except NoPeakError:
-                        arr[it, col] = 0.0
-            out[(run, sub)] = arr
+            rows = [next(values) for _ in range(n_iter)]
+            out[(run, sub)] = np.array(rows, dtype=float).reshape(n_iter, 2)
     return out
 
 
@@ -832,6 +948,10 @@ def analyze_dataset(
     counts: Optional[Mapping[Tuple[int, int], np.ndarray]] = None,
 ) -> ResultReport:
     """Full pipeline: count, tabulate, evaluate and bound a dataset.
+
+    Unless ``counts`` is given, the dataset is counted by
+    :func:`count_dataset`, in forked worker processes where this process
+    may use more than one CPU.
 
     Parameters
     ----------

@@ -12,9 +12,15 @@ import math
 
 import numpy as np
 
+from macroreal.analysis import (
+    DEFAULT_BIN_WIDTH,
+    NoPeakError,
+    _dataset_window,
+    count_sub_run,
+)
 from macroreal.circuit import SetupParams, arm_branch_weights
 from macroreal.hvmodels import _BLOCK_SLICES, _check_eta
-from macroreal.protocol import BlockerConfig, combine
+from macroreal.protocol import RUN_CONFIGS, BlockerConfig, combine
 
 
 def transfer_matrix_probs(params: SetupParams, blockers: BlockerConfig):
@@ -220,6 +226,67 @@ def stream_corrected_coincidences(times_a, times_b, w):
     right = np.searchsorted(tb, ta + w.end, side="left")
     raw = int(np.sum(right - left))
     return max(raw - w.flatline_mean * w.n_bins, 0.0)
+
+
+def reference_select_window(counts):
+    """FWHM window of a histogram's peak by ``np.median`` and bin-by-bin walks.
+
+    Returns ``(i_lo, i_hi, flatline)`` with the window's bins ``[i_lo, i_hi)``,
+    or None where ``select_window`` raises ``NoPeakError``.  Works on a float
+    copy with boolean masks and ``np.mean``, so equal results pin the library's
+    partial-sort medians and int64 sums bit for bit.
+    """
+    counts = np.asarray(counts).astype(float)
+
+    def detectable(peak, flatline):
+        return peak >= flatline + 5.0 * math.sqrt(flatline + 1.0)
+
+    def expand(level):
+        i_lo = i_hi = peak_idx
+        while i_lo > 0 and counts[i_lo - 1] >= level:
+            i_lo -= 1
+        while i_hi + 1 < counts.size and counts[i_hi + 1] >= level:
+            i_hi += 1
+        return i_lo, i_hi
+
+    flatline = float(np.median(counts))
+    peak_idx = int(np.argmax(counts))
+    peak = float(counts[peak_idx])
+    if not detectable(peak, flatline):
+        return None
+    i_lo, i_hi = expand(flatline + 0.5 * (peak - flatline))
+    margin = 3 * (i_hi - i_lo + 1)
+    mask = np.ones(counts.size, dtype=bool)
+    mask[max(0, i_lo - margin) : min(counts.size, i_hi + margin + 1)] = False
+    if mask.any():
+        rest = counts[mask]
+        med = float(np.median(rest))
+        keep = rest < med + 5.0 * math.sqrt(med + 1.0)
+        flatline = float(rest[keep].mean()) if keep.any() else float(rest.mean())
+    if not detectable(peak, flatline):
+        return None
+    i_lo, i_hi = expand(flatline + 0.5 * (peak - flatline))
+    return i_lo, i_hi + 1, max(flatline, 0.0)
+
+
+def count_dataset_serial(dataset, bin_width=DEFAULT_BIN_WIDTH, window=None):
+    """``count_dataset`` as one loop in this process, in schedule order."""
+    if window is None:
+        window = _dataset_window(dataset)
+    out = {}
+    for run, cfgs in RUN_CONFIGS.items():
+        n_iter = dataset.iterations[run]
+        for sub in range(len(cfgs)):
+            arr = np.zeros((n_iter, 2))
+            for it in range(n_iter):
+                h_s, p_s, m_s = dataset.streams(run, sub, it)
+                for col, det in enumerate((p_s, m_s)):
+                    try:
+                        arr[it, col] = count_sub_run(h_s, det, bin_width, window)
+                    except NoPeakError:
+                        arr[it, col] = 0.0
+            out[(run, sub)] = arr
+    return out
 
 
 def grid_search_bound(value_fn, project_fn, support, eta, step=0.01, chunk=50000):

@@ -1,8 +1,19 @@
 """Tests for the coincidence post-processing pipeline."""
 
+import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +50,7 @@ from macroreal.protocol import (
     evaluate,
     joint_tables,
 )
-from macroreal.simulate import SourceConfig, run_protocol
+from macroreal.simulate import SourceConfig, load_dataset, run_protocol
 
 QUIET = dict(dark_rate_h=0.0, dark_rate_p=0.0, dark_rate_m=0.0, jitter_sigma=0.0)
 
@@ -216,6 +227,32 @@ def test_select_window_flatline_estimate():
     assert abs(w.flatline_mean - 8.0) < 4.0 * math.sqrt(8.0 / 900)
 
 
+def test_select_window_matches_the_median_reference_bit_for_bit():
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(3, 400))  # odd and even sizes for both medians
+        counts = rng.poisson(rng.uniform(0.0, 50.0), n)
+        bins = np.arange(n)
+        for _ in range(int(rng.integers(0, 4))):
+            center, sigma = rng.integers(0, n), rng.uniform(0.5, 20.0)
+            shape = np.exp(-0.5 * ((bins - center) / sigma) ** 2)
+            counts += rng.poisson(rng.uniform(0.0, 500.0) * shape)
+        h = CoincidenceHistogram(100, -50_000, counts)
+        expected = oracles.reference_select_window(counts)
+        try:
+            w = select_window(h)
+        except NoPeakError:
+            assert expected is None
+            outcomes.add("no peak")
+            continue
+        i_lo, i_hi, flatline = expected
+        assert (w.start, w.end) == (h.bin_start(i_lo), h.bin_start(i_hi))
+        assert np.float64(w.flatline_mean).tobytes() == np.float64(flatline).tobytes()
+        outcomes.add("window")
+    assert outcomes == {"no peak", "window"}
+
+
 def test_corrected_zero_background_all_inside():
     a = np.arange(0, 100_000_000, 100_000, dtype=np.int64)
     b = a + 5000
@@ -378,6 +415,177 @@ def test_count_dataset_shapes_and_probability_closure():
     for table in tables.values():
         assert table.total() == pytest.approx(1.0, abs=1e-9)
         assert all(0.0 <= p <= 1.0 for p in table.entries.values())
+
+
+# count_dataset counts in a pool of forked workers where it can; these tests
+# pin it to the one-process loop of the oracle, bit for bit.
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Count through a pool of two workers, however many CPUs the host has.
+
+    Returns the list of the worker counts of the pools started, so that a
+    test can tell a pooled count from a serial one.
+    """
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+    started = []
+
+    class RecordedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    return started
+
+
+def assert_same_counts(got, expected):
+    assert list(got) == list(expected)
+    for key, arr in expected.items():
+        assert got[key].dtype == arr.dtype and got[key].shape == arr.shape, key
+        assert got[key].tobytes() == arr.tobytes(), key
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "dataset",
+    [
+        run_protocol(
+            SourceConfig(pair_rate=2e4, seed=5, jitter_sigma=400.0),
+            NOMINAL_PARAMS,
+            iterations={"interference": 3, "non_interference": 2},
+            v_jitter=(0.7, 0.85),
+        ),
+        small_quiet_dataset(pair_rate=1e3),  # some sub-runs show no peak
+    ],
+    ids=["v_jitter", "no-peak sub-runs"],
+)
+def test_pooled_count_dataset_equals_the_serial_oracle(dataset, tmp_path, two_workers):
+    expected = oracles.count_dataset_serial(dataset)
+    assert_same_counts(count_dataset(dataset), expected)
+    assert multiprocessing.active_children() == []
+    dataset.to_directory(tmp_path / "ds")
+    assert_same_counts(count_dataset(load_dataset(tmp_path / "ds")), expected)
+    assert multiprocessing.active_children() == []
+    assert two_workers == [2, 2]
+
+
+def test_the_no_peak_case_has_zero_and_nonzero_counts():
+    counts = oracles.count_dataset_serial(small_quiet_dataset(pair_rate=1e3))
+    values = np.concatenate([arr.ravel() for arr in counts.values()])
+    assert (values == 0.0).any() and (values > 0.0).any()
+
+
+def damaged_dataset_dir(root):
+    """A dataset directory with one archive truncated early in the schedule
+    and one late; counting it must fail on the early one."""
+    small_quiet_dataset().to_directory(root)
+    for rel in ("run1_sub0/iter0001.npz", "run4_sub0/iter0002.npz"):
+        path = root / rel
+        path.write_bytes(path.read_bytes()[:-100])
+    return root
+
+
+@needs_fork
+def test_pooled_count_dataset_raises_for_the_earliest_damaged_file(tmp_path, two_workers):
+    dataset = load_dataset(damaged_dataset_dir(tmp_path))
+    for _ in range(3):
+        with pytest.raises(ValueError, match=re.escape("run1_sub0/iter0001.npz")):
+            count_dataset(dataset)
+        assert multiprocessing.active_children() == []
+    assert two_workers == [2, 2, 2]
+
+
+@needs_fork
+def test_pooled_count_dataset_stopped_by_errors_never_hangs(tmp_path):
+    # Stress test: 40 counts, each stopped by an error while four workers
+    # (more than this host's cores, as a rule) are sending results.  A
+    # shutdown that kills busy workers can leave a queue lock held and wait
+    # on it forever, so the loop runs in a child interpreter under a timeout.
+    damaged_dataset_dir(tmp_path)
+    package_root = str(Path(analysis.__file__).resolve().parent.parent)
+    code = "\n".join([
+        "import multiprocessing, sys",
+        f"sys.path.insert(0, {package_root!r})",
+        "from macroreal import analysis, simulate",
+        "analysis._usable_cpus = lambda: 4",
+        f"dataset = simulate.load_dataset({str(tmp_path)!r})",
+        "for _ in range(40):",
+        "    try:",
+        "        analysis.count_dataset(dataset)",
+        "    except ValueError as exc:",
+        "        assert 'run1_sub0/iter0001.npz' in str(exc), exc",
+        "    else:",
+        "        raise AssertionError('no error raised')",
+        "    assert not multiprocessing.active_children()",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=240
+    )
+    assert result.returncode == 0, result.stderr
+
+
+@needs_fork
+def test_a_worker_that_dies_raises_rather_than_hangs(monkeypatch, two_workers):
+    parent = os.getpid()
+    counted = analysis._count_iteration
+
+    def killed_in_a_worker(dataset, bin_width, window, key):
+        if key == (2, 1, 1) and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return counted(dataset, bin_width, window, key)
+
+    monkeypatch.setattr(analysis, "_count_iteration", killed_in_a_worker)
+    with pytest.raises(BrokenProcessPool):
+        count_dataset(small_quiet_dataset())
+    assert multiprocessing.active_children() == []
+
+
+def _count_in_child(dataset, queue):
+    try:
+        queue.put(count_dataset(dataset))
+    except BaseException as exc:  # reported to the test, which fails on it
+        queue.put(repr(exc))
+
+
+@needs_fork
+def test_count_dataset_inside_a_daemonic_process_counts_serially(two_workers):
+    # A daemonic process (a worker of the caller's own pool) may not have
+    # children, so forking a pool there would raise.
+    dataset = small_quiet_dataset()
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_count_in_child, args=(dataset, queue), daemon=True)
+    child.start()
+    got = queue.get(timeout=300)
+    child.join(timeout=60)
+    assert not child.is_alive()
+    assert not isinstance(got, str), got
+    assert_same_counts(got, oracles.count_dataset_serial(dataset))
+
+
+@pytest.mark.parametrize("limit", ["one usable CPU", "no fork start method", "another thread"])
+def test_count_dataset_counts_serially_where_it_cannot_fork(limit, monkeypatch, two_workers):
+    if limit == "one usable CPU":
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
+    elif limit == "no fork start method":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    if limit == "another thread":
+        waiter.start()
+    try:
+        dataset = small_quiet_dataset()
+        assert_same_counts(count_dataset(dataset), oracles.count_dataset_serial(dataset))
+    finally:
+        release.set()
+        if waiter.is_alive():
+            waiter.join(timeout=60)
+    assert two_workers == []
 
 
 def test_joint_probs_representative_fixture_matches_printed_tables():

@@ -529,6 +529,18 @@ def test_cli_subprocess_smoke(tmp_path):
     assert "Wrote" in result.stdout
 
 
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # Every CLI start pays this import; only counting a dataset needs a pool.
+    package_root = str(Path(macroreal.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {package_root!r}); import macroreal.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # pinned outputs
 
