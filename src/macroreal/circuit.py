@@ -516,25 +516,26 @@ def qm_range(params: SetupParams, tol: Tolerances) -> Dict[str, Tuple[float, flo
     return {name: (float(lo), float(hi)) for name, (lo, hi) in bounds.items()}
 
 
-def generic_lgi(theta2: float, t2: float, t3: float) -> float:
+def generic_lgi(theta2, t2, t3):
     """Leggett-Garg combination of the generic lossless one-arm circuit.
 
-    Equals ``1 - 4 R2 R3 + 4 cos(theta2) sqrt(T2 T3 R2 R3)``.
+    Equals ``1 - 4 R2 R3 + 4 cos(theta2) sqrt(T2 T3 R2 R3)``; broadcasts
+    over arrays.
     """
     r2, r3 = 1.0 - t2, 1.0 - t3
-    return 1.0 - 4.0 * r2 * r3 + 4.0 * math.cos(theta2) * math.sqrt(t2 * t3 * r2 * r3)
+    return 1.0 - 4.0 * r2 * r3 + 4.0 * np.cos(theta2) * np.sqrt(t2 * t3 * r2 * r3)
 
 
-def generic_wlgi(theta1: float, theta2: float, t1: float, t2: float, t3: float) -> float:
+def generic_wlgi(theta1, theta2, t1, t2, t3):
     """Probability-form combination of the generic lossless circuit.
 
     Equals ``2 cos(theta2) R1 sqrt(T2 T3 R2 R3)
-    - 2 cos(theta1) R3 sqrt(T1 T2 R1 R2) - R2 R3``.
+    - 2 cos(theta1) R3 sqrt(T1 T2 R1 R2) - R2 R3``; broadcasts over arrays.
     """
     r1, r2, r3 = 1.0 - t1, 1.0 - t2, 1.0 - t3
     return (
-        2.0 * math.cos(theta2) * r1 * math.sqrt(t2 * t3 * r2 * r3)
-        - 2.0 * math.cos(theta1) * r3 * math.sqrt(t1 * t2 * r1 * r2)
+        2.0 * np.cos(theta2) * r1 * np.sqrt(t2 * t3 * r2 * r3)
+        - 2.0 * np.cos(theta1) * r3 * np.sqrt(t1 * t2 * r1 * r2)
         - r2 * r3
     )
 
@@ -544,11 +545,16 @@ _MAXIMA_GRID_POINTS = 13
 _MAXIMA_POLISH_STARTS = 12
 
 
-def _polish_maximum(fun, x0, bounds):
-    res = optimize.minimize(
-        lambda x: -fun(*x), x0, method="L-BFGS-B", bounds=bounds
-    )
-    return -res.fun, res.x
+def _grid_maximum(fun, axes, bounds):
+    """Best bounded L-BFGS-B polish of ``fun`` from its best grid cells."""
+    grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    best, arg = -math.inf, None
+    for idx in np.argsort(fun(*grid))[::-1][:_MAXIMA_POLISH_STARTS]:
+        x0 = [g[idx] for g in grid]
+        res = optimize.minimize(lambda x: -fun(*x), x0, method="L-BFGS-B", bounds=bounds)
+        if -res.fun > best:
+            best, arg = -res.fun, res.x
+    return best, arg
 
 
 def ideal_maxima() -> Dict[str, object]:
@@ -567,44 +573,13 @@ def ideal_maxima() -> Dict[str, object]:
     thetas = np.linspace(0.0, 2.0 * math.pi, _MAXIMA_GRID_POINTS)
     # Keep transmissions off the hard 0/1 edges where the gradient vanishes.
     ts = np.linspace(0.01, 0.99, _MAXIMA_GRID_POINTS)
-
-    th2, t2, t3 = np.meshgrid(thetas, ts, ts, indexing="ij")
-    r2, r3 = 1.0 - t2, 1.0 - t3
-    lgi_vals = 1.0 - 4.0 * r2 * r3 + 4.0 * np.cos(th2) * np.sqrt(t2 * t3 * r2 * r3)
-    flat = np.argsort(lgi_vals.ravel())[::-1][:_MAXIMA_POLISH_STARTS]
-    lgi_best, lgi_arg = -math.inf, None
-    for idx in flat:
-        x0 = (th2.ravel()[idx], t2.ravel()[idx], t3.ravel()[idx])
-        val, x = _polish_maximum(
-            generic_lgi, x0, [(0.0, 2.0 * math.pi), (0.0, 1.0), (0.0, 1.0)]
-        )
-        if val > lgi_best:
-            lgi_best, lgi_arg = val, x
-
-    th1, th2, t1, t2, t3 = np.meshgrid(thetas, thetas, ts, ts, ts, indexing="ij")
-    r1, r2, r3 = 1.0 - t1, 1.0 - t2, 1.0 - t3
-    wlgi_vals = (
-        2.0 * np.cos(th2) * r1 * np.sqrt(t2 * t3 * r2 * r3)
-        - 2.0 * np.cos(th1) * r3 * np.sqrt(t1 * t2 * r1 * r2)
-        - r2 * r3
+    angle, transmission = (0.0, 2.0 * math.pi), (0.0, 1.0)
+    lgi_best, lgi_arg = _grid_maximum(
+        generic_lgi, [thetas, ts, ts], [angle] + [transmission] * 2
     )
-    flat = np.argsort(wlgi_vals.ravel())[::-1][:_MAXIMA_POLISH_STARTS]
-    wlgi_best, wlgi_arg = -math.inf, None
-    for idx in flat:
-        x0 = (
-            th1.ravel()[idx],
-            th2.ravel()[idx],
-            t1.ravel()[idx],
-            t2.ravel()[idx],
-            t3.ravel()[idx],
-        )
-        val, x = _polish_maximum(
-            generic_wlgi,
-            x0,
-            [(0.0, 2.0 * math.pi)] * 2 + [(0.0, 1.0)] * 3,
-        )
-        if val > wlgi_best:
-            wlgi_best, wlgi_arg = val, x
+    wlgi_best, wlgi_arg = _grid_maximum(
+        generic_wlgi, [thetas, thetas, ts, ts, ts], [angle] * 2 + [transmission] * 3
+    )
 
     return {
         "lgi_max": float(lgi_best),

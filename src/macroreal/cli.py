@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from importlib import metadata
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -195,8 +195,18 @@ def _source_from_config(config: Dict[str, dict], seed: Optional[int]):
     return source, iterations, v_jitter
 
 
+def _config_int(field: str, value, minimum: Optional[int] = None) -> int:
+    """``value`` of config field ``field``; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        minimum is not None and value < minimum
+    ):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"config: {field}: {value!r} must be an integer{at_least}")
+    return value
+
+
 def _seed_or(args: argparse.Namespace, fallback: int) -> int:
-    seed = int(fallback) if args.seed is None else args.seed
+    seed = fallback if args.seed is None else args.seed
     if seed < 0:
         raise ConfigError(f"seed: {seed} must be >= 0")
     return seed
@@ -221,14 +231,6 @@ def _canonical(value):
     return value
 
 
-def _write_json(path: Path, payload) -> Path:
-    path.write_text(
-        json.dumps(_canonical(payload), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return path
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -241,13 +243,21 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-    return path
+def _write_output(path: Path, content) -> None:
+    """Write a JSON dict, a ``(header, rows)`` CSV table or a text string."""
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    elif isinstance(content, tuple):
+        header, rows = content
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_cell(v) for v in row] for row in rows)
+    else:
+        path.write_text(
+            json.dumps(_canonical(content), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
 
 
 def _read_json(path, label: str) -> dict:
@@ -263,12 +273,6 @@ def _read_json(path, label: str) -> dict:
     return payload
 
 
-def _ensure_outdir(out: Optional[str]) -> Path:
-    outdir = Path(out if out is not None else ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
 def _versions() -> Dict[str, str]:
     versions = {"macroreal": __version__}
     for name in ("numpy", "scipy"):
@@ -279,28 +283,23 @@ def _versions() -> Dict[str, str]:
     return versions
 
 
-def _write_run_manifest(
-    outdir: Path,
-    command: str,
-    config: Dict[str, dict],
-    seed: Optional[int],
-    outputs: Sequence[Path],
-    started: float,
-) -> Path:
-    """Emit ``run_manifest.json`` last, listing every file the command wrote.
+@dataclass
+class _Outputs:
+    """What a verb produced; :func:`main` writes it under ``--out``.
 
-    The manifest records the wall-clock duration, so it is the one output
-    excluded from the byte-identical rerun guarantee.
+    ``files`` maps a file name to its content, in the order written: a dict
+    (canonical JSON), a ``(header, rows)`` pair (CSV) or a string (text).
+    ``written`` names, relative to ``--out``, the files the verb wrote
+    itself; they are only listed in the run manifest.  ``lines`` are printed
+    before the ``Wrote`` lines.  A ``failure`` (numerical non-convergence) is
+    printed to stderr once everything is written, and the run exits 3.
     """
-    manifest = {
-        "command": command,
-        "config": config,
-        "master_seed": seed,
-        "versions": _versions(),
-        "outputs": sorted(p.relative_to(outdir).as_posix() for p in outputs),
-        "duration_seconds": time.time() - started,
-    }
-    return _write_json(outdir / "run_manifest.json", manifest)
+
+    files: Dict[str, object]
+    seed: Optional[int] = None
+    lines: Sequence[str] = ()
+    written: Sequence[str] = ()
+    failure: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +341,15 @@ def _prediction_payload(config: Dict[str, dict]) -> dict:
     }
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    """Write ``prediction.json`` with point values and swept ranges."""
-    started = time.time()
-    config = load_config(args.config)
+def cmd_predict(args: argparse.Namespace, config: Dict[str, dict]) -> _Outputs:
+    """``prediction.json`` with point values and swept ranges."""
     payload = _prediction_payload(config)
-    outdir = _ensure_outdir(args.out)
-    path = _write_json(outdir / "prediction.json", payload)
     point, spans = payload["point"], payload["range"]
-    for name in ("lgi", "wlgi", "nsit23"):
-        lo, hi = spans[name]
-        print(f"{name} {point[name]:.4f}  range [{lo:.4f}, {hi:.4f}]")
-    print(f"Wrote {path}")
-    _write_run_manifest(outdir, "predict", config, None, [path], started)
-    return _EXIT_OK
+    lines = [
+        f"{name} {point[name]:.4f}  range [{spans[name][0]:.4f}, {spans[name][1]:.4f}]"
+        for name in ("lgi", "wlgi", "nsit23")
+    ]
+    return _Outputs({"prediction.json": payload}, lines=lines)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +361,9 @@ def _witness_support(weights) -> List[List[float]]:
     return [[int(i), float(weights.values[i])] for i in idx]
 
 
-def cmd_hv_bound(args: argparse.Namespace) -> int:
+def cmd_hv_bound(args: argparse.Namespace, config: Dict[str, dict]) -> _Outputs:
     """Certify detector-efficiency bounds over an efficiency grid."""
-    started = time.time()
-    config = load_config(args.config)
     seed = _seed_or(args, 0)
-    if args.starts < 0:
-        raise ConfigError(f"starts: {args.starts} must be >= 0")
     if args.eta:
         try:
             etas = [float(tok) for tok in args.eta.split(",") if tok.strip()]
@@ -383,13 +373,10 @@ def cmd_hv_bound(args: argparse.Namespace) -> int:
         etas = [round(float(x), 6) for x in np.linspace(0.05, 1.0, 20)]
     if not etas:
         raise ConfigError("eta: empty efficiency list")
-    for eta in etas:
-        if not 0.0 < eta <= 1.0:
-            raise ConfigError(f"eta: {eta} outside (0, 1]")
     names = ("LGI", "WLGI") if args.inequality == "both" else (args.inequality,)
-    outdir = _ensure_outdir(args.out)
 
-    # Every (eta, inequality) certificate's search runs in one batch.
+    # Every (eta, inequality) certificate's search runs in one batch; it
+    # rejects an eta outside (0, 1] and a negative --starts.
     found = iter(detector_certificates(etas, names, n_starts=args.starts, seed=seed))
     rows = []
     certificates = []
@@ -418,40 +405,31 @@ def cmd_hv_bound(args: argparse.Namespace) -> int:
         "lgi": critical_efficiency("LGI"),
         "wlgi": critical_efficiency("WLGI"),
     }
-    csv_path = _write_csv(
-        outdir / "bound_vs_eta.csv",
-        [
-            "eta",
-            "lgi_detectors_bound",
-            "wlgi_detectors_bound",
-            "lgi_blocker_bound",
-            "wlgi_blocker_bound",
-        ],
-        rows,
+    header = [
+        "eta",
+        "lgi_detectors_bound",
+        "wlgi_detectors_bound",
+        "lgi_blocker_bound",
+        "wlgi_blocker_bound",
+    ]
+    return _Outputs(
+        {
+            "bound_vs_eta.csv": (header, rows),
+            "hv_bounds.json": {"critical_efficiency": critical, "certificates": certificates},
+        },
+        seed=seed,
+        lines=[f"critical efficiency  lgi {critical['lgi']:.4f}  wlgi {critical['wlgi']:.4f}"],
     )
-    json_path = _write_json(
-        outdir / "hv_bounds.json",
-        {"critical_efficiency": critical, "certificates": certificates},
-    )
-    print(f"critical efficiency  lgi {critical['lgi']:.4f}  wlgi {critical['wlgi']:.4f}")
-    print(f"Wrote {csv_path}")
-    print(f"Wrote {json_path}")
-    _write_run_manifest(outdir, "hv-bound", config, seed, [csv_path, json_path], started)
-    return _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # gamma-fit
 
 
-def cmd_gamma_fit(args: argparse.Namespace) -> int:
+def cmd_gamma_fit(args: argparse.Namespace, config: Dict[str, dict]) -> _Outputs:
     """Fit the multiphoton emission parameter to a twelve-count table."""
-    started = time.time()
-    config = load_config(args.config)
-    seed = _seed_or(args, config["fit"]["seed"])
-    n_starts = config["fit"]["n_starts"]
-    if isinstance(n_starts, bool) or not isinstance(n_starts, int) or n_starts < 0:
-        raise ConfigError(f"config: fit.n_starts: {n_starts!r} must be an integer >= 0")
+    seed = _seed_or(args, _config_int("fit.seed", config["fit"]["seed"], 0))
+    n_starts = _config_int("fit.n_starts", config["fit"]["n_starts"], 0)
     if args.counts is None:
         observed = reference_counts()
         counts_label = "bundled"
@@ -461,32 +439,27 @@ def cmd_gamma_fit(args: argparse.Namespace) -> int:
         except (KeyError, ValueError, OSError) as exc:
             raise ConfigError(f"counts: {exc}") from exc
         counts_label = str(args.counts)
-    outdir = _ensure_outdir(args.out)
 
     result = fit_gamma(observed, n_starts=n_starts, seed=seed)
     payload = fit_report(result)
     payload["counts"] = counts_label
-    path = _write_json(outdir / "gamma_fit.json", payload)
-    print(
-        f"gamma {result.params.gamma:.6g}  chi2 {result.chi2:.6g}"
-        f"  converged {result.converged}"
+    return _Outputs(
+        {"gamma_fit.json": payload},
+        seed=seed,
+        lines=[
+            f"gamma {result.params.gamma:.6g}  chi2 {result.chi2:.6g}"
+            f"  converged {result.converged}"
+        ],
+        failure=None if result.converged else "fit did not converge",
     )
-    print(f"Wrote {path}")
-    _write_run_manifest(outdir, "gamma-fit", config, seed, [path], started)
-    if not result.converged:
-        print("error: fit did not converge", file=sys.stderr)
-        return _EXIT_NUMERIC
-    return _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace, config: Dict[str, dict]) -> _Outputs:
     """Generate a full-protocol timestamped dataset on disk."""
-    started = time.time()
-    config = load_config(args.config)
     if args.out is None:
         raise ConfigError("simulate: --out is required")
     source, iterations, v_jitter = _source_from_config(config, args.seed)
@@ -500,21 +473,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         manifest_path = dataset.to_directory(args.out, force=args.force)
     except FileExistsError as exc:
         raise ConfigError(str(exc)) from exc
-    outdir = Path(args.out)
     # Only what this run wrote: --force leaves older files in place.
     files = json.loads(manifest_path.read_text(encoding="utf-8"))["files"]
-    outputs = [manifest_path] + [outdir / entry["path"] for entry in files]
     n_iters = sum(dataset.iterations[run] for run in RUN_CONFIGS)
-    print(f"Wrote {len(RUN_CONFIGS)}-run dataset ({n_iters} iterations) to {outdir}")
-    _write_run_manifest(outdir, "simulate", config, source.seed, outputs, started)
-    return _EXIT_OK
+    return _Outputs(
+        {},
+        seed=source.seed,
+        lines=[f"Wrote {len(RUN_CONFIGS)}-run dataset ({n_iters} iterations) to {Path(args.out)}"],
+        written=[manifest_path.name] + [entry["path"] for entry in files],
+    )
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
 
-def _write_per_iteration(path: Path, traces: Dict[str, np.ndarray]) -> Path:
+def _per_iteration_table(traces: Dict[str, np.ndarray]) -> Tuple[List[str], List[list]]:
     keys = ["c23", "c13", "c12", "p3", "lgi", "wlgi"]
     length = max(len(traces[k]) for k in keys)
     rows = []
@@ -522,7 +496,7 @@ def _write_per_iteration(path: Path, traces: Dict[str, np.ndarray]) -> Path:
         rows.append(
             [i] + [traces[k][i] if i < len(traces[k]) else None for k in keys]
         )
-    return _write_csv(path, ["iteration"] + keys, rows)
+    return ["iteration"] + keys, rows
 
 
 def _sdm_rows(counts, seed: int) -> List[List[float]]:
@@ -540,24 +514,22 @@ def _sdm_rows(counts, seed: int) -> List[List[float]]:
     return rows
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace, config: Dict[str, dict]) -> _Outputs:
     """Analyze a dataset directory or a per-run counts CSV."""
-    started = time.time()
-    config = load_config(args.config)
     section = config["analysis"]
-    seed = _seed_or(args, section["seed"])
-    n_samples = section["n_samples"]
-    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 2:
-        raise ConfigError(f"config: analysis.n_samples: {n_samples!r} must be an integer >= 2")
-    bin_width = int(section["bin_width"])
+    seed = _seed_or(args, _config_int("analysis.seed", section["seed"], 0))
+    n_samples = _config_int("analysis.n_samples", section["n_samples"], 2)
+    bin_width = _config_int("analysis.bin_width", section["bin_width"], 1)
     window = section["window"]
     if window is not None:
-        window = (int(window[0]), int(window[1]))
+        if not isinstance(window, list) or len(window) != 2:
+            raise ConfigError(f"config: analysis.window: {window!r} must be null or [lo, hi]")
+        window = tuple(_config_int("analysis.window", edge) for edge in window)
     target = Path(args.input)
     if not target.exists():
         raise ConfigError(f"input: {target} does not exist")
 
-    per_iteration = sdm = None
+    files: Dict[str, object] = {}
     if target.is_dir():
         try:
             dataset = load_dataset(target)
@@ -573,7 +545,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             per_iteration = per_iteration_values(counts)
         except (FileNotFoundError, KeyError, ValueError) as exc:
             raise ConfigError(f"input: {exc}") from exc
+        files["per_iteration.csv"] = _per_iteration_table(per_iteration)
         sdm = _sdm_rows(counts, seed)
+        if sdm:
+            header = ["iterations", "resamples", "mean", "sd", "sd_over_mean"]
+            files["sdm_vs_iterations.csv"] = (header, sdm)
     else:
         try:
             counts = load_run_counts_csv(target)
@@ -581,28 +557,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise ConfigError(f"input: {exc}") from exc
         report = analyze_counts(counts)
 
-    outdir = _ensure_outdir(args.out)
-    outputs = [_write_json(outdir / "results.json", report.to_dict())]
-    if per_iteration is not None:
-        outputs.append(_write_per_iteration(outdir / "per_iteration.csv", per_iteration))
-    if sdm:
-        outputs.append(
-            _write_csv(
-                outdir / "sdm_vs_iterations.csv",
-                ["iterations", "resamples", "mean", "sd", "sd_over_mean"],
-                sdm,
-            )
-        )
-
     lgi_mean, lgi_delta = report.lgi
     wlgi_mean, wlgi_delta = report.wlgi
     lgi_err = "" if lgi_delta is None else f" ± {lgi_delta:.4f}"
     wlgi_err = "" if wlgi_delta is None else f" ± {wlgi_delta:.4f}"
-    print(f"lgi {lgi_mean:.4f}{lgi_err}  wlgi {wlgi_mean:.4f}{wlgi_err}")
-    for path in outputs:
-        print(f"Wrote {path}")
-    _write_run_manifest(outdir, "analyze", config, seed, outputs, started)
-    return _EXIT_OK
+    return _Outputs(
+        {"results.json": report.to_dict(), **files},
+        seed=seed,
+        lines=[f"lgi {lgi_mean:.4f}{lgi_err}  wlgi {wlgi_mean:.4f}{wlgi_err}"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +626,8 @@ def _comparison(prediction: dict, analysis: dict) -> Tuple[List[list], List[str]
     return rows, lines
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace, config: Dict[str, dict]) -> _Outputs:
     """Tabulate measured results against predictions and macrorealist bounds."""
-    started = time.time()
-    config = load_config(args.config)
     if args.analysis is not None:
         analysis_payload = _read_json(args.analysis, "analysis")
     else:
@@ -677,29 +638,21 @@ def cmd_report(args: argparse.Namespace) -> int:
         prediction = _prediction_payload(config)
 
     rows, lines = _comparison(prediction, analysis_payload)
-    outdir = _ensure_outdir(args.out)
-    csv_path = _write_csv(
-        outdir / "report.csv",
-        [
-            "expression",
-            "measured_mean",
-            "measured_delta",
-            "bound",
-            "margin",
-            "margin_over_delta",
-            "qm_low",
-            "qm_high",
-            "inside_qm_range",
-        ],
-        rows,
+    header = [
+        "expression",
+        "measured_mean",
+        "measured_delta",
+        "bound",
+        "margin",
+        "margin_over_delta",
+        "qm_low",
+        "qm_high",
+        "inside_qm_range",
+    ]
+    return _Outputs(
+        {"report.csv": (header, rows), "report.txt": "\n".join(lines) + "\n"},
+        lines=lines,
     )
-    txt_path = outdir / "report.txt"
-    txt_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
-    print(f"Wrote {csv_path}")
-    print(f"Wrote {txt_path}")
-    _write_run_manifest(outdir, "report", config, None, [csv_path, txt_path], started)
-    return _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -806,16 +759,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    The verb only computes its outputs, so a rejected input exits 2 before
+    ``--out`` is created.  Then its files are written, with one ``Wrote``
+    line each, and ``run_manifest.json`` last, listing every file the run
+    wrote.  The manifest records the wall-clock duration, so it is the one
+    output excluded from the byte-identical rerun guarantee.
+    """
     args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        config = load_config(args.config)
+        result = args.func(args, config)
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
+
+    outdir = Path(args.out if args.out is not None else ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for line in result.lines:
+        print(line)
+    for name, content in result.files.items():
+        _write_output(outdir / name, content)
+        print(f"Wrote {outdir / name}")
+    manifest = {
+        "command": args.command,
+        "config": config,
+        "master_seed": result.seed,
+        "versions": _versions(),
+        "outputs": sorted([*result.written, *result.files]),
+        "duration_seconds": time.time() - started,
+    }
+    _write_output(outdir / "run_manifest.json", manifest)
+    if result.failure is not None:
+        print(f"error: {result.failure}", file=sys.stderr)
+        return _EXIT_NUMERIC
+    return _EXIT_OK
 
 
 if __name__ == "__main__":

@@ -97,10 +97,6 @@ class HVWeights:
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def zeros(cls) -> "HVWeights":
-        return cls(np.zeros(56))
-
-    @classmethod
     def from_assignments(
         cls, assignments: Mapping[Tuple[str, Tuple[int, int, int]], float]
     ) -> "HVWeights":

@@ -202,13 +202,6 @@ class CountVector12:
     def c12(self, set_label: str) -> float:
         return float(self._row(set_label)[2])
 
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Nested {set_label: {"C1": .., "C2": .., "C12": ..}} mapping."""
-        return {
-            label: {"C1": row[0], "C2": row[1], "C12": row[2]}
-            for label, row in zip(SET_LABELS, self.values.tolist())
-        }
-
 
 class ModifiedBounds(NamedTuple):
     """Macrorealist bounds relaxed by a two-photon fraction."""

@@ -139,8 +139,12 @@ class SourceConfig:
         for name in ("jitter_sigma", "base_delay", "arm_delay_tau"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, (int, np.integer))
+            or self.seed < 0
+        ):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.duration_ps >= _MAX_PS:
             raise ValueError(
                 f"duration must be shorter than 2**62 ps ({_MAX_PS / _PS_PER_SECOND:.4g} s), "

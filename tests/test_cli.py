@@ -203,6 +203,19 @@ def test_gamma_fit_bundled_counts(tmp_path):
     assert payload["wlgi_bound"] > 0.0
 
 
+def test_gamma_fit_that_does_not_converge_exits_3_after_writing(tmp_path, capsys, monkeypatch):
+    fitted = cli.fit_gamma
+    monkeypatch.setattr(
+        cli, "fit_gamma", lambda *args, **kwargs: fitted(*args, **kwargs)._replace(converged=False)
+    )
+    cfg = write_config(tmp_path, fit={"n_starts": 1})
+    out = tmp_path / "out"
+    assert main(["gamma-fit", "--config", cfg, "--out", str(out)]) == 3
+    assert read_json(out / "gamma_fit.json")["converged"] is False
+    assert read_json(out / "run_manifest.json")["outputs"] == ["gamma_fit.json"]
+    assert "error: fit did not converge" in capsys.readouterr().err
+
+
 def test_gamma_fit_missing_column_exits_2(tmp_path):
     bad = tmp_path / "counts.csv"
     bad.write_text("set_label,C1,C2\nA,1,2\n", encoding="utf-8")
@@ -226,6 +239,8 @@ def test_gamma_fit_missing_column_exits_2(tmp_path):
         (["gamma-fit", "--config", "{tmp}/text.json"], "fit.n_starts"),
         (["gamma-fit", "--counts", "{tmp}/counts.csv"], "counts"),
         (["gamma-fit", "--config", "{tmp}/seed.json"], "seed"),
+        (["gamma-fit", "--config", "{tmp}/seed-float.json"], "fit.seed"),
+        (["gamma-fit", "--config", "{tmp}/seed-bool.json"], "fit.seed"),
         (["simulate", "--config", "{tmp}/iterations-float.json"], "source.iterations"),
         (["simulate", "--config", "{tmp}/iterations-string.json"], "source.iterations"),
         (["simulate", "--config", "{tmp}/iterations-bool.json"], "source.iterations"),
@@ -233,8 +248,16 @@ def test_gamma_fit_missing_column_exits_2(tmp_path):
         (["simulate", "--config", "{tmp}/duration-inf.json"], "duration must be finite"),
         (["simulate", "--config", "{tmp}/duration-1e8.json"], "source: duration must be shorter"),
         (["simulate", "--config", "{tmp}/base_delay-1e19.json"], "source: base_delay + arm"),
+        (["simulate", "--config", "{tmp}/source-seed-bool.json"], "source: seed must be"),
+        (["simulate", "--config", "{tmp}/source-seed-float.json"], "source: seed must be"),
         (["analyze", "{tmp}/missing"], "input"),
         (["analyze", "{tmp}/empty"], "input"),
+        (["analyze", "{counts}", "--config", "{tmp}/bin_width-float.json"], "analysis.bin_width"),
+        (["analyze", "{counts}", "--config", "{tmp}/bin_width-bool.json"], "analysis.bin_width"),
+        (["analyze", "{counts}", "--config", "{tmp}/seed-float-analysis.json"], "analysis.seed"),
+        (["analyze", "{counts}", "--config", "{tmp}/seed-string-analysis.json"], "analysis.seed"),
+        (["analyze", "{counts}", "--config", "{tmp}/window-float.json"], "analysis.window"),
+        (["analyze", "{counts}", "--config", "{tmp}/window-three.json"], "analysis.window"),
         (["report", "--analysis", "{tmp}/missing.json"], "analysis"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
@@ -246,9 +269,21 @@ def test_rejected_invocation_leaves_no_output_directory(tmp_path, capsys, argv, 
         "fractional": {"n_starts": 2.5},
         "text": {"n_starts": "3"},
         "seed": {"seed": -1},
+        "seed-float": {"seed": 2.5},
+        "seed-bool": {"seed": True},
     }
     for name, fit in fits.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({"fit": fit}), encoding="utf-8")
+    analyses = {
+        "bin_width-float": {"bin_width": 100.7},
+        "bin_width-bool": {"bin_width": True},
+        "seed-float-analysis": {"seed": 2.5},
+        "seed-string-analysis": {"seed": "7"},
+        "window-float": {"window": [50000.9, 150000.9]},
+        "window-three": {"window": [50000, 150000, 250000]},
+    }
+    for name, analysis in analyses.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"analysis": analysis}), encoding="utf-8")
     for name, count in {"float": 2.5, "string": "2", "bool": True}.items():
         source = {**FAST_SOURCE, "iterations": {"interference": 2, "non_interference": count}}
         (tmp_path / f"iterations-{name}.json").write_text(
@@ -266,13 +301,16 @@ def test_rejected_invocation_leaves_no_output_directory(tmp_path, capsys, argv, 
         # Finite, but click times would leave int64.
         "duration-1e8": {"source": {**FAST_SOURCE, "pair_rate": 1e-6, "duration": 1e8}},
         "base_delay-1e19": {"source": {**FAST_SOURCE, "base_delay": 1e19}},
+        "source-seed-bool": {"source": {**FAST_SOURCE, "seed": True}},
+        "source-seed-float": {"source": {**FAST_SOURCE, "seed": 2.0}},
     }
     for name, config in non_finite.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
     (tmp_path / "counts.csv").write_text("set_label,C1,C2\nA,1,2\n", encoding="utf-8")
     (tmp_path / "empty").mkdir()
     out = tmp_path / "out"
-    args = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    counts = str(representative_counts_path())
+    args = [arg.replace("{tmp}", str(tmp_path)).replace("{counts}", counts) for arg in argv]
     assert main([*args, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -503,6 +541,47 @@ def test_report_missing_input_exits_2(tmp_path):
         ["report", "--analysis", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]
     )
     assert ret == 2
+
+
+# ---------------------------------------------------------------------------
+# outputs of every verb
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict"],
+        ["hv-bound", "--eta", "0.9", "--inequality", "LGI", "--starts", "0"],
+        ["gamma-fit"],
+        ["simulate"],
+        ["analyze", "{tmp}/ds"],
+        ["report"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_run_manifest_lists_exactly_the_files_written(tmp_path, capsys, argv):
+    cfg = write_config(
+        tmp_path,
+        source=FAST_SOURCE,
+        setup={"grid_points": 3},
+        analysis={"n_samples": 20000},
+        fit={"n_starts": 1},
+    )
+    if argv[0] == "analyze":
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ds")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main([*args, "--config", cfg, "--out", str(out)]) == 0
+    outputs = read_json(out / "run_manifest.json")["outputs"]
+    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert files == sorted([*outputs, "run_manifest.json"])
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("Wrote ")]
+    if argv[0] == "simulate":
+        # One summary line for the whole dataset.
+        assert wrote == [f"Wrote 4-run dataset (10 iterations) to {out}"]
+    else:
+        assert sorted(wrote) == sorted(f"Wrote {out / name}" for name in outputs)
 
 
 # ---------------------------------------------------------------------------
