@@ -2,14 +2,17 @@
 
 Turns per-iteration timestamp streams into the quantities the workbench
 reports: delay histograms between the herald and each signal detector,
-FWHM coincidence windows with flatline background subtraction, corrected
+coincidence windows with flatline background subtraction, corrected
 coincidence counts, joint outcome probability tables, the LGI/WLGI/NSIT
 values, worst-case error bounds assembled from cross-combination
 distributions, and bootstrap resampling diagnostics.
 
 :func:`histogram` is the only place that pairs timestamps.  Every later
 step reads that histogram: a window's raw pair count is the sum of the
-histogram bins it covers.
+histogram bins it covers.  A dataset is counted with one window per
+detector, chosen once from that detector's histogram summed over every
+iteration of the dataset, so every sub-run is counted by the same rule
+whatever its own peak heights.
 """
 
 from __future__ import annotations
@@ -66,10 +69,9 @@ DEFAULT_WINDOW_RANGE = (-50_000, 50_000)
 
 # A peak must rise this many Poisson sigmas above the flatline to count.
 PEAK_THRESHOLD_SIGMAS = 5.0
-# Flatline bins are taken beyond this many window widths from the peak.
+# Flatline bins are taken beyond this many window widths from the peak; a
+# counting window reaches this many FWHMs beyond its outermost peaks.
 _FLATLINE_EXCLUSION_FACTOR = 3
-# count_sub_run sums at most this many windows per histogram.
-_MAX_PEAKS = 4
 
 # Detector column order used throughout: (+1 detector, -1 detector).
 _DETECTOR_COLUMNS = ("P", "M")
@@ -257,6 +259,18 @@ def _times(stream: Stream, label: str) -> np.ndarray:
     return times
 
 
+def _n_bins(bin_width: int, window: Tuple[int, int]) -> int:
+    """Bins of a :func:`histogram` over ``window``; raises ``ValueError`` as it documents."""
+    lo, hi = window
+    if bin_width <= 0:
+        raise ValueError("bin_width must be positive")
+    if hi <= lo or (hi - lo) % bin_width != 0:
+        raise ValueError("range must span a positive whole number of bins")
+    if (hi - lo) // bin_width < 3:
+        raise ValueError("range must cover at least 3 bins")
+    return (hi - lo) // bin_width
+
+
 def histogram(
     a: Stream,
     b: Stream,
@@ -293,14 +307,7 @@ def histogram(
     CoincidenceHistogram
     """
     lo, hi = int(window[0]), int(window[1])
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    if hi <= lo or (hi - lo) % bin_width != 0:
-        raise ValueError("range must span a positive whole number of bins")
-    n_bins = (hi - lo) // bin_width
-    if n_bins < 3:
-        raise ValueError("range must cover at least 3 bins")
-
+    n_bins = _n_bins(bin_width, (lo, hi))
     ta, tb = _times(a, "reference (a)"), _times(b, "test (b)")
     counts = np.zeros(n_bins, dtype=np.int64)
 
@@ -391,26 +398,13 @@ def _find_window(counts: np.ndarray) -> Tuple[int, int, float]:
 def select_window(h: CoincidenceHistogram) -> WindowSelection:
     """Select the FWHM coincidence window around the histogram peak.
 
-    Finds the maximum bin, takes the contiguous interval where counts stay
-    at or above the flatline-corrected half maximum, then refines the
-    flatline estimate from bins beyond three window widths of the interval
-    (excluding peak-like outliers among them, so a second delay peak does
-    not count as background) and re-expands once at the refined
-    half-maximum level.
-
-    Parameters
-    ----------
-    h : CoincidenceHistogram
-
-    Returns
-    -------
-    WindowSelection
-
-    Raises
-    ------
-    NoPeakError
-        If the maximum bin does not exceed the flatline by at least
-        5 * sqrt(flatline + 1) counts (blocked or noise-only input).
+    Takes the contiguous bins at or above the flatline-corrected half
+    maximum around the maximum bin, refines the flatline from the bins
+    beyond three window widths of them (dropping peak-like outliers, so a
+    second delay peak does not count as background) and re-expands once at
+    the refined half-maximum level.  Raises :class:`NoPeakError` if the
+    maximum bin does not exceed the flatline by at least 5 * sqrt(flatline
+    + 1) counts (blocked or noise-only input).
     """
     i_lo, i_hi, flatline = _find_window(h.counts)
     return WindowSelection(h.bin_start(i_lo), h.bin_start(i_hi), flatline, h.bin_width)
@@ -434,26 +428,11 @@ def _window_bins(h: CoincidenceHistogram, w: WindowSelection) -> Tuple[int, int]
 def corrected_coincidences(h: CoincidenceHistogram, w: WindowSelection) -> float:
     """Background-corrected pair count inside a coincidence window.
 
-    The raw count is the sum of the histogram bins in [start, end), i.e.
-    the number of pairs with difference in that interval.  Subtracts
-    ``flatline_mean`` times the window width in bins; negative results
-    clamp to zero with a warning.
-
-    Parameters
-    ----------
-    h : CoincidenceHistogram
-        Delay histogram the window is counted on.
-    w : WindowSelection
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    ValueError
-        If ``w`` has another ``bin_width`` than ``h``, is off ``h``'s bin
-        grid, or lies outside ``h``.
+    The raw count is the sum of ``h``'s bins in [w.start, w.end), i.e. the
+    pairs with a difference in that interval, less ``w.flatline_mean`` per
+    window bin; a negative result clamps to zero with a ``RuntimeWarning``.
+    Raises ``ValueError`` if ``w`` has another ``bin_width`` than ``h``, is
+    off ``h``'s bin grid, or lies outside ``h``.
     """
     i_lo, i_hi = _window_bins(h, w)
     raw = int(h.counts[i_lo:i_hi].sum())
@@ -469,56 +448,69 @@ def corrected_coincidences(h: CoincidenceHistogram, w: WindowSelection) -> float
     return float(value)
 
 
+def _fixed_window(counts: np.ndarray) -> Tuple[int, int, int, int]:
+    """Counting window bins [w_lo, w_hi) of a delay histogram; background outside [b_lo, b_hi).
+
+    The window holds the histogram's delay peaks, at most two (one per outer
+    arm), each found by :func:`_find_window`.  The first is set to the median
+    ``_FLATLINE_EXCLUSION_FACTOR`` FWHMs either side before the second
+    search, so its tail never passes for a peak.  The window runs from the
+    first peak's start to the last peak's end, each widened by that guard of
+    its own FWHMs; the background is every bin more than the wider guard
+    beyond the window.  Raises :class:`NoPeakError` if there is no peak, and
+    ``ValueError`` if the histogram's range leaves no background bin.
+    """
+    n = counts.size
+    i_lo, i_hi, _ = _find_window(counts)
+    guard = _FLATLINE_EXCLUSION_FACTOR * (i_hi - i_lo)
+    w_lo, w_hi = i_lo - guard, i_hi + guard
+    masked = counts.copy()
+    masked[max(w_lo, 0) : w_hi] = int(round(_median(counts)))
+    try:
+        j_lo, j_hi, _ = _find_window(masked)
+    except NoPeakError:
+        pass
+    else:
+        second = _FLATLINE_EXCLUSION_FACTOR * (j_hi - j_lo)
+        w_lo, w_hi = min(w_lo, j_lo - second), max(w_hi, j_hi + second)
+        guard = max(guard, second)
+    w_lo, w_hi = max(w_lo, 0), min(w_hi, n)
+    b_lo, b_hi = max(w_lo - guard, 0), min(w_hi + guard, n)
+    if b_lo == 0 and b_hi == n:
+        raise ValueError(
+            "the delay range leaves no background bin beyond the counting window; widen it"
+        )
+    return w_lo, w_hi, b_lo, b_hi
+
+
+def _background_per_bin(hists: np.ndarray, b_lo: int, b_hi: int) -> np.ndarray:
+    """Mean count per bin outside [b_lo, b_hi) of each row of ``hists``."""
+    n_bg = b_lo + hists.shape[1] - b_hi
+    return (hists[:, :b_lo].sum(axis=1) + hists[:, b_hi:].sum(axis=1)) / n_bg
+
+
 def count_sub_run(
     herald: Stream,
     detector: Stream,
     bin_width: int = DEFAULT_BIN_WIDTH,
     window: Tuple[int, int] = DEFAULT_WINDOW_RANGE,
 ) -> float:
-    """Total corrected coincidences between a herald and one detector.
+    """Corrected coincidences between a herald and one detector.
 
-    Interference sub-runs mix the two outer-arm path delays, so the delay
-    histogram can show up to two separated peaks; this finds up to four
-    windows by repeatedly selecting a peak and masking it to the flatline,
-    then sums the corrected counts of all windows, each counted on the
-    one histogram of the two streams.
-
-    Parameters
-    ----------
-    herald, detector : TimestampStream or sorted integer array
-    bin_width : int
-    window : tuple of int
-        Search range for the delay histogram.
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    NoPeakError
-        If no detectable peak exists at all.
+    Applies to the one histogram of ``bin_width`` bins over the search range
+    ``window`` the rule :func:`count_dataset` applies to each detector's
+    dataset-summed histogram: one window holds the delay peaks (up to two,
+    one per outer arm) with a guard of three FWHMs either side, and the mean
+    count per bin beyond a second guard is subtracted per window bin by
+    :func:`corrected_coincidences`.  Raises :class:`NoPeakError` if the
+    histogram has no detectable peak, and ``ValueError`` if ``window``
+    leaves no background bin beyond the counting window.
     """
     h = histogram(herald, detector, bin_width, window)
-    work = h.counts.copy()
-    fill = int(round(_median(work)))
-    found: List[Tuple[int, int, float]] = []
-    for _ in range(_MAX_PEAKS):
-        try:
-            i_lo, i_hi, flatline = _find_window(work)
-        except NoPeakError:
-            break
-        if any(i_lo < prev_hi and i_hi > prev_lo for prev_lo, prev_hi, _ in found):
-            break
-        found.append((i_lo, i_hi, flatline))
-        work[i_lo:i_hi] = fill
-    if not found:
-        raise NoPeakError("no coincidence peak above the flatline")
-    windows = [
-        WindowSelection(h.bin_start(lo), h.bin_start(hi), flatline, h.bin_width)
-        for lo, hi, flatline in found
-    ]
-    return float(sum(corrected_coincidences(h, w) for w in windows))
+    w_lo, w_hi, b_lo, b_hi = _fixed_window(h.counts)
+    flatline = float(_background_per_bin(h.counts[None], b_lo, b_hi)[0])
+    w = WindowSelection(h.bin_start(w_lo), h.bin_start(w_hi), flatline, h.bin_width)
+    return corrected_coincidences(h, w)
 
 
 def _dataset_window(dataset) -> Tuple[int, int]:
@@ -528,25 +520,13 @@ def _dataset_window(dataset) -> Tuple[int, int]:
     return (center - half, center + half)
 
 
-def _count_iteration(
-    dataset, bin_width: int, window: Tuple[int, int], key
-) -> Tuple[float, float]:
-    """Corrected counts on the (+1, -1) detectors of iteration ``key``.
-
-    ``key`` is (run, sub_run, iteration).  A detector whose histogram shows
-    no peak (fully blocked) counts as zero.
-    """
+def _histogram_iteration(dataset, bin_width: int, window: Tuple[int, int], key) -> np.ndarray:
+    """(2, bins) histogram counts of the (+1, -1) detectors of iteration (run, sub, it) ``key``."""
     herald, *detectors = dataset.streams(*key)
-    values = []
-    for det in detectors:
-        try:
-            values.append(count_sub_run(herald, det, bin_width, window))
-        except NoPeakError:
-            values.append(0.0)
-    return values[0], values[1]
+    return np.stack([histogram(herald, det, bin_width, window).counts for det in detectors])
 
 
-# The (dataset, bin_width, window) a pool worker counts, set once per worker.
+# The (dataset, bin_width, window) a pool worker histograms, set once per worker.
 _worker_job: Optional[tuple] = None
 
 
@@ -555,8 +535,8 @@ def _start_worker(dataset, bin_width: int, window: Tuple[int, int]) -> None:
     _worker_job = (dataset, bin_width, window)
 
 
-def _count_in_worker(key) -> Tuple[float, float]:
-    return _count_iteration(*_worker_job, key)
+def _histogram_in_worker(key) -> np.ndarray:
+    return _histogram_iteration(*_worker_job, key)
 
 
 def _usable_cpus() -> int:
@@ -566,24 +546,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _count_iterations(dataset, bin_width: int, window: Tuple[int, int], keys) -> list:
-    """:func:`_count_iteration` of every key, in order, over the usable CPUs.
+def _histogram_stack(dataset, bin_width: int, window: Tuple[int, int], keys) -> np.ndarray:
+    """(keys, 2, bins) stack of :func:`_histogram_iteration` of every key, in order.
 
-    Workers are forked, so each inherits the dataset and makes or reads its
-    own streams; only keys and counts cross between processes.  The
-    executor's ``map`` yields in key order, so an error is the one of the
-    first failing key; it cancels the keys not yet started, and every
-    worker has exited when the call returns or raises.  A worker that dies
-    (killed, out of memory) raises ``BrokenProcessPool`` instead of leaving
-    the call waiting for its result, as a ``multiprocessing.Pool`` would.
-    Counting stays in this process when it need not or cannot fork safely:
-    one usable CPU or one key, no ``fork`` start method, a daemonic process
-    (a pool worker itself), which may not have children, or other threads
-    running, one of which may hold a lock the forked child would inherit.
+    Forked workers inherit the dataset; only keys and histograms cross
+    between processes.  ``map`` yields in key order, so an error is the one
+    of the first failing key; a worker that dies raises ``BrokenProcessPool``
+    rather than hanging, and every worker has exited on return.  Runs here,
+    serially, with one usable CPU or key, no ``fork`` start method, in a
+    daemonic process (which may not have children) or while other threads
+    run (one may hold a lock the forked child would inherit).
     """
     # Imported here: ``import macroreal.cli`` stays free of multiprocessing.
     import multiprocessing
 
+    stack = np.empty((len(keys), 2, _n_bins(bin_width, window)), dtype=np.int64)
     workers = min(_usable_cpus(), len(keys))
     if (
         workers < 2
@@ -591,13 +568,17 @@ def _count_iterations(dataset, bin_width: int, window: Tuple[int, int], keys) ->
         or "fork" not in multiprocessing.get_all_start_methods()
         or threading.active_count() > 1
     ):
-        return [_count_iteration(dataset, bin_width, window, key) for key in keys]
+        for i, key in enumerate(keys):
+            stack[i] = _histogram_iteration(dataset, bin_width, window, key)
+        return stack
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
     job = (dataset, bin_width, window)
     with ProcessPoolExecutor(workers, context, _start_worker, job) as pool:
-        return list(pool.map(_count_in_worker, keys, chunksize=_POOL_CHUNK))
+        for i, hists in enumerate(pool.map(_histogram_in_worker, keys, chunksize=_POOL_CHUNK)):
+            stack[i] = hists
+    return stack
 
 
 def count_dataset(
@@ -607,55 +588,70 @@ def count_dataset(
 ) -> Dict[Tuple[int, int], np.ndarray]:
     """Corrected coincidence counts for every sub-run iteration.
 
-    Iterations are counted independently, in up to one forked worker
-    process per CPU this process may use (``taskset`` limits them).  With
-    one usable CPU, without the ``fork`` start method, inside a daemonic
-    process such as a pool worker, or while other threads run, they are
-    counted here, one after another.  The counts are the same either way.
+    Each iteration's two delay histograms are made in up to one forked
+    worker per CPU this process may use (``taskset`` limits them), or here
+    where forking is impossible or unsafe; the counts are the same either
+    way.  Each detector's histograms are summed over the dataset and its
+    window and background bins chosen once from the sum, by the rule of
+    :func:`count_sub_run`.  Every iteration counts its window sum minus its
+    own mean count per background bin times the window's bins; negative
+    results clamp to zero, with one ``RuntimeWarning`` saying how many.
 
     Parameters
     ----------
     dataset : ExperimentDataset or directory dataset
-        Read through three attributes: ``iterations`` (run -> iterations of
-        each of its sub-runs), ``source`` (for the default window) and
-        ``streams(run, sub_run, iteration)``.  The sub-runs are those of
-        :data:`~macroreal.protocol.RUN_CONFIGS`.
+        Read through ``iterations`` (run -> iterations of each of its
+        sub-runs), ``source`` (for the default window) and ``streams(run,
+        sub_run, iteration)``, over the sub-runs of ``RUN_CONFIGS``.
     bin_width, window :
-        Histogram settings passed to :func:`count_sub_run`; by default the
-        search window is centered on the dataset's base path delay.
+        Histogram settings; the default search window is centered on the
+        dataset's base path delay.
 
     Returns
     -------
     dict
-        Maps (run, sub_run) to an (iterations, 2) array of corrected
-        counts on the (+1, -1) detectors; sub-runs whose histogram shows
-        no peak (fully blocked) contribute zeros.
+        (run, sub_run) -> (iterations, 2) corrected counts on the (+1, -1)
+        detectors.
 
     Raises
     ------
+    NoPeakError
+        Naming the detector (``P`` for +1, ``M`` for -1) whose summed
+        histogram has no coincidence peak (a dead or unplugged detector).
     Exception
-        Whatever ``dataset.streams`` or :func:`count_sub_run` raises for the
-        first failing iteration in schedule order, e.g. the ``ValueError``
-        naming a damaged archive of a directory dataset.
+        Whatever ``dataset.streams`` or :func:`histogram` raises first in
+        schedule order, e.g. the ``ValueError`` naming a damaged archive.
     concurrent.futures.process.BrokenProcessPool
         If a worker process dies while counting (killed, out of memory).
     """
     if window is None:
         window = _dataset_window(dataset)
-    keys = [
-        (run, sub, it)
-        for run, cfgs in RUN_CONFIGS.items()
-        for sub in range(len(cfgs))
-        for it in range(dataset.iterations[run])
-    ]
-    values = iter(_count_iterations(dataset, bin_width, window, keys))
-    out: Dict[Tuple[int, int], np.ndarray] = {}
-    for run, cfgs in RUN_CONFIGS.items():
-        n_iter = dataset.iterations[run]
-        for sub in range(len(cfgs)):
-            rows = [next(values) for _ in range(n_iter)]
-            out[(run, sub)] = np.array(rows, dtype=float).reshape(n_iter, 2)
-    return out
+    subs = [(run, sub) for run, cfgs in RUN_CONFIGS.items() for sub in range(len(cfgs))]
+    keys = [(run, sub, it) for run, sub in subs for it in range(dataset.iterations[run])]
+    stack = _histogram_stack(dataset, bin_width, window, keys)
+    values = np.empty((len(keys), 2))
+    for col, label in enumerate(_DETECTOR_COLUMNS):
+        hists = stack[:, col]
+        try:
+            w_lo, w_hi, b_lo, b_hi = _fixed_window(hists.sum(axis=0))
+        except NoPeakError:
+            raise NoPeakError(
+                f"detector {label}: no coincidence peak in its delay histogram "
+                f"summed over all {len(keys)} iterations"
+            ) from None
+        raw = hists[:, w_lo:w_hi].sum(axis=1)
+        values[:, col] = raw - _background_per_bin(hists, b_lo, b_hi) * (w_hi - w_lo)
+    negative = values < 0.0
+    if negative.any():
+        warnings.warn(
+            f"{int(negative.sum())} of {values.size} corrected coincidence counts "
+            "clamped to zero",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        values[negative] = 0.0
+    ends = np.cumsum([dataset.iterations[run] for run, _ in subs])
+    return dict(zip(subs, np.split(values, ends[:-1])))
 
 
 def _run_arrays(counts: Mapping[Tuple[int, int], np.ndarray], run: int) -> List[np.ndarray]:

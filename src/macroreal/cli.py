@@ -572,27 +572,45 @@ def cmd_analyze(args: argparse.Namespace, config: Dict[str, dict]) -> _Outputs:
 # report
 
 
+def _number(value, field: str, optional: bool = False) -> Optional[float]:
+    """``value`` of JSON field ``field`` as a float; None too if ``optional``."""
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field}: {value!r} must be a number")
+    return float(value)
+
+
+def _entry(payload: dict, key: str, field: str) -> dict:
+    """JSON object ``payload[key]``, the field named ``field`` in messages."""
+    if key not in payload:
+        raise ConfigError(f"{field}: missing")
+    entry = payload[key]
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{field}: {entry!r} must be a JSON object")
+    return entry
+
+
 def _comparison(prediction: dict, analysis: dict) -> Tuple[List[list], List[str]]:
     """Side-by-side rows and text lines for measured vs predicted values."""
-    spans = prediction.get("range", {})
+    spans = _entry(prediction, "range", "prediction: range") if "range" in prediction else {}
     rows = []
     lines = [
         f"{'expression':<10} {'measured':>11} {'delta':>8} {'bound':>6} "
         f"{'margin':>11} {'margin/delta':>13} {'qm range':>26}  verdict"
     ]
     for name in BOUNDS:
-        entry = analysis.get(name)
-        if entry is None or "mean" not in entry:
-            raise ConfigError(f"analysis: missing expression {name!r}")
-        mean = float(entry["mean"])
-        delta = entry.get("delta")
-        delta = None if delta is None else float(delta)
+        entry = _entry(analysis, name, f"analysis: {name}")
+        mean = _number(entry.get("mean"), f"analysis: {name}.mean")
+        delta = _number(entry.get("delta"), f"analysis: {name}.delta", optional=True)
         bound = BOUNDS[name]
         margin = mean - bound
         ratio = margin / delta if delta else None
         span = spans.get(name)
         if span is not None:
-            lo, hi = float(span[0]), float(span[1])
+            if not isinstance(span, list) or len(span) != 2:
+                raise ConfigError(f"prediction: range.{name}: {span!r} must be [low, high]")
+            lo, hi = (_number(edge, f"prediction: range.{name}") for edge in span)
             slack = delta if delta is not None else 0.0
             inside = bool(lo - slack <= mean <= hi + slack)
             span_text = f"[{_cell(lo)}, {_cell(hi)}]"
@@ -617,12 +635,16 @@ def _comparison(prediction: dict, analysis: dict) -> Tuple[List[list], List[str]
         )
     correlations = analysis.get("correlations")
     if correlations:
+        if not isinstance(correlations, dict):
+            raise ConfigError(f"analysis: correlations: {correlations!r} must be a JSON object")
         lines.append("")
         for key in sorted(correlations):
-            corr = correlations[key]
-            sigma = corr.get("sigma")
+            field = f"analysis: correlations.{key}"
+            corr = _entry(correlations, key, field)
+            mean = _number(corr.get("mean"), f"{field}.mean")
+            sigma = _number(corr.get("sigma"), f"{field}.sigma", optional=True)
             err = "" if sigma is None else f" ± {_cell(sigma)}"
-            lines.append(f"corr {key}  {_cell(corr.get('mean'))}{err}")
+            lines.append(f"corr {key}  {_cell(mean)}{err}")
     return rows, lines
 
 

@@ -16,7 +16,7 @@ from macroreal.analysis import (
     DEFAULT_BIN_WIDTH,
     NoPeakError,
     _dataset_window,
-    count_sub_run,
+    histogram,
 )
 from macroreal.circuit import SetupParams, arm_branch_weights
 from macroreal.hvmodels import _BLOCK_SLICES, _check_eta
@@ -213,19 +213,16 @@ def unique_in_range(raw, dark, duration_ps):
     return merged[(merged >= 0) & (merged < duration_ps)]
 
 
-def stream_corrected_coincidences(times_a, times_b, w):
-    """Corrected coincidences of window ``w`` counted on the raw streams.
+def stream_pairs(times_a, times_b, lo, hi):
+    """Pairs with t_b - t_a in [lo, hi), by two sorted-merge lookups.
 
-    Counts the pairs with t_b - t_a in [w.start, w.end) by two sorted-merge
-    lookups over the full streams, without any histogram, subtracts
-    ``w.flatline_mean`` per window bin and clamps at zero.
+    Searches the full streams, without any histogram.
     """
     ta = np.asarray(times_a, dtype=np.int64)
     tb = np.asarray(times_b, dtype=np.int64)
-    left = np.searchsorted(tb, ta + w.start, side="left")
-    right = np.searchsorted(tb, ta + w.end, side="left")
-    raw = int(np.sum(right - left))
-    return max(raw - w.flatline_mean * w.n_bins, 0.0)
+    left = np.searchsorted(tb, ta + lo, side="left")
+    right = np.searchsorted(tb, ta + hi, side="left")
+    return int(np.sum(right - left))
 
 
 def reference_select_window(counts):
@@ -269,23 +266,110 @@ def reference_select_window(counts):
     return i_lo, i_hi + 1, max(flatline, 0.0)
 
 
+def reference_fixed_window(counts):
+    """Counting window and background edges of a delay histogram.
+
+    Finds up to two peaks with :func:`reference_select_window`, the second on
+    a float copy whose first peak, three FWHMs either side, is set to the
+    rounded median.  The window runs from three FWHMs before the first peak
+    to three FWHMs after the last, each peak by its own FWHM; background bins
+    lie more than the wider of those guards outside it.  Returns ``(w_lo,
+    w_hi, b_lo, b_hi)``: window bins [w_lo, w_hi), background bins outside
+    [b_lo, b_hi); or None where the histogram has no peak.
+    """
+    counts = np.asarray(counts)
+    n = counts.size
+    first = reference_select_window(counts)
+    if first is None:
+        return None
+    # (start, end, guard) of each peak.
+    peaks = [(first[0], first[1], 3 * (first[1] - first[0]))]
+    start, end, guard = peaks[0]
+    masked = counts.astype(float)
+    masked[max(start - guard, 0) : end + guard] = round(float(np.median(counts)))
+    second = reference_select_window(masked)
+    if second is not None:
+        peaks.append((second[0], second[1], 3 * (second[1] - second[0])))
+    w_lo = max(min(p_start - p_guard for p_start, _, p_guard in peaks), 0)
+    w_hi = min(max(p_end + p_guard for _, p_end, p_guard in peaks), n)
+    widest = max(p_guard for _, _, p_guard in peaks)
+    return w_lo, w_hi, max(w_lo - widest, 0), min(w_hi + widest, n)
+
+
+def stream_fixed_window_count(times_a, times_b, span, window, bin_width=DEFAULT_BIN_WIDTH):
+    """One iteration's corrected count in a fixed window, from the raw streams.
+
+    ``span`` is a :func:`reference_fixed_window` result for histograms over
+    ``window`` with ``bin_width``.  The window and background pair counts
+    come from :func:`stream_pairs`; the background's mean per bin times the
+    window's bins is subtracted.  Not clamped.
+    """
+    lo, hi = window
+    w_lo, w_hi, b_lo, b_hi = span
+    n_bg = b_lo + (hi - lo) // bin_width - b_hi
+    raw = stream_pairs(times_a, times_b, lo + w_lo * bin_width, lo + w_hi * bin_width)
+    background = stream_pairs(times_a, times_b, lo, lo + b_lo * bin_width) + stream_pairs(
+        times_a, times_b, lo + b_hi * bin_width, hi
+    )
+    return raw - background / n_bg * (w_hi - w_lo)
+
+
 def count_dataset_serial(dataset, bin_width=DEFAULT_BIN_WIDTH, window=None):
-    """``count_dataset`` as one loop in this process, in schedule order."""
+    """``count_dataset`` as loops in this process, in schedule order.
+
+    Sums each detector's histograms over the dataset, picks its window with
+    :func:`reference_fixed_window` and counts every iteration on its raw
+    streams with :func:`stream_fixed_window_count`, clamped at zero.
+    """
     if window is None:
         window = _dataset_window(dataset)
+    keys = [
+        (run, sub, it)
+        for run, cfgs in RUN_CONFIGS.items()
+        for sub in range(len(cfgs))
+        for it in range(dataset.iterations[run])
+    ]
+    summed = [0, 0]
+    for key in keys:
+        h_s, *detectors = dataset.streams(*key)
+        for col, det in enumerate(detectors):
+            summed[col] = summed[col] + histogram(h_s, det, bin_width, window).counts
+    spans = [reference_fixed_window(counts) for counts in summed]
+    for label, span in zip("PM", spans):
+        if span is None:
+            raise NoPeakError(f"detector {label}")
     out = {}
     for run, cfgs in RUN_CONFIGS.items():
-        n_iter = dataset.iterations[run]
         for sub in range(len(cfgs)):
-            arr = np.zeros((n_iter, 2))
-            for it in range(n_iter):
-                h_s, p_s, m_s = dataset.streams(run, sub, it)
-                for col, det in enumerate((p_s, m_s)):
-                    try:
-                        arr[it, col] = count_sub_run(h_s, det, bin_width, window)
-                    except NoPeakError:
-                        arr[it, col] = 0.0
+            arr = np.zeros((dataset.iterations[run], 2))
+            for it in range(dataset.iterations[run]):
+                h_s, *detectors = dataset.streams(run, sub, it)
+                for col, det in enumerate(detectors):
+                    value = stream_fixed_window_count(
+                        h_s.times, det.times, spans[col], window, bin_width
+                    )
+                    arr[it, col] = max(value, 0.0)
             out[(run, sub)] = arr
+    return out
+
+
+def expected_counts(source, setup: SetupParams):
+    """Mean true coincidences per iteration, (run, sub_run) -> (P, M).
+
+    N eta_h sum over the outer arms of (arm weight) x (branch weight to the
+    detector) x (detector efficiency), with N = pair_rate x duration: the
+    count an unbiased analysis recovers without multiphoton events.
+    """
+    n_heralded = source.pair_rate * source.duration * source.eta_herald
+    out = {}
+    for run, cfgs in RUN_CONFIGS.items():
+        for sub, blockers in enumerate(cfgs):
+            plus = minus = 0.0
+            for arm, weight in ((+1, setup.alpha_sq), (-1, setup.beta_sq)):
+                w = arm_branch_weights(setup, blockers, arm)
+                plus += weight * w.w_plus * source.eta1
+                minus += weight * w.w_minus * source.eta2
+            out[(run, sub)] = (n_heralded * plus, n_heralded * minus)
     return out
 
 

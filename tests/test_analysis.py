@@ -41,7 +41,7 @@ from macroreal.analysis import (
     representative_counts_path,
     select_window,
 )
-from macroreal.circuit import NOMINAL_PARAMS, SetupParams, qm_lgi, qm_nsit
+from macroreal.circuit import NOMINAL_PARAMS, SetupParams, qm_lgi, qm_nsit, qm_wlgi
 from macroreal.protocol import (
     RUN_CONFIGS,
     JointProbTable,
@@ -50,7 +50,7 @@ from macroreal.protocol import (
     evaluate,
     joint_tables,
 )
-from macroreal.simulate import SourceConfig, load_dataset, run_protocol
+from macroreal.simulate import SourceConfig, TimestampStream, load_dataset, run_protocol
 
 QUIET = dict(dark_rate_h=0.0, dark_rate_p=0.0, dark_rate_m=0.0, jitter_sigma=0.0)
 
@@ -338,18 +338,19 @@ def test_count_sub_run_no_peak_raises():
         count_sub_run(a, b)
 
 
-def test_count_sub_run_equals_stream_oracle_on_every_sub_run(monkeypatch):
+def test_count_sub_run_needs_background_bins_beyond_its_window():
+    a = np.arange(1000, dtype=np.int64) * 1_000_000
+    b = np.sort(a + np.rint(np.random.default_rng(3).normal(0.0, 400.0, 1000)).astype(np.int64))
+    # 40 bins around a peak about 10 bins wide: the guards cover them all.
+    with pytest.raises(ValueError, match="no background bin"):
+        count_sub_run(a, b, window=(-2000, 2000))
+    assert count_sub_run(a, b) == pytest.approx(1000.0, abs=1.0)
+
+
+def test_count_sub_run_equals_stream_oracle_on_every_sub_run():
     dataset = small_quiet_dataset()
     window = analysis._dataset_window(dataset)
-    picked = []
-    counted = analysis.corrected_coincidences
-
-    def recording(h, w):
-        picked.append(w)
-        return counted(h, w)
-
-    monkeypatch.setattr(analysis, "corrected_coincidences", recording)
-    windows_per_call = []
+    widths = set()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # clamps agree on both sides
         for run, cfgs in RUN_CONFIGS.items():
@@ -357,19 +358,20 @@ def test_count_sub_run_equals_stream_oracle_on_every_sub_run(monkeypatch):
                 for it in range(dataset.iterations[run]):
                     h_s, *detectors = dataset.streams(run, sub, it)
                     for det in detectors:
-                        picked.clear()
-                        try:
-                            value = count_sub_run(h_s, det, window=window)
-                        except NoPeakError:
-                            assert not picked
+                        counts = histogram(h_s, det, window=window).counts
+                        span = oracles.reference_fixed_window(counts)
+                        if span is None:
+                            with pytest.raises(NoPeakError):
+                                count_sub_run(h_s, det, window=window)
                             continue
-                        expected = float(sum(
-                            oracles.stream_corrected_coincidences(h_s.times, det.times, w)
-                            for w in picked
-                        ))
-                        assert value == expected, (run, sub, it, det.channel)
-                        windows_per_call.append(len(picked))
-    assert max(windows_per_call) >= 2  # the multi-window path is covered
+                        expected = oracles.stream_fixed_window_count(
+                            h_s.times, det.times, span, window
+                        )
+                        value = count_sub_run(h_s, det, window=window)
+                        assert value == max(expected, 0.0), (run, sub, it, det.channel)
+                        # Both outer-arm peaks in one window, or one.
+                        widths.add(span[1] - span[0] > dataset.source.arm_delay_tau / 100)
+    assert widths == {True, False}
 
 
 def test_run2_peak_offsets_differ_by_arm_delay():
@@ -390,10 +392,10 @@ def test_run2_peak_offsets_differ_by_arm_delay():
 # tables and inequalities
 
 
-def small_quiet_dataset(seed=23, pair_rate=2e4):
+def small_quiet_dataset(seed=23, pair_rate=2e4, dark_rate=100.0):
     src = SourceConfig(
-        pair_rate=pair_rate, seed=seed, dark_rate_h=100.0, dark_rate_p=100.0,
-        dark_rate_m=100.0, jitter_sigma=400.0,
+        pair_rate=pair_rate, seed=seed, dark_rate_h=dark_rate, dark_rate_p=dark_rate,
+        dark_rate_m=dark_rate, jitter_sigma=400.0,
     )
     return run_protocol(
         src, NOMINAL_PARAMS, iterations={"interference": 3, "non_interference": 2}
@@ -460,24 +462,53 @@ def assert_same_counts(got, expected):
             iterations={"interference": 3, "non_interference": 2},
             v_jitter=(0.7, 0.85),
         ),
-        small_quiet_dataset(pair_rate=1e3),  # some sub-runs show no peak
+        small_quiet_dataset(pair_rate=1e3, dark_rate=1e5),  # some counts clamp
     ],
-    ids=["v_jitter", "no-peak sub-runs"],
+    ids=["v_jitter", "clamped counts"],
 )
 def test_pooled_count_dataset_equals_the_serial_oracle(dataset, tmp_path, two_workers):
     expected = oracles.count_dataset_serial(dataset)
-    assert_same_counts(count_dataset(dataset), expected)
-    assert multiprocessing.active_children() == []
-    dataset.to_directory(tmp_path / "ds")
-    assert_same_counts(count_dataset(load_dataset(tmp_path / "ds")), expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the clamps are tested below
+        assert_same_counts(count_dataset(dataset), expected)
+        assert multiprocessing.active_children() == []
+        dataset.to_directory(tmp_path / "ds")
+        assert_same_counts(count_dataset(load_dataset(tmp_path / "ds")), expected)
     assert multiprocessing.active_children() == []
     assert two_workers == [2, 2]
 
 
-def test_the_no_peak_case_has_zero_and_nonzero_counts():
-    counts = oracles.count_dataset_serial(small_quiet_dataset(pair_rate=1e3))
+def test_the_clamped_case_has_zero_and_nonzero_counts_and_one_warning():
+    dataset = small_quiet_dataset(pair_rate=1e3, dark_rate=1e5)
+    with pytest.warns(RuntimeWarning) as caught:
+        counts = count_dataset(dataset)
     values = np.concatenate([arr.ravel() for arr in counts.values()])
-    assert (values == 0.0).any() and (values > 0.0).any()
+    zeros = int((values == 0.0).sum())
+    assert 0 < zeros < values.size
+    assert [str(w.message) for w in caught] == [
+        f"{zeros} of {values.size} corrected coincidence counts clamped to zero"
+    ]
+
+
+class DeadDetector:
+    """A dataset whose -1 detector clicks at random, with no coincidence peak."""
+
+    def __init__(self, dataset):
+        self.dataset, self.iterations, self.source = dataset, dataset.iterations, dataset.source
+
+    def streams(self, run, sub, it):
+        herald, plus, minus = self.dataset.streams(run, sub, it)
+        rng = np.random.default_rng([run, sub, it])
+        dead = rng.choice(self.source.duration_ps, size=len(minus), replace=False)
+        return herald, plus, TimestampStream("M", np.sort(dead))
+
+
+def test_a_detector_that_never_peaks_raises_naming_it():
+    dataset = DeadDetector(small_quiet_dataset())
+    with pytest.raises(NoPeakError, match="detector M: no coincidence peak"):
+        count_dataset(dataset)
+    with pytest.raises(NoPeakError, match="detector M"):
+        oracles.count_dataset_serial(dataset)
 
 
 def damaged_dataset_dir(root):
@@ -532,14 +563,14 @@ def test_pooled_count_dataset_stopped_by_errors_never_hangs(tmp_path):
 @needs_fork
 def test_a_worker_that_dies_raises_rather_than_hangs(monkeypatch, two_workers):
     parent = os.getpid()
-    counted = analysis._count_iteration
+    made = analysis._histogram_iteration
 
     def killed_in_a_worker(dataset, bin_width, window, key):
         if key == (2, 1, 1) and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return counted(dataset, bin_width, window, key)
+        return made(dataset, bin_width, window, key)
 
-    monkeypatch.setattr(analysis, "_count_iteration", killed_in_a_worker)
+    monkeypatch.setattr(analysis, "_histogram_iteration", killed_in_a_worker)
     with pytest.raises(BrokenProcessPool):
         count_dataset(small_quiet_dataset())
     assert multiprocessing.active_children() == []
@@ -951,6 +982,37 @@ def test_high_statistics_run_matches_circuit_prediction():
     assert report.nsit12[0] < 0.01
     assert report.nsit23[0] < 0.01 + nsit.nsit23
     assert report.nsit13[0] < 0.01
+
+
+@pytest.mark.parametrize(
+    "alpha_sq, arm_delay_tau",
+    [(0.5, 2.0e4), (0.9, 2.0e4), (0.5, 0.0)],
+    ids=["alpha_sq 0.5", "alpha_sq 0.9", "one delay peak"],
+)
+def test_every_sub_run_counts_its_expected_coincidences(alpha_sq, arm_delay_tau):
+    # No multiphoton events, no dark counts, full visibility: each sub-run's
+    # mean count is its expected true coincidences, however tall or small
+    # its peaks.  20 iterations at four times the default pair rate put the
+    # smallest sub-run's Poisson sigma near 0.6 %.
+    params = SetupParams(alpha_sq=alpha_sq, t_ratios=NOMINAL_PARAMS.t_ratios, visibility=1.0)
+    src = SourceConfig(
+        pair_rate=2e5, gamma=0.0, arm_delay_tau=arm_delay_tau, seed=67,
+        dark_rate_h=0.0, dark_rate_p=0.0, dark_rate_m=0.0,
+    )
+    n = 20
+    dataset = run_protocol(src, params, iterations={"interference": n, "non_interference": n})
+    counts = count_dataset(dataset)
+    expected = oracles.expected_counts(src, params)
+    capture = {key: arr.sum(axis=1).mean() / sum(expected[key]) for key, arr in counts.items()}
+    assert all(0.98 <= c <= 1.02 for c in capture.values()), capture
+    # The deltas sum per-iteration spreads, so delta / sqrt(n) bounds the
+    # standard error of the values from mean counts.
+    report = analyze_dataset(dataset, counts=counts)
+    for name, model in (
+        ("lgi", qm_lgi(params)), ("wlgi", qm_wlgi(params)), ("nsit23", qm_nsit(params).nsit23)
+    ):
+        mean, delta = getattr(report, name)
+        assert abs(mean - model) < 4.0 * delta / math.sqrt(n), (name, mean, model, delta)
 
 
 def test_per_iteration_values_shapes():

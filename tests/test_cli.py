@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import macroreal
@@ -259,6 +260,26 @@ def test_gamma_fit_missing_column_exits_2(tmp_path):
         (["analyze", "{counts}", "--config", "{tmp}/window-float.json"], "analysis.window"),
         (["analyze", "{counts}", "--config", "{tmp}/window-three.json"], "analysis.window"),
         (["report", "--analysis", "{tmp}/missing.json"], "analysis"),
+        (["report", "--prediction", "{tmp}/range-short.json"], "prediction: range.lgi"),
+        (["report", "--prediction", "{tmp}/range-number.json"], "prediction: range.lgi"),
+        (["report", "--prediction", "{tmp}/range-list.json"], "prediction: range: [1, 2]"),
+        (["report", "--prediction", "{tmp}/range-text.json"], "prediction: range.lgi"),
+        (
+            ["report", "--prediction", "{tmp}/range-none.json", "--analysis", "{tmp}/lgi-number.json"],
+            "analysis: lgi: 5",
+        ),
+        (
+            ["report", "--prediction", "{tmp}/range-none.json", "--analysis", "{tmp}/lgi-text.json"],
+            "analysis: lgi.mean",
+        ),
+        (
+            ["report", "--prediction", "{tmp}/range-none.json", "--analysis", "{tmp}/no-wlgi.json"],
+            "analysis: wlgi: missing",
+        ),
+        (
+            ["report", "--prediction", "{tmp}/range-none.json", "--analysis", "{tmp}/corr.json"],
+            "analysis: correlations.t1t2",
+        ),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
@@ -306,6 +327,23 @@ def test_rejected_invocation_leaves_no_output_directory(tmp_path, capsys, argv, 
     }
     for name, config in non_finite.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+    entry = {"mean": 1.0, "delta": 0.1}
+    reports = {
+        "range-short": {"range": {"lgi": [1.0]}},
+        "range-number": {"range": {"lgi": 5}},
+        "range-list": {"range": [1, 2]},
+        "range-text": {"range": {"lgi": [1.0, "2"]}},
+        "range-none": {},
+        "lgi-number": {"lgi": 5},
+        "lgi-text": {"lgi": {"mean": "1.3"}},
+        "no-wlgi": {"lgi": entry},
+        "corr": {
+            **{name: entry for name in ("lgi", "wlgi", "nsit12", "nsit23", "nsit13")},
+            "correlations": {"t1t2": 0.5},
+        },
+    }
+    for name, payload in reports.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
     (tmp_path / "counts.csv").write_text("set_label,C1,C2\nA,1,2\n", encoding="utf-8")
     (tmp_path / "empty").mkdir()
     out = tmp_path / "out"
@@ -479,6 +517,25 @@ def test_analyze_zero_total_counts_exit_2_naming_the_run(tmp_path, capsys, monke
     out = tmp_path / "out"
     assert main(["analyze", str(ds), "--config", cfg, "--out", str(out)]) == 2
     assert "run 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_exits_2_naming_a_detector_that_never_peaks(tmp_path, capsys):
+    cfg = write_config(tmp_path, source=FAST_SOURCE, analysis={"n_samples": 20000})
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(ds)]) == 0
+    # The -1 detector's clicks, redrawn at random times: no coincidence peak.
+    rng = np.random.default_rng(3)
+    duration_ps = read_json(ds / "manifest.json")["source"]["duration"] * 10**12
+    for path in sorted(ds.glob("run*_sub*/iter*.npz")):
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        size = arrays["M"].size
+        arrays["M"] = np.sort(rng.choice(int(duration_ps), size=size, replace=False))
+        np.savez(path, **arrays)
+    out = tmp_path / "out"
+    assert main(["analyze", str(ds), "--config", cfg, "--out", str(out)]) == 2
+    assert "detector M: no coincidence peak" in capsys.readouterr().err
     assert not out.exists()
 
 
