@@ -2,7 +2,7 @@
 
 Turns per-iteration timestamp streams into the quantities the workbench
 reports: delay histograms between the herald and each signal detector,
-coincidence windows with flatline background subtraction, corrected
+coincidence windows with background subtraction beyond a guard, corrected
 coincidence counts, joint outcome probability tables, the LGI/WLGI/NSIT
 values, worst-case error bounds assembled from cross-combination
 distributions, and bootstrap resampling diagnostics.
@@ -10,14 +10,14 @@ distributions, and bootstrap resampling diagnostics.
 :func:`histogram` is the only place that pairs timestamps.  Every later
 step reads that histogram: a window's raw pair count is the sum of the
 histogram bins it covers.  A dataset is counted with one window per
-detector, chosen once from that detector's histogram summed over every
-iteration of the dataset, so every sub-run is counted by the same rule
-whatever its own peak heights.
+detector, chosen once by :func:`select_window` from that detector's
+histogram summed over every iteration of the dataset and applied by the
+subtraction of :func:`corrected_coincidences`, so every sub-run is counted
+by the same rule whatever its own peak heights.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import threading
@@ -29,6 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._csvrows import number, read_rows
 from .protocol import (
     RUN_CONFIGS,
     RUN_SUB_BY_BLOCKERS,
@@ -127,36 +128,39 @@ class CoincidenceHistogram:
 
 @dataclass(frozen=True)
 class WindowSelection:
-    """Coincidence window on the delay axis with its background estimate.
+    """Counting window on the delay axis and the guard around it.
 
-    :func:`select_window` sizes it by the FWHM of a histogram peak, and
+    :func:`select_window` chooses it from a histogram's delay peaks, and
     :func:`corrected_coincidences` counts it on a histogram of the same
-    bin grid.
+    bin grid, taking every bin outside the guard as background.
 
     Attributes
     ----------
     start, end : int
         Window interval [start, end) in picoseconds, aligned to bins.
-    flatline_mean : float
-        Estimated background counts per bin outside the peak.
+    guard_start, guard_end : int
+        Interval [guard_start, guard_end) in picoseconds, around the window
+        and aligned to its bins, that the background leaves out.
     bin_width : int
         Bin width in picoseconds the window was derived from.
     """
 
     start: int
     end: int
-    flatline_mean: float
+    guard_start: int
+    guard_end: int
     bin_width: int = DEFAULT_BIN_WIDTH
 
     def __post_init__(self) -> None:
         if self.start >= self.end:
             raise ValueError("window start must precede end")
-        if self.flatline_mean < 0.0:
-            raise ValueError("flatline_mean must be nonnegative")
+        if self.guard_start > self.start or self.guard_end < self.end:
+            raise ValueError("the guard must contain the window")
         if self.bin_width <= 0:
             raise ValueError("bin_width must be positive")
-        if (self.end - self.start) % self.bin_width != 0:
-            raise ValueError("window must span a whole number of bins")
+        edges = (self.end, self.guard_start, self.guard_end)
+        if any((edge - self.start) % self.bin_width for edge in edges):
+            raise ValueError("window and guard must span whole numbers of bins")
 
     @property
     def n_bins(self) -> int:
@@ -365,12 +369,17 @@ def _median(values: np.ndarray) -> float:
     return (float(low) + float(high)) / 2.0
 
 
-def _find_window(counts: np.ndarray) -> Tuple[int, int, float]:
-    """Bin range [i_lo, i_hi) and flatline of the FWHM window around the peak.
+def _find_window(counts: np.ndarray) -> Tuple[int, int]:
+    """Bin range [i_lo, i_hi) of the FWHM window around the histogram's peak.
 
-    ``counts`` is an int64 array of counts far below 2**53, so every sum
-    and mean of them is exact.  Raises :class:`NoPeakError` as
-    :func:`select_window` documents.
+    Takes the contiguous bins at or above the flatline-corrected half
+    maximum around the maximum bin, refines the flatline from the bins
+    beyond three window widths of them (dropping peak-like outliers, so a
+    second delay peak does not count as background) and re-expands once at
+    the refined half-maximum level.  ``counts`` is an int64 array of counts
+    far below 2**53, so every sum and mean of them is exact.  Raises
+    :class:`NoPeakError` if the maximum bin does not exceed the flatline by
+    at least 5 * sqrt(flatline + 1) counts (blocked or noise-only input).
     """
     flatline = _median(counts)
     peak_idx = int(np.argmax(counts))
@@ -392,82 +401,30 @@ def _find_window(counts: np.ndarray) -> Tuple[int, int, float]:
     if not _detectable(peak, flatline):
         raise NoPeakError("no coincidence peak above the flatline")
     i_lo, i_hi = _expand_window(counts, peak_idx, flatline + 0.5 * (peak - flatline))
-    return i_lo, i_hi + 1, max(flatline, 0.0)
+    return i_lo, i_hi + 1
 
 
 def select_window(h: CoincidenceHistogram) -> WindowSelection:
-    """Select the FWHM coincidence window around the histogram peak.
-
-    Takes the contiguous bins at or above the flatline-corrected half
-    maximum around the maximum bin, refines the flatline from the bins
-    beyond three window widths of them (dropping peak-like outliers, so a
-    second delay peak does not count as background) and re-expands once at
-    the refined half-maximum level.  Raises :class:`NoPeakError` if the
-    maximum bin does not exceed the flatline by at least 5 * sqrt(flatline
-    + 1) counts (blocked or noise-only input).
-    """
-    i_lo, i_hi, flatline = _find_window(h.counts)
-    return WindowSelection(h.bin_start(i_lo), h.bin_start(i_hi), flatline, h.bin_width)
-
-
-def _window_bins(h: CoincidenceHistogram, w: WindowSelection) -> Tuple[int, int]:
-    """Bin index range [i_lo, i_hi) of ``h`` that window ``w`` covers."""
-    if w.bin_width != h.bin_width:
-        raise ValueError(
-            f"window bin_width {w.bin_width} differs from the histogram's {h.bin_width}"
-        )
-    if (w.start - h.origin) % h.bin_width != 0:
-        raise ValueError("window is off the histogram's bin grid")
-    i_lo = (w.start - h.origin) // h.bin_width
-    i_hi = i_lo + w.n_bins
-    if i_lo < 0 or i_hi > h.n_bins:
-        raise ValueError("window lies outside the histogram")
-    return i_lo, i_hi
-
-
-def corrected_coincidences(h: CoincidenceHistogram, w: WindowSelection) -> float:
-    """Background-corrected pair count inside a coincidence window.
-
-    The raw count is the sum of ``h``'s bins in [w.start, w.end), i.e. the
-    pairs with a difference in that interval, less ``w.flatline_mean`` per
-    window bin; a negative result clamps to zero with a ``RuntimeWarning``.
-    Raises ``ValueError`` if ``w`` has another ``bin_width`` than ``h``, is
-    off ``h``'s bin grid, or lies outside ``h``.
-    """
-    i_lo, i_hi = _window_bins(h, w)
-    raw = int(h.counts[i_lo:i_hi].sum())
-    value = raw - w.flatline_mean * w.n_bins
-    if value < 0.0:
-        warnings.warn(
-            f"corrected coincidences clamped to zero "
-            f"(raw {raw}, background {w.flatline_mean * w.n_bins:.1f})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return float(value)
-
-
-def _fixed_window(counts: np.ndarray) -> Tuple[int, int, int, int]:
-    """Counting window bins [w_lo, w_hi) of a delay histogram; background outside [b_lo, b_hi).
+    """Counting window of a delay histogram and the guard around it.
 
     The window holds the histogram's delay peaks, at most two (one per outer
-    arm), each found by :func:`_find_window`.  The first is set to the median
-    ``_FLATLINE_EXCLUSION_FACTOR`` FWHMs either side before the second
-    search, so its tail never passes for a peak.  The window runs from the
-    first peak's start to the last peak's end, each widened by that guard of
-    its own FWHMs; the background is every bin more than the wider guard
-    beyond the window.  Raises :class:`NoPeakError` if there is no peak, and
-    ``ValueError`` if the histogram's range leaves no background bin.
+    arm), each the FWHM window :func:`_find_window` finds.  The first is set
+    to the median ``_FLATLINE_EXCLUSION_FACTOR`` FWHMs either side before
+    the second search, so its tail never passes for a peak.  The window runs
+    from the first peak's start to the last peak's end, each widened by that
+    guard of its own FWHMs; the guard reaches the wider guard beyond the
+    window, and every bin outside it is background.  Raises
+    :class:`NoPeakError` if there is no peak, and ``ValueError`` if the
+    histogram's range leaves no background bin.
     """
-    n = counts.size
-    i_lo, i_hi, _ = _find_window(counts)
+    counts, n = h.counts, h.n_bins
+    i_lo, i_hi = _find_window(counts)
     guard = _FLATLINE_EXCLUSION_FACTOR * (i_hi - i_lo)
     w_lo, w_hi = i_lo - guard, i_hi + guard
     masked = counts.copy()
     masked[max(w_lo, 0) : w_hi] = int(round(_median(counts)))
     try:
-        j_lo, j_hi, _ = _find_window(masked)
+        j_lo, j_hi = _find_window(masked)
     except NoPeakError:
         pass
     else:
@@ -475,18 +432,69 @@ def _fixed_window(counts: np.ndarray) -> Tuple[int, int, int, int]:
         w_lo, w_hi = min(w_lo, j_lo - second), max(w_hi, j_hi + second)
         guard = max(guard, second)
     w_lo, w_hi = max(w_lo, 0), min(w_hi, n)
-    b_lo, b_hi = max(w_lo - guard, 0), min(w_hi + guard, n)
-    if b_lo == 0 and b_hi == n:
+    edges = (w_lo, w_hi, max(w_lo - guard, 0), min(w_hi + guard, n))
+    w = WindowSelection(*map(h.bin_start, edges), h.bin_width)
+    _window_bins(h, w)
+    return w
+
+
+def _window_bins(h: CoincidenceHistogram, w: WindowSelection) -> Tuple[int, int, int, int]:
+    """Bin indices (w_lo, w_hi, b_lo, b_hi) of ``h``: window [w_lo, w_hi), guard [b_lo, b_hi)."""
+    if w.bin_width != h.bin_width:
+        raise ValueError(
+            f"window bin_width {w.bin_width} differs from the histogram's {h.bin_width}"
+        )
+    if (w.start - h.origin) % h.bin_width != 0:
+        raise ValueError("window is off the histogram's bin grid")
+    w_lo, w_hi, b_lo, b_hi = (
+        (edge - h.origin) // h.bin_width for edge in (w.start, w.end, w.guard_start, w.guard_end)
+    )
+    if b_lo < 0 or b_hi > h.n_bins:
+        raise ValueError("window or its guard lies outside the histogram")
+    if b_lo == 0 and b_hi == h.n_bins:
         raise ValueError(
             "the delay range leaves no background bin beyond the counting window; widen it"
         )
     return w_lo, w_hi, b_lo, b_hi
 
 
-def _background_per_bin(hists: np.ndarray, b_lo: int, b_hi: int) -> np.ndarray:
-    """Mean count per bin outside [b_lo, b_hi) of each row of ``hists``."""
-    n_bg = b_lo + hists.shape[1] - b_hi
-    return (hists[:, :b_lo].sum(axis=1) + hists[:, b_hi:].sum(axis=1)) / n_bg
+def _corrected(hists: np.ndarray, spans: Sequence[Tuple[int, int, int, int]]) -> np.ndarray:
+    """(rows, detectors) corrected counts of a (rows, detectors, bins) histogram stack.
+
+    Detector ``d``'s :func:`_window_bins` are ``spans[d]``.  Each row counts
+    its window sum less its own mean count per background bin times the
+    window's bins; negative results clamp to zero, with one
+    ``RuntimeWarning`` saying how many.
+    """
+    values = np.empty(hists.shape[:2])
+    for col, (w_lo, w_hi, b_lo, b_hi) in enumerate(spans):
+        rows = hists[:, col]
+        n_bg = b_lo + rows.shape[1] - b_hi
+        background = (rows[:, :b_lo].sum(axis=1) + rows[:, b_hi:].sum(axis=1)) / n_bg
+        values[:, col] = rows[:, w_lo:w_hi].sum(axis=1) - background * (w_hi - w_lo)
+    negative = values < 0.0
+    if negative.any():
+        warnings.warn(
+            f"{int(negative.sum())} of {values.size} corrected coincidence counts "
+            "clamped to zero",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        values[negative] = 0.0
+    return values
+
+
+def corrected_coincidences(h: CoincidenceHistogram, w: WindowSelection) -> float:
+    """Background-corrected pair count inside a coincidence window.
+
+    The raw count is the sum of ``h``'s bins in [w.start, w.end), i.e. the
+    pairs with a difference in that interval, less ``h``'s mean count per
+    bin outside [w.guard_start, w.guard_end) per window bin; a negative
+    result clamps to zero with a ``RuntimeWarning``.  Raises ``ValueError``
+    if ``w`` has another ``bin_width`` than ``h``, is off ``h``'s bin grid,
+    reaches outside ``h`` or leaves it no background bin.
+    """
+    return float(_corrected(h.counts[None, None], [_window_bins(h, w)])[0, 0])
 
 
 def count_sub_run(
@@ -497,20 +505,15 @@ def count_sub_run(
 ) -> float:
     """Corrected coincidences between a herald and one detector.
 
-    Applies to the one histogram of ``bin_width`` bins over the search range
-    ``window`` the rule :func:`count_dataset` applies to each detector's
-    dataset-summed histogram: one window holds the delay peaks (up to two,
-    one per outer arm) with a guard of three FWHMs either side, and the mean
-    count per bin beyond a second guard is subtracted per window bin by
-    :func:`corrected_coincidences`.  Raises :class:`NoPeakError` if the
-    histogram has no detectable peak, and ``ValueError`` if ``window``
-    leaves no background bin beyond the counting window.
+    :func:`corrected_coincidences` in the :func:`select_window` window of
+    the one histogram of ``bin_width`` bins over the search range
+    ``window``: the rule :func:`count_dataset` applies to each detector's
+    dataset-summed histogram.  Raises :class:`NoPeakError` if the histogram
+    has no detectable peak, and ``ValueError`` if ``window`` leaves no
+    background bin beyond the counting window.
     """
     h = histogram(herald, detector, bin_width, window)
-    w_lo, w_hi, b_lo, b_hi = _fixed_window(h.counts)
-    flatline = float(_background_per_bin(h.counts[None], b_lo, b_hi)[0])
-    w = WindowSelection(h.bin_start(w_lo), h.bin_start(w_hi), flatline, h.bin_width)
-    return corrected_coincidences(h, w)
+    return corrected_coincidences(h, select_window(h))
 
 
 def _dataset_window(dataset) -> Tuple[int, int]:
@@ -629,27 +632,17 @@ def count_dataset(
     subs = [(run, sub) for run, cfgs in RUN_CONFIGS.items() for sub in range(len(cfgs))]
     keys = [(run, sub, it) for run, sub in subs for it in range(dataset.iterations[run])]
     stack = _histogram_stack(dataset, bin_width, window, keys)
-    values = np.empty((len(keys), 2))
+    spans = []
     for col, label in enumerate(_DETECTOR_COLUMNS):
-        hists = stack[:, col]
+        summed = CoincidenceHistogram(bin_width, int(window[0]), stack[:, col].sum(axis=0))
         try:
-            w_lo, w_hi, b_lo, b_hi = _fixed_window(hists.sum(axis=0))
+            spans.append(_window_bins(summed, select_window(summed)))
         except NoPeakError:
             raise NoPeakError(
                 f"detector {label}: no coincidence peak in its delay histogram "
                 f"summed over all {len(keys)} iterations"
             ) from None
-        raw = hists[:, w_lo:w_hi].sum(axis=1)
-        values[:, col] = raw - _background_per_bin(hists, b_lo, b_hi) * (w_hi - w_lo)
-    negative = values < 0.0
-    if negative.any():
-        warnings.warn(
-            f"{int(negative.sum())} of {values.size} corrected coincidence counts "
-            "clamped to zero",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        values[negative] = 0.0
+    values = _corrected(stack, spans)
     ends = np.cumsum([dataset.iterations[run] for run, _ in subs])
     return dict(zip(subs, np.split(values, ends[:-1])))
 
@@ -1052,7 +1045,9 @@ def load_run_counts_csv(path) -> Dict[Tuple[int, int], np.ndarray]:
 
     Expected columns: ``block_t1``, ``block_t2`` (``none``/``plus``/
     ``minus``), ``detector`` (``P`` for the +1 detector, ``M`` for -1) and
-    ``count``.  Every one of the nine sub-runs needs both detector rows.
+    ``count``.  Every one of the nine sub-runs needs both detector rows.  A
+    short row or a count that is not a finite nonnegative number raises
+    ``ValueError`` naming the row.
 
     Parameters
     ----------
@@ -1064,28 +1059,20 @@ def load_run_counts_csv(path) -> Dict[Tuple[int, int], np.ndarray]:
         (run, sub_run) -> (1, 2) count array, columns ordered (+1, -1).
     """
     cells: Dict[Tuple[int, int], Dict[str, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"block_t1", "block_t2", "detector", "count"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(
-                f"counts CSV must have columns {sorted(required)}"
-            )
-        for row in reader:
-            where = f"row {reader.line_num}"
-            blockers = (row["block_t1"].strip(), row["block_t2"].strip())
-            if blockers not in RUN_SUB_BY_BLOCKERS:
-                raise ValueError(f"{where}: unknown blocker configuration {blockers}")
-            detector = row["detector"].strip()
-            if detector not in _DETECTOR_COLUMNS:
-                raise ValueError(f"{where}: unknown detector label {detector!r}")
-            count = float(row["count"])
-            if not (math.isfinite(count) and count >= 0.0):
-                raise ValueError(f"{where}: count {row['count']!r} is not finite and nonnegative")
-            cell = cells.setdefault(RUN_SUB_BY_BLOCKERS[blockers], {})
-            if detector in cell:
-                raise ValueError(f"{where}: repeats {blockers[0]},{blockers[1]},{detector}")
-            cell[detector] = count
+    for where, row in read_rows(path, ("block_t1", "block_t2", "detector", "count")):
+        blockers = (row["block_t1"].strip(), row["block_t2"].strip())
+        if blockers not in RUN_SUB_BY_BLOCKERS:
+            raise ValueError(f"{where}: unknown blocker configuration {blockers}")
+        detector = row["detector"].strip()
+        if detector not in _DETECTOR_COLUMNS:
+            raise ValueError(f"{where}: unknown detector label {detector!r}")
+        count = number(where, row, "count")
+        if not (math.isfinite(count) and count >= 0.0):
+            raise ValueError(f"{where}: count {row['count']!r} is not finite and nonnegative")
+        cell = cells.setdefault(RUN_SUB_BY_BLOCKERS[blockers], {})
+        if detector in cell:
+            raise ValueError(f"{where}: repeats {blockers[0]},{blockers[1]},{detector}")
+        cell[detector] = count
     counts: Dict[Tuple[int, int], np.ndarray] = {}
     for key in sorted(RUN_SUB_BY_BLOCKERS.values()):
         if key not in cells or set(cells[key]) != set(_DETECTOR_COLUMNS):

@@ -44,6 +44,7 @@ from typing import Dict, NamedTuple, Sequence, Tuple
 import numpy as np
 from scipy import optimize
 
+from ._csvrows import number, read_rows
 from .protocol import RUN_CONFIGS, JointProbTable, evaluate, joint_tables, outcome_prefix
 
 __all__ = [
@@ -567,21 +568,19 @@ def fit_report(result: GammaFitResult) -> Dict[str, object]:
 
 
 def load_counts_csv(path) -> CountVector12:
-    """Read a count table from CSV with columns set_label, C1, C2, C12."""
+    """Read a count table from CSV with columns set_label, C1, C2, C12.
+
+    A short row or a count that is not a number raises ``ValueError``
+    naming the row.
+    """
     rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for record in reader:
-            label = record["set_label"]
-            if label not in SET_LABELS:
-                raise ValueError(f"row {reader.line_num}: unknown set label {label!r}")
-            if label in rows:
-                raise ValueError(f"row {reader.line_num}: repeats set label {label!r}")
-            rows[label] = [
-                float(record["C1"]),
-                float(record["C2"]),
-                float(record["C12"]),
-            ]
+    for where, record in read_rows(path, ("set_label", "C1", "C2", "C12")):
+        label = record["set_label"]
+        if label not in SET_LABELS:
+            raise ValueError(f"{where}: unknown set label {label!r}")
+        if label in rows:
+            raise ValueError(f"{where}: repeats set label {label!r}")
+        rows[label] = [number(where, record, name) for name in ("C1", "C2", "C12")]
     missing = [label for label in SET_LABELS if label not in rows]
     if missing:
         raise ValueError(f"count table is missing set labels {missing}")

@@ -673,11 +673,14 @@ def load_dataset(path: str) -> _DirectoryDataset:
     FileNotFoundError
         If there is no ``manifest.json``.
     ValueError
-        Naming ``manifest.json``, if the manifest has another format, if
-        its ``sub_runs`` differ from the protocol's ``RUN_CONFIGS`` (sub-runs
-        are counted by position, so a reordered or changed schedule would
-        be analysed as the protocol's), or if its ``iterations`` do not
-        give a positive integer count for exactly the runs 1 to 4.  A
+        Naming ``manifest.json``, if its top level is not an object, if the
+        manifest has another format, if its ``sub_runs`` differ from the
+        protocol's ``RUN_CONFIGS`` (sub-runs are counted by position, so a
+        reordered or changed schedule would be analysed as the protocol's),
+        if its ``iterations`` do not give a positive integer count for
+        exactly the runs 1 to 4, if its ``source`` is not an object of valid
+        :class:`SourceConfig` fields, or if its ``files`` are not a list of
+        objects.  A
         ``macroreal-dataset-v1`` (CSV) directory is no longer read; its
         manifest holds the seed and configuration to write it again with
         ``simulate``.
@@ -688,6 +691,8 @@ def load_dataset(path: str) -> _DirectoryDataset:
         raise FileNotFoundError(f"no manifest.json under {root}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: the top level must be an object")
     fmt = manifest.get("format")
     if fmt == "macroreal-dataset-v1":
         raise ValueError(
@@ -709,4 +714,14 @@ def load_dataset(path: str) -> _DirectoryDataset:
             f"{manifest_path}: iterations must give a positive integer count "
             f"for each of the runs {sorted(RUN_CONFIGS)}, got {iterations!r}"
         )
+    source = manifest.get("source")
+    if not isinstance(source, dict):
+        raise ValueError(f"{manifest_path}: source must be an object, got {source!r}")
+    try:
+        SourceConfig(**source)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_path}: source: {exc}") from exc
+    files = manifest.get("files")
+    if not isinstance(files, list) or not all(isinstance(entry, dict) for entry in files):
+        raise ValueError(f"{manifest_path}: files must be a list of objects")
     return _DirectoryDataset(root, manifest)

@@ -199,9 +199,12 @@ def gaussian_pair_streams(n, sigma, offset, seed=3, spacing=1_000_000):
 def test_select_window_gaussian_fwhm():
     a, b = gaussian_pair_streams(200_000, sigma=400.0, offset=0)
     w = select_window(histogram(a, b))
-    width_bins = w.n_bins
-    fwhm_bins = 2.355 * 400.0 / 100.0  # 9.42
-    assert abs(width_bins - fwhm_bins) <= 1.0
+    # One peak: its FWHM plus three FWHMs either side, guarded by three more.
+    fwhm_bins, rest = divmod(w.n_bins, 7)
+    assert rest == 0
+    assert abs(fwhm_bins - 2.355 * 400.0 / 100.0) <= 1.0  # 9.42
+    guard = 3 * fwhm_bins * w.bin_width
+    assert (w.start - w.guard_start, w.guard_end - w.end) == (guard, guard)
 
 
 def test_select_window_centered_at_offset():
@@ -223,8 +226,16 @@ def test_select_window_flatline_estimate():
     counts = rng.poisson(8.0, size=1000)
     peak = np.array([200, 900, 2000, 900, 200])
     counts[498:503] += peak
-    w = select_window(CoincidenceHistogram(100, -50_000, counts))
-    assert abs(w.flatline_mean - 8.0) < 4.0 * math.sqrt(8.0 / 900)
+    h = CoincidenceHistogram(100, -50_000, counts)
+    w = select_window(h)
+    i_lo, i_hi = (w.start - h.origin) // 100, (w.end - h.origin) // 100
+    g_lo, g_hi = (w.guard_start - h.origin) // 100, (w.guard_end - h.origin) // 100
+    background = np.concatenate((counts[:g_lo], counts[g_hi:]))
+    raw = int(counts[i_lo:i_hi].sum())
+    # The subtracted level is the mean count per bin outside the guard.
+    level = (raw - corrected_coincidences(h, w)) / w.n_bins
+    assert level == pytest.approx(background.mean(), rel=1e-12)
+    assert abs(level - 8.0) < 4.0 * math.sqrt(8.0 / background.size)
 
 
 def test_select_window_matches_the_median_reference_bit_for_bit():
@@ -239,24 +250,28 @@ def test_select_window_matches_the_median_reference_bit_for_bit():
             shape = np.exp(-0.5 * ((bins - center) / sigma) ** 2)
             counts += rng.poisson(rng.uniform(0.0, 500.0) * shape)
         h = CoincidenceHistogram(100, -50_000, counts)
-        expected = oracles.reference_select_window(counts)
-        try:
-            w = select_window(h)
-        except NoPeakError:
-            assert expected is None
+        expected = oracles.reference_fixed_window(counts)
+        if expected is None:
+            with pytest.raises(NoPeakError):
+                select_window(h)
             outcomes.add("no peak")
-            continue
-        i_lo, i_hi, flatline = expected
-        assert (w.start, w.end) == (h.bin_start(i_lo), h.bin_start(i_hi))
-        assert np.float64(w.flatline_mean).tobytes() == np.float64(flatline).tobytes()
-        outcomes.add("window")
-    assert outcomes == {"no peak", "window"}
+        elif expected[2:] == (0, n):
+            with pytest.raises(ValueError, match="no background bin"):
+                select_window(h)
+            outcomes.add("no background")
+        else:
+            w = select_window(h)
+            assert (w.start, w.end, w.guard_start, w.guard_end) == tuple(
+                h.bin_start(i) for i in expected
+            )
+            outcomes.add("window")
+    assert outcomes == {"no peak", "no background", "window"}
 
 
 def test_corrected_zero_background_all_inside():
     a = np.arange(0, 100_000_000, 100_000, dtype=np.int64)
     b = a + 5000
-    w = WindowSelection(start=4900, end=5100, flatline_mean=0.0)
+    w = WindowSelection(start=4900, end=5100, guard_start=4900, guard_end=5100)
     assert corrected_coincidences(histogram(a, b), w) == len(a)
 
 
@@ -265,9 +280,8 @@ def test_corrected_uniform_accidentals_near_zero():
     duration_ps = 10**12
     a = poisson_stream(rng, 2e5, duration_ps)
     b = poisson_stream(rng, 2e5, duration_ps)
-    per_bin = 2e5 * 2e5 * 100e-12
-    w = WindowSelection(start=-5000, end=5000, flatline_mean=per_bin)
-    raw = per_bin * 100
+    w = WindowSelection(start=-5000, end=5000, guard_start=-5000, guard_end=5000)
+    raw = 2e5 * 2e5 * 100e-12 * 100
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # clamp is expected here
         assert corrected_coincidences(histogram(a, b), w) <= 4.0 * math.sqrt(raw)
@@ -282,31 +296,47 @@ def test_corrected_recovers_true_pairs():
     h = histogram(a, b)
     w = select_window(h)
     corrected = corrected_coincidences(h, w)
-    raw = corrected + w.flatline_mean * w.n_bins
+    raw = int(h.counts[(w.start - h.origin) // 100 : (w.end - h.origin) // 100].sum())
     assert abs(corrected - 1000) <= 4.0 * math.sqrt(raw)
 
 
 def test_corrected_clamps_negative_to_zero_with_warning():
-    a = np.array([0, 1_000_000], dtype=np.int64)
-    b = np.array([500_000], dtype=np.int64)
-    w = WindowSelection(start=0, end=1000, flatline_mean=5.0)
-    with pytest.warns(RuntimeWarning):
-        value = corrected_coincidences(histogram(a, b), w)
+    counts = np.full(10, 3)
+    counts[4:6] = 0
+    w = WindowSelection(start=400, end=600, guard_start=400, guard_end=600)
+    with pytest.warns(RuntimeWarning, match="1 of 1 corrected coincidence counts clamped"):
+        value = corrected_coincidences(CoincidenceHistogram(100, 0, counts), w)
     assert value == 0.0
 
 
 @pytest.mark.parametrize(
     "w, message",
     [
-        (WindowSelection(start=49_900, end=50_100, flatline_mean=0.0), "outside"),
-        (WindowSelection(start=4950, end=5050, flatline_mean=0.0), "bin grid"),
-        (WindowSelection(start=4800, end=5200, flatline_mean=0.0, bin_width=200), "bin_width"),
+        (WindowSelection(49_900, 50_100, 49_900, 50_100), "outside"),
+        (WindowSelection(4900, 5100, -50_100, 5100), "outside"),
+        (WindowSelection(4950, 5050, 4950, 5050), "bin grid"),
+        (WindowSelection(4800, 5200, 4800, 5200, bin_width=200), "bin_width"),
+        (WindowSelection(4900, 5100, -50_000, 50_000), "no background bin"),
     ],
+    ids=["window outside", "guard outside", "off the grid", "other bin_width", "no background"],
 )
 def test_corrected_rejects_window_not_on_the_histogram(w, message):
     a = np.arange(0, 100_000_000, 100_000, dtype=np.int64)
     with pytest.raises(ValueError, match=message):
         corrected_coincidences(histogram(a, a + 5000), w)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ((5000, 5000, 4900, 5100), "precede"),
+        ((4900, 5100, 5000, 5100), "contain"),
+        ((4900, 5100, 4900, 5150), "whole numbers"),
+    ],
+)
+def test_window_selection_rejects_inconsistent_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        WindowSelection(*edges)
 
 
 def test_window_invariance_under_common_shift():
@@ -488,6 +518,33 @@ def test_the_clamped_case_has_zero_and_nonzero_counts_and_one_warning():
     assert [str(w.message) for w in caught] == [
         f"{zeros} of {values.size} corrected coincidence counts clamped to zero"
     ]
+
+
+@pytest.mark.parametrize(
+    "dataset",
+    [small_quiet_dataset(), small_quiet_dataset(pair_rate=1e3, dark_rate=1e5)],
+    ids=["quiet", "clamped counts"],
+)
+def test_count_dataset_counts_by_the_public_window_rule(dataset):
+    window = analysis._dataset_window(dataset)
+    hists = {}
+    for run, cfgs in RUN_CONFIGS.items():
+        for sub in range(len(cfgs)):
+            for it in range(dataset.iterations[run]):
+                h_s, *detectors = dataset.streams(run, sub, it)
+                hists[run, sub, it] = [histogram(h_s, det, window=window) for det in detectors]
+    windows = [
+        select_window(
+            CoincidenceHistogram(100, window[0], sum(pair[col].counts for pair in hists.values()))
+        )
+        for col in range(2)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # clamps agree on both sides
+        counts = count_dataset(dataset)
+        for (run, sub, it), pair in hists.items():
+            expected = [corrected_coincidences(h, w) for h, w in zip(pair, windows)]
+            assert counts[run, sub][it].tobytes() == np.array(expected).tobytes(), (run, sub, it)
 
 
 class DeadDetector:

@@ -224,6 +224,23 @@ def test_gamma_fit_missing_column_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "row, message",
+    [
+        ("++,1\n", "row 2: missing C2, C12"),
+        ("++,1,2,lots\n", "row 2: C12 'lots' is not a number"),
+    ],
+    ids=["short row", "non-numeric count"],
+)
+def test_gamma_fit_counts_with_a_bad_row_exits_2_naming_it(tmp_path, capsys, row, message):
+    bad = tmp_path / "counts.csv"
+    bad.write_text("set_label,C1,C2,C12\n" + row, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["gamma-fit", "--counts", str(bad), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["predict", "--config", "{tmp}/bad.json"], "config"),
@@ -536,6 +553,26 @@ def test_analyze_exits_2_naming_a_detector_that_never_peaks(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["analyze", str(ds), "--config", cfg, "--out", str(out)]) == 2
     assert "detector M: no coincidence peak" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("none,none\n", "row 19: missing detector, count"),
+        ("none,none,M\n", "row 19: missing count"),
+        ("none,none,M,many\n", "row 19: count 'many' is not a number"),
+    ],
+    ids=["two fields", "three fields", "non-numeric count"],
+)
+def test_analyze_counts_csv_with_a_bad_row_exits_2_naming_it(tmp_path, capsys, row, message):
+    # The bundled table with its last row, row 19, rewritten.
+    lines = representative_counts_path().read_text(encoding="utf-8").splitlines(True)
+    bad = tmp_path / "counts.csv"
+    bad.write_text("".join(lines[:-1]) + row, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["analyze", str(bad), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -401,6 +401,34 @@ def test_load_dataset_rejects_a_schedule_other_than_the_protocols(tmp_path, case
     assert not (tmp_path / "after").exists()
 
 
+# Each case returns a malformed copy of a written manifest.
+_MANIFEST_EDITS = {
+    "top level a list": lambda m: [m],
+    "source not an object": lambda m: {**m, "source": 5},
+    "source with an unknown field": lambda m: {**m, "source": {**m["source"], "colour": 1}},
+    "source field of the wrong type": lambda m: {**m, "source": {**m["source"], "gamma": "x"}},
+    "files not a list": lambda m: {**m, "files": {"path": "run1_sub0/iter0000.npz"}},
+    "files entry not an object": lambda m: {**m, "files": ["run1_sub0/iter0000.npz"]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MANIFEST_EDITS))
+def test_analyze_exits_2_on_a_malformed_manifest(tmp_path, capsys, case):
+    data = tmp_path / "ds"
+    run_protocol(
+        SourceConfig(pair_rate=2.0e3, seed=3), SetupParams(),
+        iterations={"interference": 1, "non_interference": 1},
+    ).to_directory(data)
+    manifest_path = data / "manifest.json"
+    manifest = _MANIFEST_EDITS[case](json.loads(manifest_path.read_text()))
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="manifest.json"):
+        load_dataset(data)
+    assert main(["analyze", str(data), "--out", str(tmp_path / "out")]) == 2
+    assert "manifest.json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _write_npy(path, arrays):
     with open(path, "wb") as fh:
         np.save(fh, arrays["H"])
