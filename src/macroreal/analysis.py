@@ -34,10 +34,11 @@ from .protocol import (
     RUN_CONFIGS,
     RUN_SUB_BY_BLOCKERS,
     Evaluation,
+    NSIT_MARGINALS,
     JointProbTable,
     combine,
-    correlation,
     evaluate,
+    ingredients,
     joint_tables,
 )
 from .simulate import TimestampStream, as_stamps
@@ -724,37 +725,6 @@ def _pairings(
             yield [i[start : start + _TABLE_BATCH] for i in idx]
 
 
-def _suffix(key: Tuple[str, ...]) -> str:
-    """Name suffix of a table key: ``("t2", "t3")`` -> ``"23"``."""
-    return "".join(time[1:] for time in key)
-
-
-# Each NSIT compares P(+) at one time between two tables, as protocol.evaluate does.
-_NSIT_MARGINALS = {
-    "nsit12": ((("t2", "t3"), "t2"), (("t1", "t2"), "t2")),
-    "nsit23": ((("t3",), "t3"), (("t2", "t3"), "t3")),
-    "nsit13": ((("t3",), "t3"), (("t1", "t3"), "t3")),
-}
-
-
-def _error_statistics(tables: Mapping[Tuple[str, ...], JointProbTable]) -> Dict[object, np.ndarray]:
-    """The per-pairing values whose spreads :func:`error_distributions` reads.
-
-    Each two-time table gives its correlation (``sigma<ij>``) and its
-    P(-, +) entry (``wlgi_sigma<ij>``); each (table key, time) pair named in
-    ``_NSIT_MARGINALS`` gives P(+) at that time.
-    """
-    out: Dict[object, np.ndarray] = {}
-    for key, table in tables.items():
-        if table.order == "two-time":
-            out[f"sigma{_suffix(key)}"] = correlation(table)
-            out[f"wlgi_sigma{_suffix(key)}"] = table.entries[(-1, +1)]
-        for pos, time in enumerate(key):
-            if any((key, time) in pair for pair in _NSIT_MARGINALS.values()):
-                out[(key, time)] = sum(p for k, p in table.entries.items() if k[pos] == +1)
-    return out
-
-
 class _Spread:
     """Sample standard deviation (ddof=1) of values that arrive in batches.
 
@@ -784,8 +754,9 @@ def error_distributions(
     """Standard deviations of cross-combination inequality ingredients.
 
     Every iteration of one sub-run may be combined with every iteration of
-    the others, giving a distribution per derived quantity, each read from
-    the run's :func:`~macroreal.protocol.joint_tables` for that pairing.
+    the others, giving a distribution per derived quantity: the
+    :func:`~macroreal.protocol.ingredients` of the run's
+    :func:`~macroreal.protocol.joint_tables` for that pairing.
     The full cross-pairing of the two-sub-run runs (1 and 2) is always
     enumerated; the four-way combination space of the double-blocked run 3
     is subsampled with ``n_samples`` uniform draws, or enumerated when
@@ -830,15 +801,17 @@ def error_distributions(
     for run, subs in arrays.items():
         sizes = [arr.shape[0] for arr in subs]
         for idx in _pairings(sizes, rng, n_samples, exhaustive_limit):
-            for name, values in _error_statistics(_pairing_tables(subs, run, idx)).items():
+            for name, values in ingredients(_pairing_tables(subs, run, idx)).items():
                 spreads.setdefault(name, _Spread()).add(values)
     sigma = {name: spread.std() for name, spread in spreads.items()}
-    out = {name: value for name, value in sigma.items() if isinstance(name, str)}
+    out: Dict[str, float] = {}
+    for pair in ("23", "13", "12"):
+        out[f"sigma{pair}"], out[f"wlgi_sigma{pair}"] = sigma[f"c{pair}"], sigma[f"mp{pair}"]
     # Worst-case sums, in the order of the terms of LGI and WLGI.
     out["delta"] = out["sigma12"] + out["sigma23"] + out["sigma13"]
     out["wlgi_delta"] = out["wlgi_sigma13"] + out["wlgi_sigma12"] + out["wlgi_sigma23"]
     out["p3_sigma"] = sigma[(("t3",), "t3")]
-    for name, pair in _NSIT_MARGINALS.items():
+    for name, pair in NSIT_MARGINALS.items():
         out[f"{name}_delta"] = sum(sigma[marginal] for marginal in pair)
     return out
 
@@ -889,8 +862,9 @@ def per_iteration_values(
     """Index-matched per-iteration inequality ingredients for plotting.
 
     Pairs iteration i of each sub-run within a run (no cross-combination)
-    to give one correlation value per iteration, and combines the runs
-    index-wise up to the shortest run for per-iteration LGI/WLGI traces.
+    to give one set of :func:`~macroreal.protocol.ingredients` per
+    iteration, and combines the runs index-wise up to the shortest run for
+    per-iteration LGI/WLGI traces.
 
     Parameters
     ----------
@@ -913,18 +887,12 @@ def per_iteration_values(
         arrays = _run_arrays(counts, run)
         n = min(arr.shape[0] for arr in arrays)
         tables.update(_pairing_tables(arrays, run, [np.arange(n)] * len(arrays)))
-    out: Dict[str, np.ndarray] = {}
-    terms: Dict[str, np.ndarray] = {}
-    for key, table in tables.items():
-        if table.order == "two-time":
-            out[f"c{_suffix(key)}"] = correlation(table)
-            terms[f"c{_suffix(key)}"] = table.entries[(-1, +1)]
-    out["p3"] = tables[("t3",)].entries[(+1,)]
-    names = ("c12", "c23", "c13")
-    n = min(out[name].size for name in names)
-    out["lgi"], out["wlgi"] = combine(
-        *(out[name][:n] for name in names), *(terms[name][:n] for name in names)
-    )
+    values = ingredients(tables)
+    out = {name: values[name] for name in ("c23", "c13", "c12")}
+    out["p3"] = values[(("t3",), "t3")]
+    names = ("c12", "c23", "c13", "mp12", "mp23", "mp13")
+    n = min(values[name].size for name in names)
+    out["lgi"], out["wlgi"] = combine(*(values[name][:n] for name in names))
     return out
 
 

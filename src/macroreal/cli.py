@@ -329,11 +329,7 @@ def _prediction_payload(config: Dict[str, dict]) -> dict:
         }
 
     return {
-        "setup": {
-            "alpha_sq": setup.alpha_sq,
-            "t_ratios": list(setup.t_ratios),
-            "visibility": setup.visibility,
-        },
+        "setup": asdict(setup),
         "visibility_range": None if v_range is None else [float(v) for v in v_range],
         "point": point,
         "range": _ranges(swept),

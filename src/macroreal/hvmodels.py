@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .protocol import BOUNDS, combine
+from .protocol import ARM_LABELS, BOUNDS, evaluate, joint_tables, path_cells
 
 __all__ = [
     "BLOCK_NAMES",
@@ -661,18 +661,15 @@ def _certify(jobs, n_starts: int, seed: int, support) -> List[BoundCertificate]:
         out[~lgi] = _ratio_value_batch(w[~lgi], _WLGI)
         return out
 
-    f0 = values(x0, np.arange(len(x0)))
+    # Each start is vertex 0 of its simplex, so f_opt is never worse than it.
     x_opt, f_opt, _ = _nelder_mead_batch(lambda x, rows: -values(x, rows), x0)
 
     certificates = []
     for k, (eta, name) in enumerate(jobs):
         ratios, formula = _INEQUALITIES[name]
-        probe_val, probe_x = -math.inf, None
-        for i in np.flatnonzero(job_of == k):
-            if f0[i] > probe_val:
-                probe_val, probe_x = float(f0[i]), x0[i]
-            if -f_opt[i] > probe_val:
-                probe_val, probe_x = float(-f_opt[i]), x_opt[i]
+        mine = np.flatnonzero(job_of == k)
+        best = mine[np.argmin(f_opt[mine])]
+        probe_val, probe_x = float(-f_opt[best]), x_opt[best]
         probe_w = project_feasible(embed(probe_x), eta)
         if support is not None:
             # Diagnostic mode: report the honest maximum on the slice.
@@ -784,14 +781,12 @@ def blocker_setup_bound(inequality: str, eta: float) -> BoundCertificate:
     """
     _check_eta(eta)
     formula = blocker_setup_formula(inequality)
-    best_val, best_triple = -math.inf, None
-    for triple in TRIPLES:
-        q1, q2, q3 = triple
-        # A deterministic triple has correlators qi*qj and P(qi=-1, qj=+1) in {0, 1}.
-        minus_plus = [float(a == -1 and b == +1) for a, b in ((q1, q2), (q2, q3), (q1, q3))]
-        lgi, wlgi = combine(q1 * q2, q2 * q3, q1 * q3, *minus_plus)
-        val = lgi if inequality == "LGI" else wlgi
-        if val > best_val:
-            best_val, best_triple = float(val), triple
+
+    def value(triple: Tuple[int, int, int]) -> float:
+        # A deterministic photon takes the triple's path whatever the t1 blocker.
+        tables = joint_tables(path_cells(dict.fromkeys(ARM_LABELS, (triple,))))
+        return float(getattr(evaluate(tables), inequality.lower()))
+
+    best_triple = max(TRIPLES, key=value)
     witness = HVWeights.from_assignments({("d", best_triple): eta})
-    return BoundCertificate(eta, best_val, witness, formula)
+    return BoundCertificate(eta, value(best_triple), witness, formula)

@@ -45,7 +45,7 @@ import numpy as np
 from scipy import optimize
 
 from ._csvrows import number, read_rows
-from .protocol import RUN_CONFIGS, JointProbTable, evaluate, joint_tables, outcome_prefix
+from .protocol import JointProbTable, evaluate, joint_tables, path_cells
 
 __all__ = [
     "CountVector12",
@@ -220,20 +220,7 @@ class GammaFitResult(NamedTuple):
 
 
 def _two_photon_tables() -> Dict[Tuple[str, ...], JointProbTable]:
-    cells = {}
-    for run, cfgs in RUN_CONFIGS.items():
-        cells[run] = []
-        for cfg in cfgs:
-            # A photon survives when its path at each blocked time is the
-            # outcome the blocker certifies; the detector reads its t3 path.
-            blocked = [i for i, arm in enumerate((cfg.block_t1, cfg.block_t2)) if arm != "none"]
-            finals = [
-                path[2]
-                for path in _TWO_PHOTON_PATHS[cfg.block_t1]
-                if tuple(path[i] for i in blocked) == outcome_prefix(cfg)
-            ]
-            cells[run].append((float(finals.count(+1)), float(finals.count(-1))))
-    return joint_tables(cells)
+    return joint_tables(path_cells(_TWO_PHOTON_PATHS))
 
 
 def two_photon_joint_probs() -> Dict[Tuple[str, str], JointProbTable]:
@@ -444,11 +431,10 @@ def chi_squared(observed: CountVector12, predicted: CountVector12) -> float:
     ValueError
         If any predicted cell is zero (the statistic is undefined there).
     """
-    obs = observed.flat
     pred = predicted.flat
     if np.any(pred <= 0.0):
         raise ValueError("chi-squared undefined: predicted cell is zero")
-    return float(np.sum((obs - pred) ** 2 / pred))
+    return _guarded_chi2(observed.flat, pred)
 
 
 _PARAM_NAMES = ("alpha_sq", "t1", "t2", "t3", "t4", "eta1", "eta2", "n_events", "gamma")

@@ -5,16 +5,17 @@ arm before the first coupler (``block_t1``) or inside the loop
 (``block_t2``); seeing the photon later certifies the other arm, so a
 blocked arm records the opposite outcome for that time.  t3 is read from
 the detector that fired.  Every model of the experiment reduces to one
-(+1, -1) detector cell per sub-run: :func:`joint_tables` turns the cells
-into per-run normalized tables and :func:`evaluate` forms LGI (bound 1),
-WLGI (bound 0) and the three NSIT measures (each 0) from them.
+(+1, -1) detector cell per sub-run (:func:`path_cells`, for fixed paths):
+:func:`joint_tables` turns the cells into per-run normalized tables and
+:func:`evaluate` forms LGI (bound 1), WLGI (bound 0) and the three NSIT
+measures (each 0) from their :func:`ingredients`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "BlockerConfig",
     "Evaluation",
     "JointProbTable",
+    "NSIT_MARGINALS",
     "RUN_CONFIGS",
     "RUN_SUB_BY_BLOCKERS",
     "RUN_TIMES",
@@ -31,8 +33,10 @@ __all__ = [
     "combine",
     "correlation",
     "evaluate",
+    "ingredients",
     "joint_tables",
     "outcome_prefix",
+    "path_cells",
 ]
 
 ARM_LABELS = ("none", "plus", "minus")
@@ -102,6 +106,26 @@ def outcome_prefix(cfg: BlockerConfig) -> Tuple[int, ...]:
     return tuple(
         _BLOCKED_TO_OUTCOME[arm] for arm in (cfg.block_t1, cfg.block_t2) if arm != "none"
     )
+
+
+def path_cells(
+    paths: Mapping[str, Sequence[Tuple[int, int, int]]],
+) -> Dict[int, List[Tuple[float, float]]]:
+    """Per-sub-run (+1, -1) survivor counts of photons on fixed paths.
+
+    ``paths`` maps each t1-blocker position in :data:`ARM_LABELS` to the
+    paths (q1, q2, q3) of its photons, one photon per path.  A photon
+    survives a sub-run when its path at each blocked time is the outcome
+    the blocker certifies; the detector reads its t3 path.
+    """
+    cells: Dict[int, List[Tuple[float, float]]] = {run: [] for run in RUN_CONFIGS}
+    for run, cfgs in RUN_CONFIGS.items():
+        for cfg in cfgs:
+            blocked = [i for i, arm in enumerate((cfg.block_t1, cfg.block_t2)) if arm != "none"]
+            prefix = outcome_prefix(cfg)
+            finals = [p[2] for p in paths[cfg.block_t1] if tuple(p[i] for i in blocked) == prefix]
+            cells[run].append((float(finals.count(+1)), float(finals.count(-1))))
+    return cells
 
 
 @dataclass
@@ -199,32 +223,52 @@ class Evaluation(NamedTuple):
     wlgi_terms: Dict[str, float]
 
 
+#: The two P(+) marginals each NSIT measure compares, as (table key, time).
+NSIT_MARGINALS = {
+    "nsit12": ((("t2", "t3"), "t2"), (("t1", "t2"), "t2")),
+    "nsit23": ((("t3",), "t3"), (("t2", "t3"), "t3")),
+    "nsit13": ((("t3",), "t3"), (("t1", "t3"), "t3")),
+}
+
+
+def ingredients(tables: Mapping[Tuple[str, ...], JointProbTable]) -> Dict[object, float]:
+    """The values LGI, WLGI and the NSIT measures are formed from.
+
+    Each two-time table keyed (ti, tj) gives its correlator ``cij`` and its
+    P(qi = -1, qj = +1) entry ``mpij``; each (table key, time) pair that
+    :data:`NSIT_MARGINALS` names gives P(+) at that time, under that pair.
+    It accepts any subset of the tables, with scalar or array entries.
+    """
+    out: Dict[object, float] = {}
+    for key, table in tables.items():
+        if table.order == "two-time":
+            suffix = "".join(time[1:] for time in key)
+            out[f"c{suffix}"] = correlation(table)
+            out[f"mp{suffix}"] = table.entries[(-1, +1)]
+        for pos, time in enumerate(key):
+            if any((key, time) in pair for pair in NSIT_MARGINALS.values()):
+                out[(key, time)] = sum(p for k, p in table.entries.items() if k[pos] == +1)
+    return out
+
+
 def evaluate(tables: Mapping[Tuple[str, ...], JointProbTable]) -> Evaluation:
     """LGI, WLGI and the three NSIT measures of a set of tables.
 
-    ``nsit12`` compares the t2 marginals of runs 1 and 3; ``nsit23`` and
-    ``nsit13`` compare the free-run t3 marginal with those of runs 1 and
-    2.  Table entries may be scalars or NumPy arrays.  A missing table
-    raises ``ValueError`` naming the run that measures it.
+    Each NSIT measure compares two :data:`NSIT_MARGINALS`: ``nsit12`` the t2
+    marginals of runs 1 and 3; ``nsit23`` and ``nsit13`` the free-run t3
+    marginal with those of runs 1 and 2.  Table entries may be scalars or
+    NumPy arrays.  A missing table raises ``ValueError`` naming the run
+    that measures it.
     """
     for key in (("t2", "t3"), ("t1", "t3"), ("t1", "t2"), ("t3",)):
         if key not in tables:
             # The first run whose times start with the key; (t1, t2) is run 3's marginal.
             run = next(run for run, times in RUN_TIMES.items() if times[: len(key)] == key)
             raise ValueError(f"missing table P({','.join(key)}) from run {run}")
-    t12, t23, t13 = tables[("t1", "t2")], tables[("t2", "t3")], tables[("t1", "t3")]
-    p12, p23, p13 = t12.entries, t23.entries, t13.entries
-    p3 = tables[("t3",)].entries
-    c12, c23, c13 = correlation(t12), correlation(t23), correlation(t13)
-    terms = {"t1t3": p13[(-1, +1)], "t1t2": p12[(-1, +1)], "t2t3": p23[(-1, +1)]}
-    lgi, wlgi = combine(c12, c23, c13, terms["t1t2"], terms["t2t3"], terms["t1t3"])
+    v = ingredients(tables)
     return Evaluation(
-        lgi=lgi,
-        wlgi=wlgi,
-        # Each t2 marginal is summed before the difference; outputs pin this rounding.
-        nsit12=abs((p23[(+1, +1)] + p23[(+1, -1)]) - (p12[(+1, +1)] + p12[(-1, +1)])),
-        nsit23=abs(p3[(+1,)] - p23[(+1, +1)] - p23[(-1, +1)]),
-        nsit13=abs(p3[(+1,)] - p13[(+1, +1)] - p13[(-1, +1)]),
-        correlations={"t1t2": c12, "t2t3": c23, "t1t3": c13},
-        wlgi_terms=terms,
+        *combine(v["c12"], v["c23"], v["c13"], v["mp12"], v["mp23"], v["mp13"]),
+        **{name: abs(v[a] - v[b]) for name, (a, b) in NSIT_MARGINALS.items()},
+        correlations={"t1t2": v["c12"], "t2t3": v["c23"], "t1t3": v["c13"]},
+        wlgi_terms={"t1t3": v["mp13"], "t1t2": v["mp12"], "t2t3": v["mp23"]},
     )

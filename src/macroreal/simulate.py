@@ -357,8 +357,8 @@ def derive_iteration_state(
     return int(state[0]), int(state[1])
 
 
-def _positive_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+def _int_at_least(value, least: int) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 def _run_iterations(iterations: Mapping[str, int]) -> Dict[int, int]:
@@ -376,7 +376,7 @@ def _run_iterations(iterations: Mapping[str, int]) -> Dict[int, int]:
         raise ValueError(f"iterations: unknown classes {sorted(unknown)}")
     merged = {**DEFAULT_ITERATIONS, **iterations}
     for name, count in merged.items():
-        if not _positive_int(count):
+        if not _int_at_least(count, 1):
             raise ValueError(f"iterations.{name}: {count!r} is not a positive integer")
     return {
         run: merged["interference" if run in INTERFERENCE_RUNS else "non_interference"]
@@ -497,11 +497,7 @@ class ExperimentDataset:
             "format": _DATASET_FORMAT,
             "master_seed": self.master_seed,
             "source": dataclasses.asdict(self.source),
-            "setup": {
-                "alpha_sq": self.setup.alpha_sq,
-                "t_ratios": list(self.setup.t_ratios),
-                "visibility": self.setup.visibility,
-            },
+            "setup": dataclasses.asdict(self.setup),
             "v_jitter": list(self.v_jitter) if self.v_jitter else None,
             "iterations": {str(run): count for run, count in sorted(self.iterations.items())},
             "sub_runs": _manifest_schedule(),
@@ -680,7 +676,8 @@ def load_dataset(path: str) -> _DirectoryDataset:
         if its ``iterations`` do not give a positive integer count for
         exactly the runs 1 to 4, if its ``source`` is not an object of valid
         :class:`SourceConfig` fields, or if its ``files`` are not a list of
-        objects.  A
+        objects each giving integer ``run``, ``sub_run`` and ``iteration``
+        and ``events`` as an object of H/P/M counts.  A
         ``macroreal-dataset-v1`` (CSV) directory is no longer read; its
         manifest holds the seed and configuration to write it again with
         ``simulate``.
@@ -708,7 +705,7 @@ def load_dataset(path: str) -> _DirectoryDataset:
     if (
         not isinstance(iterations, dict)
         or set(iterations) != {str(run) for run in RUN_CONFIGS}
-        or not all(_positive_int(count) for count in iterations.values())
+        or not all(_int_at_least(count, 1) for count in iterations.values())
     ):
         raise ValueError(
             f"{manifest_path}: iterations must give a positive integer count "
@@ -722,6 +719,18 @@ def load_dataset(path: str) -> _DirectoryDataset:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: source: {exc}") from exc
     files = manifest.get("files")
-    if not isinstance(files, list) or not all(isinstance(entry, dict) for entry in files):
+    if not isinstance(files, list):
         raise ValueError(f"{manifest_path}: files must be a list of objects")
+    for entry in files:
+        events = entry.get("events") if isinstance(entry, dict) else None
+        if not (
+            isinstance(events, dict)
+            and set(events) == set(CHANNELS)
+            and all(_int_at_least(n, 0) for n in events.values())
+            and all(_int_at_least(entry.get(key), 0) for key in ("run", "sub_run", "iteration"))
+        ):
+            raise ValueError(
+                f"{manifest_path}: files entry {entry!r} must be an object giving integer run, "
+                "sub_run and iteration, and events as an object of H/P/M counts"
+            )
     return _DirectoryDataset(root, manifest)

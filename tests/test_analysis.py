@@ -1,5 +1,6 @@
 """Tests for the coincidence post-processing pipeline."""
 
+import ast
 import concurrent.futures
 import dataclasses
 import math
@@ -1096,6 +1097,32 @@ def test_per_iteration_values_shapes():
         rows = {(4, 0): counts[(4, 0)][i : i + 1]}
         expected = joint_probs_from_counts(rows)[("t3",)].entries[(+1,)]
         assert value == pytest.approx(expected, rel=0, abs=1e-15), i
+
+
+def test_per_iteration_values_match_analyze_counts_of_each_iteration():
+    counts = random_counts(np.random.default_rng(83), {1: 3, 2: 5, 3: 4, 4: 6})
+    values = per_iteration_values(counts)
+    assert values["lgi"].size == values["wlgi"].size == 3
+    for i in range(3):
+        report = analyze_counts({key: arr[i : i + 1] for key, arr in counts.items()})
+        assert values["lgi"][i] == report.lgi[0], i
+        assert values["wlgi"][i] == report.wlgi[0], i
+
+
+def test_only_protocol_calls_the_table_readers():
+    # outcome_prefix and correlation are how the protocol reads a blocker
+    # schedule and a table; every other module goes through its functions.
+    callers = []
+    for path in sorted(Path(analysis.__file__).parent.glob("*.py")):
+        if path.name == "protocol.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("outcome_prefix", "correlation"):
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
 
 
 def test_analyze_counts_fixture_has_no_deltas():

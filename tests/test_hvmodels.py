@@ -36,6 +36,7 @@ from macroreal.hvmodels import (
     _ratio_value_batch,
     _wlgi_fractions,
 )
+from macroreal.protocol import ARM_LABELS, evaluate, joint_tables, path_cells
 
 from oracles import (
     deterministic_triple_values,
@@ -421,6 +422,15 @@ def test_blocker_setup_bound_constant_in_eta():
         assert wlgi.bound == 0.0
         assert wlgi.formula_value == 0.0
         assert wlgi.witness.is_feasible(eta, tol=1e-12)
+
+
+def test_deterministic_triples_through_the_protocol_tables():
+    # A photon on a fixed path, run through the protocol's survival rule and
+    # tables, gives its triple's values and signals nothing in time.
+    for triple, expected in zip(TRIPLES, deterministic_triple_values()):
+        values = evaluate(joint_tables(path_cells(dict.fromkeys(ARM_LABELS, (triple,)))))
+        assert (values.lgi, values.wlgi) == expected, triple
+        assert (values.nsit12, values.nsit23, values.nsit13) == (0.0, 0.0, 0.0), triple
 
 
 def test_triple_order_and_weight_index():

@@ -401,6 +401,12 @@ def test_load_dataset_rejects_a_schedule_other_than_the_protocols(tmp_path, case
     assert not (tmp_path / "after").exists()
 
 
+def _with_first_file(m, drop=(), **fields):
+    """``m`` with its first ``files`` entry edited: ``drop`` keys removed, ``fields`` set."""
+    entry = {key: value for key, value in m["files"][0].items() if key not in drop}
+    return {**m, "files": [{**entry, **fields}, *m["files"][1:]]}
+
+
 # Each case returns a malformed copy of a written manifest.
 _MANIFEST_EDITS = {
     "top level a list": lambda m: [m],
@@ -409,6 +415,13 @@ _MANIFEST_EDITS = {
     "source field of the wrong type": lambda m: {**m, "source": {**m["source"], "gamma": "x"}},
     "files not a list": lambda m: {**m, "files": {"path": "run1_sub0/iter0000.npz"}},
     "files entry not an object": lambda m: {**m, "files": ["run1_sub0/iter0000.npz"]},
+    "files entry run a list": lambda m: _with_first_file(m, run=[1]),
+    "files entry run a bool": lambda m: _with_first_file(m, run=True),
+    "files entry without sub_run": lambda m: _with_first_file(m, drop=("sub_run",)),
+    "files entry iteration a string": lambda m: _with_first_file(m, iteration="0"),
+    "files entry events a list": lambda m: _with_first_file(m, events=[1, 2, 3]),
+    "files entry events without M": lambda m: _with_first_file(m, events={"H": 1, "P": 1}),
+    "files entry negative count": lambda m: _with_first_file(m, events={"H": -1, "P": 0, "M": 0}),
 }
 
 
