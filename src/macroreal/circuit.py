@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .protocol import (
     RUN_CONFIGS,
@@ -547,6 +546,9 @@ _MAXIMA_POLISH_STARTS = 12
 
 def _grid_maximum(fun, axes, bounds):
     """Best bounded L-BFGS-B polish of ``fun`` from its best grid cells."""
+    # Imported here: ``import macroreal.cli`` stays free of scipy.optimize.
+    from scipy import optimize
+
     grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
     best, arg = -math.inf, None
     for idx in np.argsort(fun(*grid))[::-1][:_MAXIMA_POLISH_STARTS]:

@@ -42,7 +42,6 @@ from importlib import resources
 from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ._csvrows import number, read_rows
 from .protocol import JointProbTable, evaluate, joint_tables, path_cells
@@ -514,6 +513,9 @@ def fit_gamma(observed: CountVector12, n_starts: int = 50, seed: int = 0) -> Gam
     """
     if isinstance(n_starts, bool) or not isinstance(n_starts, int) or n_starts < 0:
         raise ValueError(f"n_starts must be an integer >= 0, got {n_starts!r}")
+    # Imported here: ``import macroreal.cli`` stays free of scipy.optimize.
+    from scipy import optimize
+
     obs = observed.flat
     rng = np.random.default_rng(seed)
     starts = [0.5 * (_X_LO + _X_HI)]

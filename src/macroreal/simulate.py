@@ -200,9 +200,11 @@ class TimestampStream:
 def as_stamps(values, channel: str) -> np.ndarray:
     """Timestamps as an int64 array, refusing any that are not whole numbers.
 
-    Integer and boolean input is converted without a value check.  Other
-    input is read as float64 and must hold finite whole numbers inside the
-    int64 range; ``[0.5, 1.7]`` is refused rather than truncated.
+    Boolean, signed and narrower unsigned integer input is converted
+    without a value check.  uint64 input must fit in int64: a stamp of 2**63
+    or more is refused rather than wrapped to a negative time.  Other input
+    is read as float64 and must hold finite whole numbers inside the int64
+    range; ``[0.5, 1.7]`` is refused rather than truncated.
 
     Raises
     ------
@@ -210,13 +212,17 @@ def as_stamps(values, channel: str) -> np.ndarray:
         Naming ``channel`` and the first offending stamp.
     """
     times = np.asarray(values)
-    if times.dtype.kind in "biu":
+    if times.dtype.kind == "u" and times.dtype.itemsize == 8:
+        bad = times > np.uint64(np.iinfo(np.int64).max)
+    elif times.dtype.kind in "biu":
         return times.astype(np.int64, copy=False)
-    times = np.asarray(times, dtype=np.float64)
-    bad = ~((np.floor(times) == times) & (np.abs(times) < 2.0**63))
+    else:
+        times = np.asarray(times, dtype=np.float64)
+        bad = ~((np.floor(times) == times) & (np.abs(times) < 2.0**63))
     if bad.any():
         raise ValueError(
-            f"{channel} timestamps must be whole picoseconds, got {times[bad].flat[0]}"
+            f"{channel} timestamps must be whole picoseconds in the int64 range, "
+            f"got {times[bad].flat[0]}"
         )
     return times.astype(np.int64)
 

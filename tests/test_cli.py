@@ -702,12 +702,14 @@ def test_cli_subprocess_smoke(tmp_path):
     assert "Wrote" in result.stdout
 
 
-def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # Every CLI start pays this import; only counting a dataset needs a pool.
+@pytest.mark.parametrize("package", ["multiprocessing", "scipy.optimize"])
+def test_importing_the_cli_leaves_package_unloaded(package):
+    # Every CLI start pays these imports; only counting a dataset needs a
+    # pool, and only the circuit maxima and gamma fit need the optimizers.
     package_root = str(Path(macroreal.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {package_root!r}); import macroreal.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+        f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

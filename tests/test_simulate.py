@@ -42,8 +42,16 @@ def test_timestamp_stream_validation():
 
 @pytest.mark.parametrize(
     "times",
-    [[0.5, 1.7, 2.9], [0.2, 0.7], [1.0, math.nan], [1.0, math.inf], [2.0**63]],
-    ids=["fractional", "fractional-below-one", "nan", "inf", "beyond-int64"],
+    [
+        [0.5, 1.7, 2.9],
+        [0.2, 0.7],
+        [1.0, math.nan],
+        [1.0, math.inf],
+        [2.0**63],
+        # A plain int64 cast would wrap 2**63 + 5 to -2**63 + 5.
+        np.array([1, 2**63 + 5, 2**64 - 1], dtype=np.uint64),
+    ],
+    ids=["fractional", "fractional-below-one", "nan", "inf", "beyond-int64", "uint64-beyond-int64"],
 )
 def test_timestamp_stream_rejects_stamps_that_are_not_whole_numbers(times):
     with pytest.raises(ValueError, match=r"^M timestamps must be whole picoseconds"):
