@@ -371,9 +371,9 @@ def cmd_hv_bound(args: argparse.Namespace, config: Dict[str, dict]) -> _Outputs:
         raise ConfigError("eta: empty efficiency list")
     names = ("LGI", "WLGI") if args.inequality == "both" else (args.inequality,)
 
-    # Every (eta, inequality) certificate's search runs in one batch; it
-    # rejects an eta outside (0, 1] and a negative --starts.
-    found = iter(detector_certificates(etas, names, n_starts=args.starts, seed=seed))
+    # Rejects an eta outside (0, 1].  The vertex scan is deterministic: the
+    # seed is only recorded in the manifest.
+    found = iter(detector_certificates(etas, names))
     rows = []
     certificates = []
     for eta in etas:
@@ -724,9 +724,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--eta", metavar="LIST", help="comma-separated efficiencies (default: 20-point grid)"
     )
     p.add_argument("--inequality", choices=["LGI", "WLGI", "both"], default="both")
-    p.add_argument(
-        "--starts", type=int, default=8, help="random multistarts per certificate"
-    )
+    # No effect either: the vertex scan has no starts.  bench/workloads.py
+    # passes --starts to hv-bound, so it stays accepted.
+    p.add_argument("--starts", type=int, metavar="N", help="accepted and ignored; has no effect")
     p.set_defaults(func=cmd_hv_bound)
 
     p = sub.add_parser(

@@ -12,10 +12,11 @@ grand total is at most one (the remainder is never detected).
 
 Under fair sampling, a detector-only experiment estimates each probability
 from post-selected coincidences, which turns the tested combinations into
-ratios of these weights.  This module evaluates those ratios, maximizes
-them over all admissible weight assignments, and contrasts the result with
-the blocker-based setup, whose macrorealist bounds do not depend on
-``eta`` at all.
+ratios of these weights.  This module evaluates those ratios, probes their
+maximum over all admissible weight assignments with a deterministic scan of
+the feasible polytope's vertices, and contrasts the result with the
+blocker-based setup, whose macrorealist bounds do not depend on ``eta`` at
+all.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ class HVWeights:
 
 @dataclass(frozen=True)
 class ProbeFinding:
-    """A randomized-search assignment whose value exceeds the witness bound."""
+    """A feasible assignment from the vertex scan whose value exceeds the witness bound."""
 
     value: float
     weights: HVWeights
@@ -149,20 +150,20 @@ class BoundCertificate:
         efficiency regime (it equals ``formula_value`` up to float
         rounding).  A feasible assignment attains it, so it is a *lower*
         bound on the maximum over all admissible weights, not a certified
-        upper bound: the probe's findings can exceed it (2.98 > 8/3 at
+        upper bound: the vertex scan's findings can exceed it (4 > 8/3 at
         eta = 0.5).  In support-restricted diagnostic mode this is instead
-        the best value found on the restricted slice.
+        the scan's best value on the restricted slice.
     witness : HVWeights
         Weight assignment achieving ``bound``.
     formula_value : float
         Closed-form prediction for the same bound.
     findings : tuple of ProbeFinding
-        Assignments discovered by the randomized probe whose value exceeds
-        ``bound`` by more than the solver tolerance.  The
-        post-selected ratio expressions can be pushed past the piecewise
-        closed form by concentrating weight on detection classes exclusive
-        to a single time, so such discoveries are surfaced for inspection
-        rather than silently adopted as the bound.
+        The vertex scan's best assignment, if its value exceeds ``bound``
+        by more than 1e-6.  The post-selected ratio expressions can be
+        pushed past the piecewise closed form by concentrating weight on
+        detection classes exclusive to a single time, so such discoveries
+        are surfaced for inspection rather than silently adopted as the
+        bound.
     """
 
     eta: float
@@ -457,28 +458,6 @@ def project_feasible(weights: np.ndarray, eta) -> np.ndarray:
     return blocks.reshape(w.shape)
 
 
-def _sparse_start(rng: np.random.Generator, eta: float) -> np.ndarray:
-    w = np.zeros(56)
-    k = int(rng.integers(1, 5))
-    idx = rng.choice(56, size=k, replace=False)
-    w[idx] = rng.uniform(0.0, eta, size=k)
-    return w
-
-
-def _witness_starts(eta: float) -> list:
-    starts = [low_efficiency_witness(eta).values]
-    if eta >= 2.0 / 3.0:
-        starts.append(lgi_high_efficiency_witness(eta).values)
-        starts.append(wlgi_high_efficiency_witness(eta).values)
-    pure_d = np.zeros(56)
-    pure_d[weight_index("d", (+1, +1, +1))] = eta
-    starts.append(pure_d)
-    uniform_d = np.zeros(56)
-    uniform_d[_BLOCK_SLICES["d"]] = eta / 8.0
-    starts.append(uniform_d)
-    return starts
-
-
 def _certification_witness(inequality: str, eta: float) -> HVWeights:
     """Extremal witness assignment for the efficiency regime."""
     if eta < 2.0 / 3.0:
@@ -488,127 +467,108 @@ def _certification_witness(inequality: str, eta: float) -> HVWeights:
     return wlgi_high_efficiency_witness(eta)
 
 
-# scipy's non-adaptive Nelder-Mead: reflection, expansion, contraction and
-# shrink coefficients, and the initial simplex's relative and zero steps.
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025
+# Constraint columns of the detection totals T1, T2, T3 and the grand
+# total: one per class in BLOCK_NAMES order, then the slack of sum(w) <= 1.
+_COLUMNS = [[*(int(name in classes) for classes in _TIME_CLASSES), 1] for name in BLOCK_NAMES]
+_COLUMNS.append([0, 0, 0, 1])
 
-# Per-start budget and stopping tolerances of the probe's local search.
-_MAXFEV, _XATOL, _FATOL = 4000, 1e-7, 1e-10
-
-
-def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray):
-    """Each simplex reordered by ``np.argsort`` of its values, as scipy does."""
-    n_runs, n_vert, n = sim.shape
-    rows = np.argsort(fsim, axis=-1) + n_vert * np.arange(n_runs)[:, None]
-    return (
-        sim.reshape(-1, n).take(rows.ravel(), axis=0).reshape(sim.shape),
-        fsim.take(rows),
-    )
+# A finding steps this far from a vertex where some ratios are undefined
+# toward the vertex that defines them.
+_EDGE_STEP = 1e-9
 
 
-def _nelder_mead_batch(func, x0: np.ndarray, maxfev: int = _MAXFEV):
-    """Minimize ``func`` over [0, 1]^N from every row of ``x0``, in lockstep.
+# The terms of a 4 x 4 determinant's Leibniz formula: (permutation, sign).
+_LEIBNIZ = [
+    (p, (-1) ** sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)))
+    for p in itertools.permutations(range(4))
+]
 
-    Each start takes exactly the steps of scipy's bounded, non-adaptive
-    ``minimize(method="Nelder-Mead")`` with options ``maxfev``, ``xatol``
-    (``_XATOL``) and ``fatol`` (``_FATOL``), so it ends at the same
-    (x, fun, nfev).  That includes scipy's bookkeeping: the simplex is
-    argsorted and reordered after every step, and the centroid is
-    ``np.add.reduce`` over the sorted vertices.  A start whose budget runs
-    out inside a step stops as scipy's does: an expansion or contraction
-    it cannot evaluate changes nothing, and a shrink cut short has moved
-    one more vertex than it evaluated.  What differs is that every start's
-    evaluations of a step go to ``func`` as one batch.
 
-    ``func(points, owners)`` takes an (M, N) array of points and the index
-    of the start each point belongs to, and returns the M values.  It must
-    give each point the same value however the points are batched.
-    Returns the (B, N) best points, their (B,) values and evaluation counts.
+def _det(m: List[list]) -> float:
+    """Determinant of a 4 x 4 matrix."""
+    return sum(sign * m[0][p[0]] * m[1][p[1]] * m[2][p[2]] * m[3][p[3]] for p, sign in _LEIBNIZ)
+
+
+def _vertices(eta: float, columns: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every vertex of {w >= 0 : T1 = T2 = T3 = eta, sum(w) <= 1} on ``columns``.
+
+    The weights of one class enter every constraint alike, so a vertex puts
+    weight on at most one column per class: it is the nonnegative basic
+    solution of four of the eight constraint columns (classes and slack),
+    plus one column of each class that carries weight.  The bases are
+    solved by Cramer's rule: ``numpy.linalg`` would page in LAPACK, about
+    1 MB of resident memory, for these 4 x 4 integer systems.  Restricting
+    the columns leaves a face of the polytope, whose vertices are the
+    polytope's vertices that use only those columns.  Returns the (V, 4)
+    column indices and the (V, 4) weights on them, zero-padded.
     """
-    def evaluate(points: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        return func(points, owners) if owners.size else np.empty(0)
+    by_class = [[j for j in columns if j // 8 == c] for c in range(len(BLOCK_NAMES))]
+    rhs = (eta, eta, eta, 1.0)
+    supports: Dict[tuple, np.ndarray] = {}
+    for basis in itertools.combinations(range(len(_COLUMNS)), 4):
+        rows = [[_COLUMNS[c][i] for c in basis] for i in range(4)]
+        det = _det(rows)
+        if not det:
+            continue
+        x = np.array([_det([r[:j] + [b] + r[j + 1 :] for r, b in zip(rows, rhs)]) for j in range(4)])
+        x /= det
+        if x.min() >= -1e-12:
+            # A vertex is fixed by the classes that carry its weight.
+            basis = np.array(basis)
+            carry = (basis < len(BLOCK_NAMES)) & (x > 1e-12)
+            supports.setdefault(tuple(basis[carry]), x[carry])
+    cols, weights = [], []
+    for subset, x in supports.items():
+        if not all(by_class[c] for c in subset):
+            continue
+        grids = np.meshgrid(*(by_class[c] for c in subset), indexing="ij")
+        choices = np.stack(grids, axis=-1).reshape(-1, len(subset))
+        pad = 4 - len(subset)
+        cols.append(np.pad(choices, ((0, 0), (0, pad))))
+        weights.append(np.tile(np.pad(x, (0, pad)), (len(choices), 1)))
+    if not cols:
+        raise ValueError(f"no feasible weights on columns {list(columns)} at eta {eta}")
+    return np.concatenate(cols), np.concatenate(weights)
 
-    x0 = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-    n_runs, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    diag = np.arange(n)
-    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
-    # Reflect a vertex stepped past the upper bound back into the box.
-    sim = np.clip(np.where(sim > 1.0, 2.0 - sim, sim), 0.0, 1.0)
 
-    n_first = min(n + 1, maxfev)
-    calls = np.full(n_runs, n_first)
-    fsim = np.full((n_runs, n + 1), np.inf)
-    fsim[:, :n_first] = evaluate(
-        sim[:, :n_first].reshape(-1, n), np.repeat(np.arange(n_runs), n_first)
-    ).reshape(n_runs, n_first)
-    # scipy sorts the initial simplex twice; an unstable sort may swap ties.
-    sim, fsim = _sorted_simplex(*_sorted_simplex(sim, fsim))
+def _scan(ratios: _RatioMap, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The best weights the vertex scan finds for one ratio map.
 
-    x_best, f_best, nfev = np.empty((n_runs, n)), np.empty(n_runs), np.empty(n_runs, dtype=int)
-    owner = np.arange(n_runs)
-    while owner.size:
-        stop = calls >= maxfev
-        flat = np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= _FATOL
-        flat[flat] = np.max(np.abs(sim[flat, 1:] - sim[flat, :1]), axis=(1, 2)) <= _XATOL
-        stop |= flat
-        if stop.any():
-            done = owner[stop]
-            x_best[done], f_best[done], nfev[done] = sim[stop, 0], fsim[stop].min(axis=1), calls[stop]
-            keep = ~stop
-            owner, sim, fsim, calls = owner[keep], sim[keep], fsim[keep], calls[keep]
-            if not owner.size:
-                break
-
-        xbar = np.add.reduce(sim[:, :-1], axis=1) / n
-        worst, f_low, f_second, f_worst = sim[:, -1], fsim[:, 0], fsim[:, -2], fsim[:, -1]
-        xr = np.clip((1 + _RHO) * xbar - _RHO * worst, 0.0, 1.0)
-        fxr = evaluate(xr, owner)
-        calls += 1
-
-        expand = fxr < f_low
-        accept = ~expand & (fxr < f_second)
-        outside = ~expand & ~accept & (fxr < f_worst)
-        replace = accept.copy()
-
-        # One more evaluation: expansion, or outside or inside contraction.
-        # A start without budget for it keeps its simplex (scipy's
-        # _MaxFuncCallError), even after an improving reflection.
-        idx = np.flatnonzero(~accept & (calls < maxfev))
-        xb, wv, e, o = xbar[idx], worst[idx], expand[idx], outside[idx]
-        y = np.where(
-            e[:, None],
-            (1 + _RHO * _CHI) * xb - _RHO * _CHI * wv,
-            np.where(
-                o[:, None], (1 + _PSI * _RHO) * xb - _PSI * _RHO * wv, (1 - _PSI) * xb + _PSI * wv
-            ),
-        )
-        y = np.clip(y, 0.0, 1.0)
-        fy = evaluate(y, owner[idx])
-        calls[idx] += 1
-        fr = fxr[idx]
-        better = np.where(e, fy < fr, np.where(o, fy <= fr, fy < f_worst[idx]))
-        replace[idx[e | better]] = True
-        xr[idx[better]], fxr[idx[better]] = y[better], fy[better]
-        shrink = idx[~(e | better)]
-        sim[replace, -1], fsim[replace, -1] = xr[replace], fxr[replace]
-
-        if shrink.size:
-            # Vertex j moves if the budget allows j - 1 more calls, and is
-            # evaluated if it allows j.
-            left = maxfev - calls[shrink]
-            j = np.arange(1, n + 1)
-            move, scored = j <= left[:, None] + 1, j <= left[:, None]
-            best = sim[shrink, :1]
-            verts, fverts = sim[shrink, 1:], fsim[shrink, 1:]
-            verts[move] = np.clip(best + _SIGMA * (verts - best), 0.0, 1.0)[move]
-            fverts[scored] = evaluate(verts[scored], np.repeat(owner[shrink], scored.sum(axis=1)))
-            sim[shrink, 1:], fsim[shrink, 1:] = verts, fverts
-            calls[shrink] += scored.sum(axis=1)
-
-        sim, fsim = _sorted_simplex(sim, fsim)
-    return x_best, f_best, nfev
+    Every numerator coefficient is at most its denominator coefficient in
+    size, so a ratio whose denominator vanishes at a vertex v has a zero
+    numerator there too.  Along the open segment from v to a vertex u it
+    then keeps its value at u, while every ratio defined at v tends to its
+    value at v.  So each set m of ratios undefined at some vertex scores the
+    best sum of defined ratios over the vertices undefined on exactly m,
+    plus the best sum of m's ratios over the vertices that define all of
+    them.  Returns the point a small step from the best such v toward its u
+    (v itself when m is empty).
+    """
+    num, den = (sum(weights[:, j, None] * rows[cols[:, j]] for j in range(cols.shape[1]))
+                for rows in (ratios.num, ratios.den))
+    defined = den > 0.0
+    terms = ratios.signs * np.divide(num, den, out=np.zeros(num.shape), where=defined)
+    masks, group = np.unique(~defined, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    best, pair = -np.inf, None
+    for g, m in enumerate(masks):
+        at = np.flatnonzero(group == g)
+        v = at[np.argmax(terms[at].sum(axis=1))]
+        ok = np.flatnonzero(defined[:, m].all(axis=1))
+        if not ok.size:
+            continue
+        u = ok[np.argmax(terms[ok][:, m].sum(axis=1))] if m.any() else v
+        value = terms[v].sum() + terms[u, m].sum()
+        if value > best:
+            best, pair = value, (v, u)
+    if pair is None:
+        raise DegenerateModelError("every scanned assignment leaves a measured run without photons")
+    v, u = pair
+    step = _EDGE_STEP if u != v else 0.0
+    w = np.zeros(56)
+    np.add.at(w, cols[v], (1.0 - step) * weights[v])
+    np.add.at(w, cols[u], step * weights[u])
+    return w
 
 
 # The ratio maps and closed-form bounds of the two tested inequalities.
@@ -618,132 +578,84 @@ _INEQUALITIES = {
 }
 
 
-def _certify(jobs, n_starts: int, seed: int, support) -> List[BoundCertificate]:
-    """One certificate per (eta, inequality) job, every start in one search."""
-    if n_starts < 0:
-        raise ValueError(f"n_starts must be >= 0, got {n_starts}")
+def _certify(jobs, support) -> List[BoundCertificate]:
+    """One certificate per (eta, inequality) job; each distinct job is scanned once."""
     for eta, name in jobs:
         _check_eta(eta)
         if name not in _INEQUALITIES:
             raise ValueError(f"inequality must be 'LGI' or 'WLGI', got {name!r}")
-    if support is not None:
-        support = list(support)
-    dim = 56 if support is None else len(support)
+    columns = range(56) if support is None else sorted(set(support))
+    if any(not 0 <= j < 56 for j in columns):
+        raise ValueError(f"support indices must lie in [0, 56), got {list(columns)}")
 
-    def embed(x: np.ndarray) -> np.ndarray:
-        if support is None:
-            return x
-        w = np.zeros(x.shape[:-1] + (56,))
-        w[..., support] = x
-        return w
-
-    starts, job_of = [], []
-    for k, (eta, _) in enumerate(jobs):
-        rng = np.random.default_rng(seed)
-        mine = [w if support is None else w[support] for w in _witness_starts(eta)]
-        for _ in range(n_starts):
-            mine.append(_sparse_start(rng, eta) if support is None else rng.uniform(0.0, eta, size=dim))
-        starts += mine
-        job_of += [k] * len(mine)
-    x0 = np.array(starts, dtype=float).reshape(-1, dim)
-    job_of = np.array(job_of, dtype=int)
-    etas = np.array([eta for eta, _ in jobs], dtype=float)[job_of]
-    is_lgi = np.array([name == "LGI" for _, name in jobs], dtype=bool)[job_of]
-
-    def values(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Probe value of each point; rows[i] is the start point i belongs to."""
-        w = project_feasible(embed(x), etas[rows])
-        lgi = is_lgi[rows]
-        if lgi.all() or not lgi.any():
-            return _ratio_value_batch(w, _LGI if lgi.all() else _WLGI)
-        out = np.empty(len(rows))
-        out[lgi] = _ratio_value_batch(w[lgi], _LGI)
-        out[~lgi] = _ratio_value_batch(w[~lgi], _WLGI)
-        return out
-
-    # Each start is vertex 0 of its simplex, so f_opt is never worse than it.
-    x_opt, f_opt, _ = _nelder_mead_batch(lambda x, rows: -values(x, rows), x0)
-
-    certificates = []
-    for k, (eta, name) in enumerate(jobs):
-        ratios, formula = _INEQUALITIES[name]
-        mine = np.flatnonzero(job_of == k)
-        best = mine[np.argmin(f_opt[mine])]
-        probe_val, probe_x = float(-f_opt[best]), x_opt[best]
-        probe_w = project_feasible(embed(probe_x), eta)
-        if support is not None:
-            # Diagnostic mode: report the honest maximum on the slice.
-            cert = BoundCertificate(eta, probe_val, HVWeights(probe_w), formula(eta))
-        else:
-            witness = _certification_witness(name, eta)
-            bound = _detectors_value(witness, ratios)
-            findings: Tuple[ProbeFinding, ...] = ()
-            if probe_val > bound + 1e-6:
-                findings = (ProbeFinding(probe_val, HVWeights(probe_w)),)
-            cert = BoundCertificate(eta, bound, witness, formula(eta), findings)
-        certificates.append(cert)
-    return certificates
+    certificates: Dict[Tuple[float, str], BoundCertificate] = {}
+    for eta in dict.fromkeys(eta for eta, _ in jobs):
+        vertices = _vertices(eta, columns)
+        for name in dict.fromkeys(name for job_eta, name in jobs if job_eta == eta):
+            ratios, formula = _INEQUALITIES[name]
+            best = _scan(ratios, *vertices)
+            value = _detectors_value(best, ratios)
+            if support is not None:
+                # Diagnostic mode: report the scan's maximum on the slice.
+                cert = BoundCertificate(eta, value, HVWeights(best), formula(eta))
+            else:
+                witness = _certification_witness(name, eta)
+                bound = _detectors_value(witness, ratios)
+                findings: Tuple[ProbeFinding, ...] = ()
+                if value > bound + 1e-6:
+                    findings = (ProbeFinding(value, HVWeights(best)),)
+                cert = BoundCertificate(eta, bound, witness, formula(eta), findings)
+            certificates[eta, name] = cert
+    return [certificates[job] for job in jobs]
 
 
 def detector_certificates(
-    etas: Sequence[float], inequalities: Sequence[str], n_starts: int = 8, seed: int = 0
+    etas: Sequence[float], inequalities: Sequence[str]
 ) -> List[BoundCertificate]:
-    """Certify the detector-only bounds of every (eta, inequality) pair at once.
+    """Certify the detector-only bounds of every (eta, inequality) pair.
 
     Returns one :class:`BoundCertificate` per pair, eta-major: for each
     efficiency in ``etas`` (order and repeats kept), one per name in
     ``inequalities`` ("LGI" or "WLGI").  Each certificate equals the one
     :func:`maximize_lgi_detectors` or :func:`maximize_wlgi_detectors` gives
-    for the same eta, ``n_starts`` and ``seed``: it keeps its own starts and
-    its own random stream.  The local searches of all certificates run as
-    one lockstep Nelder-Mead batch, so each of its steps projects and
-    evaluates the points of every start together.
+    for the same eta; the vertices of each distinct eta are enumerated once
+    and scanned for every inequality.
     """
-    return _certify([(eta, name) for eta in etas for name in inequalities], n_starts, seed, None)
+    return _certify([(eta, name) for eta in etas for name in inequalities], None)
 
 
-def maximize_lgi_detectors(
-    eta: float, n_starts: int = 8, seed: int = 0, support: Sequence[int] | None = None
-) -> BoundCertificate:
+def maximize_lgi_detectors(eta: float, support: Sequence[int] | None = None) -> BoundCertificate:
     """Maximize the detector-only correlator combination at efficiency eta.
 
     The reported bound is the value achieved by the extremal witness
     assignment for this efficiency regime, which makes it a lower bound on
-    the maximum, not a certified upper bound.  A multistart local search over
-    the 56 weights (seeded with the known extremal assignments plus random
-    sparse supports, every candidate projected onto the constraint set)
-    probes for assignments exceeding that value; any such excess is
-    attached to the certificate as a finding rather than adopted as the
-    bound.  The starts run as one lockstep batch of bounded Nelder-Mead
-    searches (at most 4000 evaluations each); see
-    :func:`detector_certificates` to certify many efficiencies in one batch.
+    the maximum, not a certified upper bound.  A deterministic scan of the
+    feasible polytope's vertices, and of the limits along its edges where a
+    ratio is undefined at one end, probes for assignments exceeding that
+    value; the best one, if it does by more than 1e-6, is attached to the
+    certificate as a finding rather than adopted as the bound.  The sum of
+    ratios need not peak at a vertex, so the scan is a probe, not a proof
+    of the maximum.
 
     Parameters
     ----------
     eta : float
         Detector efficiency in (0, 1].
-    n_starts : int
-        Number of random restarts in addition to the seeded patterns; a
-        negative count raises ``ValueError``.
-    seed : int
-        Seed of the restart stream.
     support : sequence of int, optional
-        Restrict the search to these flat weight indices (diagnostic use).
+        Restrict the scan to these flat weight indices (diagnostic use).
         In this mode the bound is the best value found on the slice and
         no findings are reported.
     """
-    return _certify([(eta, "LGI")], n_starts, seed, support)[0]
+    return _certify([(eta, "LGI")], support)[0]
 
 
-def maximize_wlgi_detectors(
-    eta: float, n_starts: int = 8, seed: int = 0, support: Sequence[int] | None = None
-) -> BoundCertificate:
+def maximize_wlgi_detectors(eta: float, support: Sequence[int] | None = None) -> BoundCertificate:
     """Maximize the detector-only probability combination at efficiency eta.
 
-    See :func:`maximize_lgi_detectors` for the search and for why the
+    See :func:`maximize_lgi_detectors` for the scan and for why the
     reported bound is a lower bound on the maximum.
     """
-    return _certify([(eta, "WLGI")], n_starts, seed, support)[0]
+    return _certify([(eta, "WLGI")], support)[0]
 
 
 def critical_efficiency(inequality: str) -> float:

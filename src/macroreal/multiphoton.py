@@ -31,6 +31,13 @@ family:
 Fits therefore report the :func:`canonical_gauge` representative of the
 optimal family, the member with eta1 = eta2 = 0.6; gamma is quoted under
 that convention.
+
+The rows follow :data:`SET_LABELS`, the (t1, t2) arms that the blockers of
+run 3 (``protocol.RUN_CONFIGS[3]``, in order) leave open.  C1 is the
+circuit's -1 detector (``w_minus`` of ``circuit.raw_weights``) and C2 its
++1 detector, so this model's ``eta1`` is the efficiency that
+``simulate.SourceConfig`` calls ``eta2``, and its ``eta2`` is that
+``eta1``.
 """
 
 from __future__ import annotations
@@ -108,7 +115,7 @@ class GammaFitParams:
     t1, t2, t3, t4 : float
         Port-dependent transmittances of the central splitter, in [0, 1].
     eta1, eta2 : float
-        Efficiencies of the two output detectors, in (0, 1].
+        Efficiencies of the C1 (-1) and C2 (+1) detectors, in (0, 1].
     n_events : float
         Total photon events per configuration (count scale), > 0.
     gamma : float

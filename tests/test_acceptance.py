@@ -116,8 +116,8 @@ def test_criterion_04_hv_detector_bounds():
     for eta in etas:
         lgi_want = 8.0 / 3.0 if eta <= 2.0 / 3.0 else 2.0 / eta - eta
         wlgi_want = 1.0 if eta <= 2.0 / 3.0 else (1.0 - eta) / (2.0 * eta - 1.0)
-        lgi_cert = maximize_lgi_detectors(float(eta), n_starts=2, seed=0)
-        wlgi_cert = maximize_wlgi_detectors(float(eta), n_starts=2, seed=0)
+        lgi_cert = maximize_lgi_detectors(float(eta))
+        wlgi_cert = maximize_wlgi_detectors(float(eta))
         worst = max(worst, abs(lgi_cert.bound - lgi_want), abs(wlgi_cert.bound - wlgi_want))
     eta_lgi = critical_efficiency("LGI")
     eta_wlgi = critical_efficiency("WLGI")
@@ -267,11 +267,11 @@ def test_criterion_10_oracle_equivalences():
         return oracles.ratio_value_reference(w, _wlgi_fractions, _WLGI_SIGNS)
 
     lgi_dev = abs(
-        maximize_lgi_detectors(eta, n_starts=6, seed=3, support=support).bound
+        maximize_lgi_detectors(eta, support=support).bound
         - oracles.grid_search_bound(lgi_batch, project_feasible, support, eta)
     )
     wlgi_dev = abs(
-        maximize_wlgi_detectors(eta, n_starts=6, seed=3, support=support).bound
+        maximize_wlgi_detectors(eta, support=support).bound
         - oracles.grid_search_bound(wlgi_batch, project_feasible, support, eta)
     )
     grid_ok = lgi_dev <= 2e-2 and wlgi_dev <= 2e-2

@@ -175,17 +175,20 @@ def test_hv_bound_keeps_eta_order_and_repeats(tmp_path):
     assert [row["eta"] for row in read_csv(out / "bound_vs_eta.csv")] == ["0.8", "0.5", "0.8"]
 
 
+def test_hv_bound_outputs_ignore_starts_and_seed(tmp_path):
+    # The vertex scan is deterministic: the seed only reaches the manifest.
+    outputs = []
+    for k, extra in enumerate(([], ["--starts", "5", "--seed", "9"], ["--starts", "-3"])):
+        out = tmp_path / str(k)
+        assert main(["hv-bound", "--eta", "0.8", *extra, "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("hv_bounds.json", "bound_vs_eta.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert read_json(tmp_path / "1" / "run_manifest.json")["master_seed"] == 9
+
+
 def test_hv_bound_invalid_eta_exits_2(tmp_path):
     assert main(["hv-bound", "--eta", "0.0,0.5", "--out", str(tmp_path / "x")]) == 2
     assert main(["hv-bound", "--eta", "1.5", "--out", str(tmp_path / "y")]) == 2
-
-
-def test_hv_bound_negative_starts_exits_2(tmp_path, capsys):
-    out = tmp_path / "out"
-    args = ["hv-bound", "--eta", "0.5", "--inequality", "WLGI", "--starts", "-3", "--out", str(out)]
-    assert main(args) == 2
-    assert "starts" in capsys.readouterr().err
-    assert not (out / "hv_bounds.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +253,6 @@ def test_gamma_fit_counts_with_a_bad_row_exits_2_naming_it(tmp_path, capsys, row
         (["predict", "--config", "{tmp}/t_delta-nan.json"], "t_delta must be finite"),
         (["predict", "--config", "{tmp}/hwp_angle_deg-inf.json"], "hwp_angle_deg must be finite"),
         (["hv-bound", "--eta", "0.0"], "eta"),
-        (["hv-bound", "--eta", "0.5", "--starts", "-3"], "starts"),
         (["hv-bound", "--eta", "0.5", "--seed", "-1"], "seed"),
         (["gamma-fit", "--config", "{tmp}/negative.json"], "fit.n_starts"),
         (["gamma-fit", "--config", "{tmp}/fractional.json"], "fit.n_starts"),
@@ -378,8 +380,8 @@ def test_each_verb_accepts_only_the_flags_it_reads():
         verb: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
         for verb, sub in verbs.choices.items()
     }
-    # --threads has no effect; analyze and gamma-fit keep it because the
-    # benchmark's workloads still pass it.
+    # --threads and hv-bound's --starts have no effect; analyze, gamma-fit
+    # and hv-bound keep them because the benchmark's workloads still pass them.
     assert accepted == {
         "predict": {"--config", "--out"},
         "hv-bound": {"--config", "--out", "--seed", "--eta", "--inequality", "--starts"},
@@ -752,9 +754,9 @@ def test_outputs_match_golden_files(tmp_path):
 def test_hv_bound_outputs_match_golden_files(tmp_path):
     """The ``hv-bound`` outputs of the benchmark's certify arguments stay put.
 
-    Both efficiency regimes are covered, and at eta = 0.5 and 0.8 the LGI
-    probe finds assignments beyond the witness bound, so the finding counts
-    are pinned as well.
+    Both efficiency regimes are covered.  The vertex scan finds assignments
+    beyond the witness bound for LGI at eta = 0.5 and 0.8 and for WLGI at
+    0.8 (0.4 > 1/3), so the finding counts are pinned as well.
     """
     out = tmp_path / "hv"
     args = ["--eta", "0.5,0.8", "--inequality", "both", "--starts", "0", "--seed", "0"]

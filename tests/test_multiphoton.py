@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macroreal.circuit import SetupParams, raw_weights
 from macroreal.multiphoton import (
     FIT_BOUNDS,
     SET_LABELS,
@@ -26,6 +27,8 @@ from macroreal.multiphoton import (
     two_photon_lgi,
     two_photon_wlgi,
 )
+from macroreal.multiphoton import _predicted_flat
+from macroreal.protocol import RUN_CONFIGS
 
 from oracles import two_photon_event_counts
 
@@ -124,6 +127,20 @@ def test_predicted_counts_limits():
     expected = np.zeros((4, 3))
     expected[0, 0] = 1e5
     assert np.array_equal(routed.values, expected)
+
+
+def test_detector_labels_follow_the_circuit():
+    # With one photon per event, no pairs and ideal detectors, each row is
+    # the circuit's weights for that row's run-3 blockers: C1 is the -1
+    # detector and C2 the +1 detector.
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        alpha_sq, *ts = rng.uniform(0.05, 0.95, size=5)
+        setup = SetupParams(alpha_sq, tuple(ts), visibility=rng.uniform(-1.0, 1.0))
+        rows = _predicted_flat(alpha_sq, *ts, 1.0, 1.0, 1.0, 0.0).reshape(4, 3)
+        for label, blockers, row in zip(SET_LABELS, RUN_CONFIGS[3], rows):
+            w = raw_weights(setup, blockers)
+            assert row == pytest.approx([w.w_minus, w.w_plus, 0.0], abs=1e-15), label
 
 
 def test_chi_squared_definition():
