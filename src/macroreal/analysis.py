@@ -357,19 +357,6 @@ def _detectable(peak: float, flatline: float) -> bool:
     return peak >= flatline + PEAK_THRESHOLD_SIGMAS * math.sqrt(flatline + 1.0)
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a nonempty array of finite values, from a partial sort.
-
-    The middle element for odd sizes, else the mean of the two middle ones:
-    the float ``np.median`` returns, without its generic dispatch.
-    """
-    half = values.size // 2
-    if values.size % 2:
-        return float(np.partition(values, half)[half])
-    low, high = np.partition(values, (half - 1, half))[half - 1 : half + 1]
-    return (float(low) + float(high)) / 2.0
-
-
 def _find_window(counts: np.ndarray) -> Tuple[int, int]:
     """Bin range [i_lo, i_hi) of the FWHM window around the histogram's peak.
 
@@ -382,7 +369,7 @@ def _find_window(counts: np.ndarray) -> Tuple[int, int]:
     :class:`NoPeakError` if the maximum bin does not exceed the flatline by
     at least 5 * sqrt(flatline + 1) counts (blocked or noise-only input).
     """
-    flatline = _median(counts)
+    flatline = np.median(counts)
     peak_idx = int(np.argmax(counts))
     peak = float(counts[peak_idx])
     if not _detectable(peak, flatline):
@@ -393,7 +380,7 @@ def _find_window(counts: np.ndarray) -> Tuple[int, int]:
     cut_lo, cut_hi = max(0, i_lo - margin), min(counts.size, i_hi + margin + 1)
     if cut_lo > 0 or cut_hi < counts.size:
         rest = np.concatenate((counts[:cut_lo], counts[cut_hi:]))
-        med = _median(rest)
+        med = np.median(rest)
         # A second delay peak elsewhere must not inflate the background.
         keep = rest < med + PEAK_THRESHOLD_SIGMAS * math.sqrt(med + 1.0)
         if keep.any():
@@ -423,7 +410,7 @@ def select_window(h: CoincidenceHistogram) -> WindowSelection:
     guard = _FLATLINE_EXCLUSION_FACTOR * (i_hi - i_lo)
     w_lo, w_hi = i_lo - guard, i_hi + guard
     masked = counts.copy()
-    masked[max(w_lo, 0) : w_hi] = int(round(_median(counts)))
+    masked[max(w_lo, 0) : w_hi] = int(round(np.median(counts)))
     try:
         j_lo, j_hi = _find_window(masked)
     except NoPeakError:

@@ -37,10 +37,7 @@ from .circuit import SetupParams, Tolerances, joint_probs, qm_range
 from .hvmodels import (
     blocker_setup_bound,
     critical_efficiency,
-    detector_certificates,
     lgi_detectors_bound_formula,
-    # Not called here, but bench/tracing.py looks both up on this module to
-    # install its wrappers, so they must stay importable from it.
     maximize_lgi_detectors,
     maximize_wlgi_detectors,
     wlgi_detectors_bound_formula,
@@ -371,24 +368,21 @@ def cmd_hv_bound(args: argparse.Namespace, config: Dict[str, dict]) -> _Outputs:
         raise ConfigError("eta: empty efficiency list")
     names = ("LGI", "WLGI") if args.inequality == "both" else (args.inequality,)
 
-    # Rejects an eta outside (0, 1].  The vertex scan is deterministic: the
-    # seed is only recorded in the manifest.
-    found = iter(detector_certificates(etas, names))
+    # The vertex scan is deterministic: the seed is only recorded in the
+    # manifest.  The maximizers are looked up per call, so a wrapper that
+    # bench/tracing.py installs on this module sees every certificate.
+    maximize = {"LGI": maximize_lgi_detectors, "WLGI": maximize_wlgi_detectors}
+    # The blocker setup's bounds do not depend on eta.
+    blocker = [blocker_setup_bound(name, 1.0).bound for name in ("LGI", "WLGI")]
     rows = []
     certificates = []
     for eta in etas:
-        rows.append(
-            [
-                eta,
-                lgi_detectors_bound_formula(eta),
-                wlgi_detectors_bound_formula(eta),
-                blocker_setup_bound("LGI", eta).bound,
-                blocker_setup_bound("WLGI", eta).bound,
-            ]
-        )
+        # Rejects an eta outside (0, 1].
+        rows.append([eta, lgi_detectors_bound_formula(eta), wlgi_detectors_bound_formula(eta),
+                     *blocker])
         entry: Dict[str, object] = {"eta": eta}
         for name in names:
-            cert = next(found)
+            cert = maximize[name](eta)
             entry[name.lower()] = {
                 "bound": cert.bound,
                 "formula_value": cert.formula_value,

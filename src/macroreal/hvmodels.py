@@ -21,6 +21,7 @@ all.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +40,6 @@ __all__ = [
     "blocker_setup_bound",
     "blocker_setup_formula",
     "critical_efficiency",
-    "detector_certificates",
     "lgi_detectors_bound_formula",
     "lgi_detectors_value",
     "low_efficiency_witness",
@@ -275,20 +275,6 @@ _LGI = _RatioMap(*_lgi_fractions(np.eye(56)), _LGI_SIGNS)
 _WLGI = _RatioMap(*_wlgi_fractions(np.eye(56)), _WLGI_SIGNS)
 
 
-def _ratio_value_batch(w: np.ndarray, ratios: _RatioMap) -> np.ndarray:
-    """Signed ratio sum per row of w (..., 56); -inf where any denominator vanishes.
-
-    Each row's value is the same bits however the rows are batched: the
-    products are plain ``einsum`` loops, where BLAS ``w @ num`` rounds a
-    row differently alone and inside a matrix.
-    """
-    nums = np.einsum("...i,ij->...j", w, ratios.num)
-    dens = np.einsum("...i,ij->...j", w, ratios.den)
-    positive = dens > 0.0
-    vals = np.einsum("...j,j->...", nums / np.where(positive, dens, 1.0), ratios.signs)
-    return np.where(np.all(positive, axis=-1), vals, -np.inf)
-
-
 def _as_array(w) -> np.ndarray:
     if isinstance(w, HVWeights):
         return w.values
@@ -299,10 +285,16 @@ def _as_array(w) -> np.ndarray:
 
 
 def _detectors_value(w, ratios: _RatioMap) -> float:
-    value = _ratio_value_batch(_as_array(w), ratios)
-    if value == -np.inf:
+    """Signed ratio sum of one weight vector.
+
+    The products are plain ``einsum`` loops rather than BLAS, so a value
+    written to ``hv_bounds.json`` does not depend on the BLAS installed.
+    """
+    w = _as_array(w)
+    dens = np.einsum("i,ij->j", w, ratios.den)
+    if not np.all(dens > 0.0):
         raise DegenerateModelError("a measured run collects no photons; value undefined")
-    return float(value)
+    return float(np.einsum("j,j->", np.einsum("i,ij->j", w, ratios.num) / dens, ratios.signs))
 
 
 def lgi_detectors_value(w) -> float:
@@ -348,10 +340,9 @@ def wlgi_detectors_bound_formula(eta: float) -> float:
     return 1.0 if eta < 2.0 / 3.0 else (1.0 - eta) / (2.0 * eta - 1.0)
 
 
-def _check_eta(eta) -> None:
-    """Reject an efficiency, or any of an array of them, outside (0, 1]."""
-    arr = np.asarray(eta)
-    if not np.all((0.0 < arr) & (arr <= 1.0)):
+def _check_eta(eta: float) -> None:
+    """Reject an efficiency outside (0, 1]."""
+    if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
 
 
@@ -404,17 +395,15 @@ _SHARED_OF_TIME = np.array(
 )
 
 
-def project_feasible(weights: np.ndarray, eta) -> np.ndarray:
-    """Map arbitrary weight vectors onto the constraint set.
+def project_feasible(weights: np.ndarray, eta: float) -> np.ndarray:
+    """Map arbitrary weight vectors onto the constraint set at efficiency eta.
 
-    Works on arrays of shape (..., 56).  ``eta`` is one efficiency or an
-    array of them that broadcasts over ``weights.shape[:-1]``, one per
-    weight vector.  The result is nonnegative, each time's detection total
-    equals that vector's ``eta`` exactly, and the grand total is at most
-    one.  Points already satisfying the constraints are returned unchanged,
-    so the projection parameterizes the whole feasible set.  Every step
-    acts on one vector at a time, so a vector's result does not depend on
-    the batch it is projected in.
+    Works on arrays of shape (..., 56).  The result is nonnegative, each
+    time's detection total equals ``eta`` exactly, and the grand total is
+    at most one.  Points already satisfying the constraints are returned
+    unchanged, so the projection parameterizes the whole feasible set.
+    Every step acts on one vector at a time, so a vector's result does not
+    depend on the batch it is projected in.
 
     The steps: clip negatives; scale the shared classes (a, b, c, d) down
     if any time's shared weight exceeds ``eta``; if topping the exclusive
@@ -423,7 +412,6 @@ def project_feasible(weights: np.ndarray, eta) -> np.ndarray:
     finally rescale or fill the exclusive classes q, p, s so each time's
     total is exactly ``eta``.
     """
-    eta = np.asarray(eta, dtype=float)
     _check_eta(eta)
     w = np.maximum(np.asarray(weights, dtype=float), 0.0)
     blocks = w.reshape(w.shape[:-1] + (7, 8))  # classes in BLOCK_NAMES order
@@ -450,7 +438,7 @@ def project_feasible(weights: np.ndarray, eta) -> np.ndarray:
     d_block += (t * eta)[..., None] * d_shape
 
     totals = blocks.sum(axis=-1)
-    need = np.maximum(eta[..., None] - shared_at_times(totals), 0.0)
+    need = np.maximum(eta - shared_at_times(totals), 0.0)
     e_tot = totals[..., :3]
     filled = e_tot > 0.0
     factor = np.divide(need, e_tot, out=np.zeros(need.shape), where=filled)
@@ -489,32 +477,47 @@ def _det(m: List[list]) -> float:
     return sum(sign * m[0][p[0]] * m[1][p[1]] * m[2][p[2]] * m[3][p[3]] for p, sign in _LEIBNIZ)
 
 
+@functools.cache
+def _affine_bases() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonsingular basis of four constraint columns and its solution.
+
+    The right-hand side eta * (1, 1, 1, 0) + (0, 0, 0, 1) is affine in eta,
+    so each basic solution is ``eta * x1 + x0``.  The bases are solved once,
+    by Cramer's rule: ``numpy.linalg`` would page in LAPACK, about 1 MB of
+    resident memory, for these 4 x 4 integer systems.  Returns the (B, 4)
+    bases and their (B, 4) solutions x1 and x0.
+    """
+    bases, x1, x0 = [], [], []
+    for basis in itertools.combinations(range(len(_COLUMNS)), 4):
+        rows = [[_COLUMNS[c][i] for c in basis] for i in range(4)]
+        det = _det(rows)
+        if not det:
+            continue
+        for x, rhs in ((x1, (1, 1, 1, 0)), (x0, (0, 0, 0, 1))):
+            x.append([_det([r[:j] + [b] + r[j + 1 :] for r, b in zip(rows, rhs)]) / det
+                      for j in range(4)])
+        bases.append(basis)
+    return np.array(bases), np.array(x1), np.array(x0)
+
+
 def _vertices(eta: float, columns: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """Every vertex of {w >= 0 : T1 = T2 = T3 = eta, sum(w) <= 1} on ``columns``.
 
     The weights of one class enter every constraint alike, so a vertex puts
     weight on at most one column per class: it is the nonnegative basic
     solution of four of the eight constraint columns (classes and slack),
-    plus one column of each class that carries weight.  The bases are
-    solved by Cramer's rule: ``numpy.linalg`` would page in LAPACK, about
-    1 MB of resident memory, for these 4 x 4 integer systems.  Restricting
-    the columns leaves a face of the polytope, whose vertices are the
+    plus one column of each class that carries weight.  Restricting the
+    columns leaves a face of the polytope, whose vertices are the
     polytope's vertices that use only those columns.  Returns the (V, 4)
     column indices and the (V, 4) weights on them, zero-padded.
     """
     by_class = [[j for j in columns if j // 8 == c] for c in range(len(BLOCK_NAMES))]
-    rhs = (eta, eta, eta, 1.0)
+    bases, x1, x0 = _affine_bases()
+    solutions = eta * x1 + x0
     supports: Dict[tuple, np.ndarray] = {}
-    for basis in itertools.combinations(range(len(_COLUMNS)), 4):
-        rows = [[_COLUMNS[c][i] for c in basis] for i in range(4)]
-        det = _det(rows)
-        if not det:
-            continue
-        x = np.array([_det([r[:j] + [b] + r[j + 1 :] for r, b in zip(rows, rhs)]) for j in range(4)])
-        x /= det
+    for basis, x in zip(bases, solutions):
         if x.min() >= -1e-12:
             # A vertex is fixed by the classes that carry its weight.
-            basis = np.array(basis)
             carry = (basis < len(BLOCK_NAMES)) & (x > 1e-12)
             supports.setdefault(tuple(basis[carry]), x[carry])
     cols, weights = [], []
@@ -578,50 +581,24 @@ _INEQUALITIES = {
 }
 
 
-def _certify(jobs, support) -> List[BoundCertificate]:
-    """One certificate per (eta, inequality) job; each distinct job is scanned once."""
-    for eta, name in jobs:
-        _check_eta(eta)
-        if name not in _INEQUALITIES:
-            raise ValueError(f"inequality must be 'LGI' or 'WLGI', got {name!r}")
+def _certify(eta: float, inequality: str, support: Sequence[int] | None) -> BoundCertificate:
+    """The certificate of one inequality ("LGI" or "WLGI") at efficiency eta."""
+    _check_eta(eta)
     columns = range(56) if support is None else sorted(set(support))
     if any(not 0 <= j < 56 for j in columns):
         raise ValueError(f"support indices must lie in [0, 56), got {list(columns)}")
-
-    certificates: Dict[Tuple[float, str], BoundCertificate] = {}
-    for eta in dict.fromkeys(eta for eta, _ in jobs):
-        vertices = _vertices(eta, columns)
-        for name in dict.fromkeys(name for job_eta, name in jobs if job_eta == eta):
-            ratios, formula = _INEQUALITIES[name]
-            best = _scan(ratios, *vertices)
-            value = _detectors_value(best, ratios)
-            if support is not None:
-                # Diagnostic mode: report the scan's maximum on the slice.
-                cert = BoundCertificate(eta, value, HVWeights(best), formula(eta))
-            else:
-                witness = _certification_witness(name, eta)
-                bound = _detectors_value(witness, ratios)
-                findings: Tuple[ProbeFinding, ...] = ()
-                if value > bound + 1e-6:
-                    findings = (ProbeFinding(value, HVWeights(best)),)
-                cert = BoundCertificate(eta, bound, witness, formula(eta), findings)
-            certificates[eta, name] = cert
-    return [certificates[job] for job in jobs]
-
-
-def detector_certificates(
-    etas: Sequence[float], inequalities: Sequence[str]
-) -> List[BoundCertificate]:
-    """Certify the detector-only bounds of every (eta, inequality) pair.
-
-    Returns one :class:`BoundCertificate` per pair, eta-major: for each
-    efficiency in ``etas`` (order and repeats kept), one per name in
-    ``inequalities`` ("LGI" or "WLGI").  Each certificate equals the one
-    :func:`maximize_lgi_detectors` or :func:`maximize_wlgi_detectors` gives
-    for the same eta; the vertices of each distinct eta are enumerated once
-    and scanned for every inequality.
-    """
-    return _certify([(eta, name) for eta in etas for name in inequalities], None)
+    ratios, formula = _INEQUALITIES[inequality]
+    best = _scan(ratios, *_vertices(eta, columns))
+    value = _detectors_value(best, ratios)
+    if support is not None:
+        # Diagnostic mode: report the scan's maximum on the slice.
+        return BoundCertificate(eta, value, HVWeights(best), formula(eta))
+    witness = _certification_witness(inequality, eta)
+    bound = _detectors_value(witness, ratios)
+    findings: Tuple[ProbeFinding, ...] = ()
+    if value > bound + 1e-6:
+        findings = (ProbeFinding(value, HVWeights(best)),)
+    return BoundCertificate(eta, bound, witness, formula(eta), findings)
 
 
 def maximize_lgi_detectors(eta: float, support: Sequence[int] | None = None) -> BoundCertificate:
@@ -646,7 +623,7 @@ def maximize_lgi_detectors(eta: float, support: Sequence[int] | None = None) -> 
         In this mode the bound is the best value found on the slice and
         no findings are reported.
     """
-    return _certify([(eta, "LGI")], support)[0]
+    return _certify(eta, "LGI", support)
 
 
 def maximize_wlgi_detectors(eta: float, support: Sequence[int] | None = None) -> BoundCertificate:
@@ -655,7 +632,7 @@ def maximize_wlgi_detectors(eta: float, support: Sequence[int] | None = None) ->
     See :func:`maximize_lgi_detectors` for the scan and for why the
     reported bound is a lower bound on the maximum.
     """
-    return _certify([(eta, "WLGI")], support)[0]
+    return _certify(eta, "WLGI", support)
 
 
 def critical_efficiency(inequality: str) -> float:

@@ -55,3 +55,14 @@ def test_counting_a_dataset_selects_one_window_per_detector(monkeypatch):
     with tracing.instrument(tracer):
         analysis.count_dataset(dataset)
     assert tracer.counts["analysis.select_window.calls"] == 2
+
+
+def test_hv_bound_certificates_are_traced(monkeypatch, tmp_path):
+    # hv-bound must certify through the maximizers the tracer wraps, or the
+    # benchmark reads no certificates and no findings.
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert cli.main(["hv-bound", "--eta", "0.5,0.8", "--out", str(tmp_path)]) == 0
+    assert tracer.counts["hvmodels.certificates"] == 4
+    assert tracer.counts["hvmodels.findings"] == 3

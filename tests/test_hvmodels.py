@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from macroreal.hvmodels import (
     TRIPLES,
     blocker_setup_bound,
     critical_efficiency,
-    detector_certificates,
     lgi_detectors_bound_formula,
     lgi_detectors_value,
     lgi_high_efficiency_witness,
@@ -30,8 +30,8 @@ from macroreal.hvmodels import (
     _LGI_SIGNS,
     _WLGI,
     _WLGI_SIGNS,
+    _affine_bases,
     _lgi_fractions,
-    _ratio_value_batch,
     _vertices,
     _wlgi_fractions,
 )
@@ -186,16 +186,19 @@ def test_value_path_matches_reference_oracle():
         degenerate = np.zeros((4, 56))
         degenerate[1:, weight_index("q", (+1, +1, +1))] = (0.1, 0.3, eta)
         rows = np.concatenate([project_feasible(_oracle_batch(rng, eta), eta), degenerate])
-        for ratios, fractions, signs in (
-            (_LGI, _lgi_fractions, _LGI_SIGNS),
-            (_WLGI, _wlgi_fractions, _WLGI_SIGNS),
+        for value, fractions, signs in (
+            (lgi_detectors_value, _lgi_fractions, _LGI_SIGNS),
+            (wlgi_detectors_value, _wlgi_fractions, _WLGI_SIGNS),
         ):
-            got = _ratio_value_batch(rows, ratios)
             want = ratio_value_reference(rows, fractions, signs)
             undefined = want == -np.inf
             assert np.any(undefined) and not np.all(undefined)
-            assert np.array_equal(got == -np.inf, undefined)
-            assert np.max(np.abs(got[~undefined] - want[~undefined])) <= 1e-12
+            for row, expected in zip(rows, want):
+                if expected == -np.inf:
+                    with pytest.raises(DegenerateModelError):
+                        value(row)
+                else:
+                    assert abs(value(row) - expected) <= 1e-12
 
 
 def _batch_splits(n_rows):
@@ -204,64 +207,17 @@ def _batch_splits(n_rows):
         yield [slice(i, i + size) for i in range(0, n_rows, size)]
 
 
-def test_batching_never_changes_a_projection_or_value():
+def test_batching_never_changes_a_projection():
     rng = np.random.default_rng(8)
-    rows = np.concatenate([_oracle_batch(rng, eta) for eta in (0.3, 0.8)])
-    etas = np.repeat([0.3, 0.8], len(rows) // 2)
-    order = rng.permutation(len(rows))
-    rows, etas = rows[order], etas[order]
-    projected = project_feasible(rows, etas)
-    for i in range(0, len(rows), 37):
-        assert np.array_equal(project_feasible(rows[i], etas[i]), projected[i])
-    for ratios in (_LGI, _WLGI):
-        values = _ratio_value_batch(projected, ratios)
-        assert np.isfinite(values).any() and (values == -np.inf).any()
+    for eta in (0.3, 0.8):
+        rows = _oracle_batch(rng, eta)
+        projected = project_feasible(rows, eta)
+        for i in range(0, len(rows), 37):
+            assert np.array_equal(project_feasible(rows[i], eta), projected[i])
         for splits in _batch_splits(len(rows)):
             assert np.array_equal(
-                np.concatenate([project_feasible(rows[s], etas[s]) for s in splits]), projected
+                np.concatenate([project_feasible(rows[s], eta) for s in splits]), projected
             )
-            assert np.array_equal(
-                np.concatenate([_ratio_value_batch(projected[s], ratios) for s in splits]), values
-            )
-
-
-def test_projection_takes_one_eta_per_row():
-    rng = np.random.default_rng(9)
-    rows = rng.uniform(-0.1, 0.5, size=(4, 3, 56))
-    etas = np.array([0.2, 0.5, 2.0 / 3.0])
-    projected = project_feasible(rows, etas)
-    for j, eta in enumerate(etas):
-        assert np.array_equal(projected[:, j], project_feasible(rows[:, j], eta))
-        for row in projected[:, j]:
-            assert HVWeights(row).is_feasible(eta, tol=1e-9)
-    with pytest.raises(ValueError, match="eta"):
-        project_feasible(rows, np.array([0.5, 0.0, 0.5]))
-
-
-def test_detector_certificates_equal_one_call_per_certificate():
-    batch = detector_certificates([0.5, 0.8], ["LGI", "WLGI"])
-    single = [
-        maximize(eta)
-        for eta in (0.5, 0.8)
-        for maximize in (maximize_lgi_detectors, maximize_wlgi_detectors)
-    ]
-    assert len(batch) == len(single) == 4
-    assert sum(len(cert.findings) for cert in batch) >= 2
-    for got, want in zip(batch, single):
-        assert (got.eta, got.bound, got.formula_value) == (want.eta, want.bound, want.formula_value)
-        assert np.array_equal(got.witness.values, want.witness.values)
-        assert len(got.findings) == len(want.findings)
-        for a, b in zip(got.findings, want.findings):
-            assert a.value == b.value
-            assert np.array_equal(a.weights.values, b.weights.values)
-
-
-def test_detector_certificates_reject_bad_input():
-    with pytest.raises(ValueError, match="inequality"):
-        detector_certificates([0.5], ["NSIT"])
-    with pytest.raises(ValueError, match="eta"):
-        detector_certificates([0.5, 1.5], ["LGI"])
-    assert detector_certificates([], ["LGI"]) == []
 
 
 def test_maximize_lgi_matches_formula():
@@ -380,16 +336,35 @@ def test_linear_programs_end_on_scanned_vertices():
                     assert value(x) <= maximum + 1e-9
 
 
+def test_cached_bases_solve_the_constraints_at_every_eta():
+    # Each cached basis solves T1 = T2 = T3 = eta, sum(w) + slack = 1 on its
+    # four columns for any eta, and no nonsingular basis is left out.
+    columns = np.vstack([_DETECTION_ROWS[:, ::8], np.ones((1, 7))])
+    columns = np.hstack([columns, [[0.0], [0.0], [0.0], [1.0]]])
+    bases, x1, x0 = _affine_bases()
+    nonsingular = [
+        b for b in itertools.combinations(range(8), 4) if abs(np.linalg.det(columns[:, b])) > 0.5
+    ]
+    assert [tuple(b) for b in bases] == nonsingular
+    for eta in (0.05, 0.3, 2.0 / 3.0, 0.95, 1.0):
+        rhs = np.array([eta, eta, eta, 1.0])
+        for basis, x in zip(bases, eta * x1 + x0):
+            assert np.max(np.abs(columns[:, basis] @ x - rhs)) <= 1e-12
+
+
 def test_every_finding_is_feasible_and_carries_its_own_value():
     etas = [round(float(x), 6) for x in np.linspace(0.05, 1.0, 20)]
-    certificates = detector_certificates(etas, ["LGI", "WLGI"])
-    values = [lgi_detectors_value, wlgi_detectors_value] * len(etas)
-    assert sum(len(cert.findings) for cert in certificates) >= 20
-    for cert, value in zip(certificates, values):
-        for finding in cert.findings:
-            assert finding.weights.is_feasible(cert.eta, 1e-9)
-            assert value(finding.weights) == finding.value
-            assert finding.value > cert.bound + 1e-6
+    n_findings = 0
+    for eta in etas:
+        for maximize, value in ((maximize_lgi_detectors, lgi_detectors_value),
+                                (maximize_wlgi_detectors, wlgi_detectors_value)):
+            cert = maximize(eta)
+            n_findings += len(cert.findings)
+            for finding in cert.findings:
+                assert finding.weights.is_feasible(cert.eta, 1e-9)
+                assert value(finding.weights) == finding.value
+                assert finding.value > cert.bound + 1e-6
+    assert n_findings >= 20
 
 
 def test_critical_efficiency_roots():
@@ -440,6 +415,8 @@ def test_invalid_inputs_raise():
         maximize_wlgi_detectors(1.2)
     with pytest.raises(ValueError, match="support"):
         maximize_lgi_detectors(0.5, support=[3, 56])
+    with pytest.raises(ValueError, match="eta"):
+        project_feasible(np.zeros((2, 56)), 1.5)
     with pytest.raises(ValueError):
         critical_efficiency("NSIT")
     with pytest.raises(ValueError):
