@@ -16,7 +16,13 @@ from macroreal import cli
 from macroreal.analysis import representative_counts_path
 from macroreal.circuit import NOMINAL_PARAMS, Tolerances, qm_range
 from macroreal.cli import ConfigError, build_parser, default_config, load_config, main
-from macroreal.hvmodels import lgi_detectors_bound_formula, wlgi_detectors_bound_formula
+from macroreal.hvmodels import (
+    blocker_setup_bound,
+    lgi_detectors_bound_formula,
+    maximize_lgi_detectors,
+    maximize_wlgi_detectors,
+    wlgi_detectors_bound_formula,
+)
 
 FAST_SOURCE = {
     "pair_rate": 20000.0,
@@ -173,6 +179,35 @@ def test_hv_bound_keeps_eta_order_and_repeats(tmp_path):
     assert certificates[0] == certificates[2]
     assert certificates[1]["lgi"]["bound"] == pytest.approx(8 / 3, abs=1e-5)
     assert [row["eta"] for row in read_csv(out / "bound_vs_eta.csv")] == ["0.8", "0.5", "0.8"]
+
+
+def test_hv_bound_reports_one_maximize_call_per_certificate(tmp_path):
+    # Each certificate and each CSV row carries what the library gives for
+    # its own eta; the blocker columns are computed once per call.
+    out = tmp_path / "out"
+    assert main(["hv-bound", "--eta", "0.5,0.8", "--out", str(out)]) == 0
+    certificates = read_json(out / "hv_bounds.json")["certificates"]
+    rows = read_csv(out / "bound_vs_eta.csv")
+    assert [cert["eta"] for cert in certificates] == [0.5, 0.8]
+    n_findings = 0
+    for entry, row in zip(certificates, rows):
+        eta = entry["eta"]
+        for name, maximize in (("lgi", maximize_lgi_detectors), ("wlgi", maximize_wlgi_detectors)):
+            cert = maximize(eta)
+            got = entry[name]
+            # JSON floats are written at six significant digits.
+            assert got["bound"] == pytest.approx(cert.bound, rel=1e-5)
+            assert got["formula_value"] == pytest.approx(cert.formula_value, rel=1e-5)
+            idx = np.nonzero(cert.witness.values)[0]
+            assert [i for i, _ in got["witness_support"]] == idx.tolist()
+            assert [w for _, w in got["witness_support"]] == pytest.approx(
+                cert.witness.values[idx].tolist(), rel=1e-5
+            )
+            assert got["probe_findings"] == len(cert.findings)
+            n_findings += len(cert.findings)
+            blocker = blocker_setup_bound(name.upper(), eta).bound
+            assert float(row[f"{name}_blocker_bound"]) == pytest.approx(blocker, abs=1e-6)
+    assert n_findings == 3
 
 
 def test_hv_bound_outputs_ignore_starts_and_seed(tmp_path):
