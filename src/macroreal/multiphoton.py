@@ -453,6 +453,20 @@ _X_BOUNDS = [
 _X_LO = np.array([b[0] for b in _X_BOUNDS])
 _X_HI = np.array([b[1] for b in _X_BOUNDS])
 
+# Largest observed count the fit accepts.  Inside FIT_BOUNDS no count or
+# count derivative in optimizer space exceeds K = ln(10)*M_max, with
+# M_max = N_max*(1 + gamma_max).  A residual's derivative in its prediction
+# p is 1e6 under the 1e-12 guard and (p + o)/(2*p^(3/2)) < 5e5 + 5e17*o
+# above it, so counts up to o bound every residual by about 1e6*o and every
+# Jacobian entry by about 5e17*o*K.  The trust-region solver squares the
+# gradient J^T r and sums such squares; the limit holds the product of the
+# two bounds to 1e150, which keeps those sums a factor 1e8 below the float
+# maximum of about 1.8e308.
+_COUNT_LIMIT = math.sqrt(
+    1e150
+    / (1e6 * 5e17 * math.log(10.0) * FIT_BOUNDS["n_events"][1] * (1.0 + FIT_BOUNDS["gamma"][1]))
+)
+
 
 def _unpack(x: np.ndarray) -> Tuple[float, ...]:
     values = list(map(float, x))
@@ -476,6 +490,57 @@ def _pearson_residuals(x: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return (pred - obs) / np.sqrt(np.maximum(pred, 1e-12))
 
 
+def _pearson_jacobian(x: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Exact (12, 9) Jacobian of :func:`_pearson_residuals` in optimizer space.
+
+    The chain rule through ``_predicted_flat``: a row's q1 = route*s1 and
+    q2 = route*s2 move with the gradients of its route weight (in alpha_sq,
+    t1, t4) and of its two splits (in t2, t3, eta1, eta2), and
+    dC1/dq1 = M - 2*P*q1, dC2/dq2 = M - 2*P*q2, dC12/dq1 = 2*P*q2 and
+    dC12/dq2 = 2*P*q1.  Every count is linear in N, which is searched in
+    log10, so its column is ln(10)*C; dM/dgamma = dP/dgamma = N gives the
+    gamma column.  Each row is then scaled by the residual's derivative
+    (p + o)/(2*p^(3/2)), or by 1e6 where the 1e-12 guard holds p.
+    """
+    alpha_sq, t1, t2, t3, t4, eta1, eta2, n_events, gamma = params = _unpack(x)
+    (a, b, c, d), (e1, e2, f1, f2) = _route_factors(*params[:7])
+    beta_sq = 1.0 - alpha_sq
+    # Gradients in (alpha_sq, t1, t2, t3, t4, eta1, eta2), rows ++, +-, -+, --.
+    d_route = np.array(
+        [
+            [t1, alpha_sq, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0 - t1, -alpha_sq, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [t4 - 1.0, 0.0, 0.0, 0.0, -beta_sq, 0.0, 0.0],
+            [-t4, 0.0, 0.0, 0.0, beta_sq, 0.0, 0.0],
+        ]
+    )
+    d_e1 = [0.0, 0.0, -eta1, 0.0, 0.0, 1.0 - t2, 0.0]
+    d_e2 = [0.0, 0.0, eta2, 0.0, 0.0, 0.0, t2]
+    d_f1 = [0.0, 0.0, 0.0, eta1, 0.0, t3, 0.0]
+    d_f2 = [0.0, 0.0, 0.0, -eta2, 0.0, 0.0, 1.0 - t3]
+    route = np.array([a, b, c, d])
+    s1 = np.array([e1, f1, e1, f1])
+    s2 = np.array([e2, f2, e2, f2])
+    q1, q2 = route * s1, route * s2
+    dq1 = s1[:, None] * d_route + route[:, None] * np.array([d_e1, d_f1, d_e1, d_f1])
+    dq2 = s2[:, None] * d_route + route[:, None] * np.array([d_e2, d_f2, d_e2, d_f2])
+    m = n_events * (1.0 + gamma)
+    pair = n_events * gamma
+
+    pred = _predicted_flat(*params)
+    jac = np.empty((4, 3, 9))
+    jac[:, 0, :7] = (m - 2.0 * pair * q1)[:, None] * dq1
+    jac[:, 1, :7] = (m - 2.0 * pair * q2)[:, None] * dq2
+    jac[:, 2, :7] = 2.0 * pair * (q2[:, None] * dq1 + q1[:, None] * dq2)
+    jac[:, :, 7] = math.log(10.0) * pred.reshape(4, 3)
+    jac[:, 0, 8] = n_events * (q1 - q1 * q1)
+    jac[:, 1, 8] = n_events * (q2 - q2 * q2)
+    jac[:, 2, 8] = 2.0 * n_events * q1 * q2
+    guarded = np.maximum(pred, 1e-12)
+    scale = np.where(pred > 1e-12, (pred + obs) / (2.0 * guarded * np.sqrt(guarded)), 1e6)
+    return jac.reshape(12, 9) * scale[:, None]
+
+
 def fit_gamma(observed: CountVector12, n_starts: int = 50, seed: int = 0) -> GammaFitResult:
     """Fit the nine count-model parameters to an observed table.
 
@@ -483,7 +548,9 @@ def fit_gamma(observed: CountVector12, n_starts: int = 50, seed: int = 0) -> Gam
     residuals runs from the box center and then from each of ``n_starts``
     random starting points inside ``FIT_BOUNDS``, one after another; the
     solve whose end point has the lowest chi-squared wins, the first one
-    on a tie.  The count scale is searched on a log axis.
+    on a tie.  The count scale is searched on a log axis.  Each solve gets
+    the exact Jacobian of the residuals, :func:`_pearson_jacobian`, not a
+    finite-difference estimate.
 
     The chi-squared landscape is exactly flat along the two-dimensional
     count-equivalent family of the module docstring.  That does not hinder
@@ -516,10 +583,23 @@ def fit_gamma(observed: CountVector12, n_starts: int = 50, seed: int = 0) -> Gam
     Raises
     ------
     ValueError
-        If ``n_starts`` is not a nonnegative integer.
+        If ``n_starts`` is not a nonnegative integer, or if an observed
+        count exceeds about 2.9e59.  Counts up to o bound the residuals by
+        about 1e6*o (the 1e-12 guard) and the Jacobian entries by about
+        5e17*o*ln(10)*1.05e7 (the guard and ``FIT_BOUNDS``); the limit
+        holds their product, whose square the solver forms, to 1e150, so
+        the solver's sums of squares stay finite.  ``_COUNT_LIMIT`` has
+        the derivation.
     """
     if isinstance(n_starts, bool) or not isinstance(n_starts, int) or n_starts < 0:
         raise ValueError(f"n_starts must be an integer >= 0, got {n_starts!r}")
+    for label, row in zip(SET_LABELS, observed.values.tolist()):
+        for name, value in zip(("C1", "C2", "C12"), row):
+            if value > _COUNT_LIMIT:
+                raise ValueError(
+                    f"count {name} of set {label} is {value:g},"
+                    f" above the fit's limit {_COUNT_LIMIT:.3g}"
+                )
     # Imported here: ``import macroreal.cli`` stays free of scipy.optimize.
     from scipy import optimize
 
@@ -533,6 +613,7 @@ def fit_gamma(observed: CountVector12, n_starts: int = 50, seed: int = 0) -> Gam
         return optimize.least_squares(
             _pearson_residuals,
             x0,
+            jac=_pearson_jacobian,
             bounds=(_X_LO, _X_HI),
             method="trf",
             x_scale="jac",

@@ -266,9 +266,12 @@ def test_gamma_fit_missing_column_exits_2(tmp_path):
     [
         ("++,1\n", "row 2: missing C2, C12"),
         ("++,1,2,lots\n", "row 2: C12 'lots' is not a number"),
+        ("++,1e160,1,0\n+-,1,1,1\n-+,1,1,1\n--,1,1,1\n", "count C1 of set ++ is 1e+160, above"),
     ],
-    ids=["short row", "non-numeric count"],
+    ids=["short row", "non-numeric count", "count beyond the fit's limit"],
 )
+# A count too large for the solver must be refused before SciPy overflows on it.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gamma_fit_counts_with_a_bad_row_exits_2_naming_it(tmp_path, capsys, row, message):
     bad = tmp_path / "counts.csv"
     bad.write_text("set_label,C1,C2,C12\n" + row, encoding="utf-8")

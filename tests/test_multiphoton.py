@@ -27,7 +27,13 @@ from macroreal.multiphoton import (
     two_photon_lgi,
     two_photon_wlgi,
 )
-from macroreal.multiphoton import _predicted_flat
+from macroreal.multiphoton import (
+    _X_HI,
+    _X_LO,
+    _pearson_jacobian,
+    _predicted_flat,
+    _unpack,
+)
 from macroreal.protocol import RUN_CONFIGS
 
 from oracles import two_photon_event_counts
@@ -331,6 +337,48 @@ def test_canonical_gauge_edge_cases():
         canonical_gauge(crowded)
 
 
+def _central_jacobian(x, obs):
+    """Central differences of the Pearson residuals, each cell on its x branch.
+
+    A cell whose prediction at x is under the 1e-12 guard keeps the guard
+    on both sides of the step, as the analytic Jacobian does; every other
+    cell is ``(pred - obs)/sqrt(pred)``, as in ``_pearson_residuals``.
+    """
+    guarded = _predicted_flat(*_unpack(x)) <= 1e-12
+
+    def residuals(y):
+        pred = _predicted_flat(*_unpack(y))
+        return (pred - obs) / np.sqrt(np.where(guarded, 1e-12, pred))
+
+    columns = []
+    for j, step in enumerate(1e-6 * (_X_HI - _X_LO)):
+        shift = np.zeros(9)
+        shift[j] = step
+        columns.append((residuals(x + shift) - residuals(x - shift)) / (2.0 * step))
+    return np.column_stack(columns)
+
+
+def test_pearson_jacobian_matches_central_differences():
+    obs = reference_counts().flat
+    rng = np.random.default_rng(11)
+    points = [rng.uniform(_X_LO, _X_HI) for _ in range(20)]
+    center = 0.5 * (_X_LO + _X_HI)
+    # The gamma = 0 edge, where every coincidence prediction is exactly 0,
+    # and a point inside the box where they are positive but guarded.
+    edge = center.copy()
+    edge[8] = 0.0
+    guard = center.copy()
+    guard[8] = 1e-20
+    assert np.all(_predicted_flat(*_unpack(edge))[2::3] == 0.0)
+    assert np.all(0.0 < _predicted_flat(*_unpack(guard))[2::3])
+    assert np.all(_predicted_flat(*_unpack(guard))[2::3] <= 1e-12)
+    for x in points + [edge, guard]:
+        analytic = _pearson_jacobian(x, obs)
+        reference = _central_jacobian(x, obs)
+        error = np.linalg.norm(analytic - reference, axis=0)
+        assert np.all(error <= 1e-6 * np.linalg.norm(reference, axis=0)), x
+
+
 def test_fit_round_trip_recovers_canonical_gamma():
     # Every point of the two-dimensional count-equivalent family (the
     # scaling and route-detection directions) generates the same table, so
@@ -380,6 +428,9 @@ def test_fit_reference_table():
         0.48, 0.74, 0.77, 0.81, 0.65, 0.56, 0.64, fit.params.n_events, 0.0023
     )
     assert fit.chi2 <= chi_squared(observed, predicted_counts(frozen)) + 1e-9
+    # The optimum beyond the six significant digits of gamma_fit.json.
+    assert fit.params.gamma == pytest.approx(0.00222986856, abs=1e-9)
+    assert fit.chi2 == pytest.approx(173.3792825, abs=1e-6)
 
     report = fit_report(fit)
     assert report["chi2"] == fit.chi2
