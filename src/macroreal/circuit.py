@@ -539,32 +539,33 @@ def generic_wlgi(theta1, theta2, t1, t2, t3):
     )
 
 
-# ideal_maxima's coarse grid points per axis and the grid cells it polishes.
-_MAXIMA_GRID_POINTS = 13
-_MAXIMA_POLISH_STARTS = 12
-
-
-def _grid_maximum(fun, axes, bounds):
-    """Best bounded L-BFGS-B polish of ``fun`` from its best grid cells."""
-    # Imported here: ``import macroreal.cli`` stays free of scipy.optimize.
-    from scipy import optimize
-
-    grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-    best, arg = -math.inf, None
-    for idx in np.argsort(fun(*grid))[::-1][:_MAXIMA_POLISH_STARTS]:
-        x0 = [g[idx] for g in grid]
-        res = optimize.minimize(lambda x: -fun(*x), x0, method="L-BFGS-B", bounds=bounds)
-        if -res.fun > best:
-            best, arg = -res.fun, res.x
-    return best, arg
-
-
 def ideal_maxima() -> Dict[str, object]:
-    """Global maxima of the generic-circuit combinations.
+    """Global maxima of the generic-circuit combinations, in closed form.
 
-    Coarse grid scan (``_MAXIMA_GRID_POINTS`` points per angle and
-    transmission axis) followed by a bounded local polish from each of the
-    ``_MAXIMA_POLISH_STARTS`` best grid cells.
+    Each phase enters only as ``cos(theta)`` times a coefficient of fixed
+    sign, so both maxima take theta2 = 0, and the WLGI takes theta1 = pi.
+    Write every transmission as T = cos^2(phi), R = sin^2(phi), with phi
+    in [0, pi/2].
+
+    LGI: with phi2 = a and phi3 = b the combination is
+    ``1 + 4 sin(a) sin(b) cos(a + b)``.  With c = cos(a + b) the last term
+    is 2 c (cos(a - b) - c): at most 0 for c < 0, else at most
+    2 c (1 - c) <= 1/2.  So the LGI is at most 3/2, reached at
+    a = b = pi/6, i.e. T2 = T3 = 3/4 (the Lüders bound; Budroni & Emary,
+    PRL 113, 050401, 2014).
+
+    WLGI: with A = R1 sqrt(T3 R3) + R3 sqrt(T1 R1) the combination is
+    ``2 sqrt(T2 R2) A - R2 R3``, whose maximum over phi2 is
+    ``sqrt(A^2 + R3^2/4) - R3/2``, at cos(2 phi2) = R3 / (2 sqrt(A^2 + R3^2/4)).
+    With phi3 = gamma, A = sin(gamma) sin(phi1) sin(phi1 + gamma) peaks at
+    phi1 = (pi - gamma)/2, where A = sin(gamma) cos^2(gamma/2).  In
+    s = sin(gamma/2) what remains is ``2 s (1 - s)^2 (1 + s)``, whose
+    derivative ``2 (1 - s)(1 - s - 4 s^2)`` vanishes in (0, 1) only at
+    s = (sqrt(17) - 1)/8.  The maximum 0.4034312 sits at T1 = s^2,
+    T2 = (1 + s)/2, T3 = (1 - 2 s^2)^2.
+
+    Each ``*_max`` is :func:`generic_lgi` or :func:`generic_wlgi` evaluated
+    at its argmax, so value and argmax agree by construction.
 
     Returns
     -------
@@ -572,26 +573,18 @@ def ideal_maxima() -> Dict[str, object]:
         ``lgi_max``, ``lgi_argmax`` (theta2, t2, t3), ``wlgi_max`` and
         ``wlgi_argmax`` (theta1, theta2, t1, t2, t3).
     """
-    thetas = np.linspace(0.0, 2.0 * math.pi, _MAXIMA_GRID_POINTS)
-    # Keep transmissions off the hard 0/1 edges where the gradient vanishes.
-    ts = np.linspace(0.01, 0.99, _MAXIMA_GRID_POINTS)
-    angle, transmission = (0.0, 2.0 * math.pi), (0.0, 1.0)
-    lgi_best, lgi_arg = _grid_maximum(
-        generic_lgi, [thetas, ts, ts], [angle] + [transmission] * 2
-    )
-    wlgi_best, wlgi_arg = _grid_maximum(
-        generic_wlgi, [thetas, thetas, ts, ts, ts], [angle] * 2 + [transmission] * 3
-    )
-
+    lgi_arg = {"theta2": 0.0, "t2": 0.75, "t3": 0.75}
+    s = (math.sqrt(17.0) - 1.0) / 8.0
+    wlgi_arg = {
+        "theta1": math.pi,
+        "theta2": 0.0,
+        "t1": s * s,
+        "t2": (1.0 + s) / 2.0,
+        "t3": (1.0 - 2.0 * s * s) ** 2,
+    }
     return {
-        "lgi_max": float(lgi_best),
-        "lgi_argmax": {"theta2": float(lgi_arg[0]), "t2": float(lgi_arg[1]), "t3": float(lgi_arg[2])},
-        "wlgi_max": float(wlgi_best),
-        "wlgi_argmax": {
-            "theta1": float(wlgi_arg[0]),
-            "theta2": float(wlgi_arg[1]),
-            "t1": float(wlgi_arg[2]),
-            "t2": float(wlgi_arg[3]),
-            "t3": float(wlgi_arg[4]),
-        },
+        "lgi_max": float(generic_lgi(**lgi_arg)),
+        "lgi_argmax": lgi_arg,
+        "wlgi_max": float(generic_wlgi(**wlgi_arg)),
+        "wlgi_argmax": wlgi_arg,
     }

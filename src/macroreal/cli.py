@@ -259,8 +259,10 @@ def _write_output(path: Path, content) -> None:
 
 def _read_json(path, label: str) -> dict:
     target = Path(path)
-    if not target.is_file():
+    if not target.exists():
         raise ConfigError(f"{label}: {target} does not exist")
+    if not target.is_file():
+        raise ConfigError(f"{label}: {target} is not a file")
     try:
         payload = json.loads(target.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

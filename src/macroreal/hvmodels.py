@@ -231,28 +231,19 @@ _LGI_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
 
 
 def _wlgi_fractions(w: np.ndarray):
-    """Numerators/denominators of the three post-selected (-,+) ratios."""
+    """Numerators/denominators of the three post-selected (-,+) ratios.
+
+    Each ratio is conditioned on the same run as one correlator ratio, so
+    its denominator is column 5, 1 or 3 of :func:`_lgi_fractions`.
+    """
     B = _block_views(w)
     acdp = B["a"] + B["c"] + B["d"] + B["p"]
     bcds = B["b"] + B["c"] + B["d"] + B["s"]
-    tot = {name: B[name].sum(axis=-1) for name in BLOCK_NAMES}
-
-    def s(arr, idx):
-        return arr[..., list(idx)].sum(axis=-1)
-
     nums = np.stack(
-        [s(bcds, (4, 6)), s(acdp, (4, 5)), s(bcds, (2, 6))],
+        [bcds[..., 4] + bcds[..., 6], acdp[..., 4] + acdp[..., 5], bcds[..., 2] + bcds[..., 6]],
         axis=-1,
     )
-    dens = np.stack(
-        [
-            tot["b"] + tot["d"] + s(B["c"] + B["s"], (4, 5, 6, 7)) + s(B["a"] + B["q"], (0, 1, 2, 3)),
-            tot["a"] + tot["d"] + s(B["c"] + B["p"], (4, 5, 6, 7)) + s(B["b"] + B["q"], (0, 1, 2, 3)),
-            tot["c"] + tot["d"] + s(B["b"] + B["s"], (2, 3, 6, 7)) + s(B["a"] + B["p"], (0, 1, 4, 5)),
-        ],
-        axis=-1,
-    )
-    return nums, dens
+    return nums, _lgi_fractions(w)[1][..., [5, 1, 3]]
 
 
 _WLGI_SIGNS = np.array([1.0, -1.0, -1.0])
@@ -643,6 +634,9 @@ def critical_efficiency(inequality: str) -> float:
     or of ``(1-eta)/(2 eta - 1) = 0.4034`` (probability form),
     ``(1 + 0.4034)/(1 + 2*0.4034)``.  Above the returned efficiency the
     detector-only experiment cannot be explained macrorealistically.
+    0.4034 is the paper's rounding of the WLGI maximum 0.4034312 that
+    :func:`.circuit.ideal_maxima` gives in closed form; it is kept so that
+    ``hv_bounds.json`` and the benchmark's certify check stay unchanged.
     """
     if inequality == "LGI":
         return (-1.5 + math.sqrt(1.5**2 + 8.0)) / 2.0

@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import optimize
 
 from macroreal.analysis import (
     DEFAULT_BIN_WIDTH,
@@ -193,6 +194,34 @@ def qm_range_grid(params: SetupParams, tol):
                 if hi > bounds[name][1]:
                     bounds[name][1] = hi
     return {name: (lo, hi) for name, (lo, hi) in bounds.items()}
+
+
+def sampled_maximum(fun, n_angles, n_transmissions, seed):
+    """Numeric maximum of ``fun(*angles, *transmissions)`` over the full box.
+
+    Draws a seeded uniform sample of 10**6 points, angles in [0, 2 pi] and
+    transmissions in [0, 1], in chunks to bound memory, then runs a bounded
+    L-BFGS-B polish from each of the 12 best sample points.  Returns the
+    best value and its point.
+    """
+    n_points, starts, chunk = 10**6, 12, 250_000
+    rng = np.random.default_rng(seed)
+    lo = np.zeros(n_angles + n_transmissions)
+    hi = np.array([2.0 * math.pi] * n_angles + [1.0] * n_transmissions)
+    best_points = np.empty((0, lo.size))
+    for start in range(0, n_points, chunk):
+        points = rng.uniform(lo, hi, size=(min(chunk, n_points - start), lo.size))
+        points = np.concatenate([best_points, points])
+        values = fun(*points.T)
+        best_points = points[np.argsort(values)[::-1][:starts]]
+    best, arg = float(fun(*best_points[0])), best_points[0]
+    for x0 in best_points:
+        res = optimize.minimize(
+            lambda x: -fun(*x), x0, method="L-BFGS-B", bounds=list(zip(lo, hi))
+        )
+        if -res.fun > best:
+            best, arg = float(-res.fun), res.x
+    return best, arg
 
 
 def brute_force_coincidences(times_a, times_b, lo, hi, bin_width):

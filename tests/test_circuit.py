@@ -1,11 +1,15 @@
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import macroreal
 from macroreal.circuit import (
     IDEAL_PARAMS,
     NOMINAL_PARAMS,
@@ -30,6 +34,7 @@ from oracles import (
     nsit23_closed_form,
     qm_range_grid,
     run_total_closed_form,
+    sampled_maximum,
     transfer_matrix_probs,
     wlgi_closed_form,
 )
@@ -362,16 +367,44 @@ def test_generic_circuit_formulas():
 
 def test_ideal_maxima_finds_global_optima():
     res = ideal_maxima()
-    assert res["lgi_max"] == pytest.approx(1.5, abs=1e-7)
-    assert res["lgi_argmax"]["t2"] == pytest.approx(0.75, abs=1e-3)
-    assert res["lgi_argmax"]["t3"] == pytest.approx(0.75, abs=1e-3)
-    assert math.cos(res["lgi_argmax"]["theta2"]) == pytest.approx(1.0, abs=1e-6)
-    assert res["wlgi_max"] == pytest.approx(0.403448, abs=1e-4)
-    assert math.cos(res["wlgi_argmax"]["theta1"]) == pytest.approx(-1.0, abs=1e-6)
-    assert math.cos(res["wlgi_argmax"]["theta2"]) == pytest.approx(1.0, abs=1e-6)
-    assert res["wlgi_argmax"]["t1"] == pytest.approx(0.1524, abs=2e-3)
-    assert res["wlgi_argmax"]["t2"] == pytest.approx(0.6952, abs=2e-3)
-    assert res["wlgi_argmax"]["t3"] == pytest.approx(0.4833, abs=2e-3)
+    assert res["lgi_max"] == 1.5
+    assert res["lgi_argmax"] == {"theta2": 0.0, "t2": 0.75, "t3": 0.75}
+    s = (math.sqrt(17.0) - 1.0) / 8.0
+    assert 4.0 * s * s + s - 1.0 == pytest.approx(0.0, abs=1e-15)
+    assert res["wlgi_max"] == pytest.approx(2.0 * s * (1.0 - s) ** 2 * (1.0 + s), abs=1e-15)
+    assert res["wlgi_max"] == pytest.approx(0.403431198853518, abs=1e-12)
+    arg = res["wlgi_argmax"]
+    assert (arg["theta1"], arg["theta2"]) == (math.pi, 0.0)
+    assert arg["t1"] == pytest.approx(s * s, abs=1e-12)
+    assert arg["t2"] == pytest.approx((1.0 + s) / 2.0, abs=1e-12)
+    assert arg["t3"] == pytest.approx((1.0 - 2.0 * s * s) ** 2, abs=1e-12)
+    # Value and argmax agree.
+    assert res["lgi_max"] == generic_lgi(**res["lgi_argmax"])
+    assert res["wlgi_max"] == generic_wlgi(**arg)
+
+
+@pytest.mark.parametrize(
+    "fun, n_angles, n_transmissions, key",
+    [(generic_lgi, 1, 2, "lgi_max"), (generic_wlgi, 2, 3, "wlgi_max")],
+)
+def test_ideal_maxima_bound_a_sampled_search(fun, n_angles, n_transmissions, key):
+    closed = ideal_maxima()[key]
+    best, arg = sampled_maximum(fun, n_angles, n_transmissions, seed=20141)
+    assert best <= closed + 1e-12, arg
+    # The search gets close, so it would have seen a larger maximum.
+    assert best >= closed - 1e-8
+
+
+def test_ideal_maxima_leaves_optimizers_unloaded():
+    package_root = str(Path(macroreal.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {package_root!r}); "
+        "from macroreal.circuit import ideal_maxima; ideal_maxima(); "
+        "print(sorted(m for m in sys.modules if (m + '.').startswith('scipy.optimize.')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_invalid_inputs_raise():

@@ -316,7 +316,9 @@ def test_gamma_fit_counts_with_a_bad_row_exits_2_naming_it(tmp_path, capsys, row
         (["analyze", "{counts}", "--config", "{tmp}/seed-string-analysis.json"], "analysis.seed"),
         (["analyze", "{counts}", "--config", "{tmp}/window-float.json"], "analysis.window"),
         (["analyze", "{counts}", "--config", "{tmp}/window-three.json"], "analysis.window"),
-        (["report", "--analysis", "{tmp}/missing.json"], "analysis"),
+        (["report", "--analysis", "{tmp}/missing.json"], "analysis: {tmp}/missing.json does not exist"),
+        (["report", "--analysis", "{tmp}/empty"], "analysis: {tmp}/empty is not a file"),
+        (["report", "--prediction", "{tmp}/empty"], "prediction: {tmp}/empty is not a file"),
         (["report", "--prediction", "{tmp}/range-short.json"], "prediction: range.lgi"),
         (["report", "--prediction", "{tmp}/range-number.json"], "prediction: range.lgi"),
         (["report", "--prediction", "{tmp}/range-list.json"], "prediction: range: [1, 2]"),
@@ -407,7 +409,7 @@ def test_rejected_invocation_leaves_no_output_directory(tmp_path, capsys, argv, 
     counts = str(representative_counts_path())
     args = [arg.replace("{tmp}", str(tmp_path)).replace("{counts}", counts) for arg in argv]
     assert main([*args, "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    assert message.replace("{tmp}", str(tmp_path)) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -745,7 +747,7 @@ def test_cli_subprocess_smoke(tmp_path):
 @pytest.mark.parametrize("package", ["multiprocessing", "scipy.optimize"])
 def test_importing_the_cli_leaves_package_unloaded(package):
     # Every CLI start pays these imports; only counting a dataset needs a
-    # pool, and only the circuit maxima and gamma fit need the optimizers.
+    # pool, and only the gamma fit needs the optimizers.
     package_root = str(Path(macroreal.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {package_root!r}); import macroreal.cli; "

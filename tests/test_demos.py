@@ -33,6 +33,8 @@ def test_quantum_predictions_demo_runs_end_to_end(capsys):
     demo = load_demo(DEMOS[0].parent / "quantum_predictions.py")
     assert demo.main(["--grid-points", "3"]) == 0
     out = capsys.readouterr().out
+    assert "LGI  max 1.500000  at " in out
+    assert "WLGI max 0.403431  at " in out
     # The first band printed is the fixed-visibility one around the nominal point.
     lo, hi = map(float, re.search(r"^lgi\s+\[(\S+), (\S+)\]$", out, re.MULTILINE).groups())
     nominal = qm_lgi(NOMINAL_PARAMS)

@@ -172,6 +172,11 @@ def test_tabulated_ratio_maps_match_fraction_functions():
         assert np.max(np.abs(w @ ratios.den - dens)) <= 1e-14
 
 
+def test_wlgi_ratios_share_the_correlator_run_totals():
+    # Each (-,+) ratio is conditioned on the run of one correlator ratio.
+    assert np.array_equal(_WLGI.den, _LGI.den[:, [5, 1, 3]])
+
+
 def test_every_numerator_coefficient_is_bounded_by_its_denominator():
     # The vertex scan's edge limits rest on this: a vanishing denominator
     # forces a vanishing numerator.
