@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -357,8 +357,8 @@ def _lgi_wlgi_values(a2, b2, terms, w, d):
     return combine(c12, c23, c13, mp12, mp23, b2 * w[2] / d)
 
 
-def _chunk_extremes(alpha_axis, v_axis, t1, t2, t3, t4):
-    """[min, max] of lgi, wlgi and nsit23 over alpha_axis x v_axis x the t points."""
+def _chunk_extremes(alpha_axis, v_axes, t1, t2, t3, t4):
+    """[min, max] of lgi, wlgi and nsit23 over alpha_axis x the t points, per v axis."""
     r1, r2, r3, r4 = 1.0 - t1, 1.0 - t2, 1.0 - t3, 1.0 - t4
     bases = (t1 * t2 + r1 * r3, t1 * r2 + r1 * t3, r4 * t2 + t4 * r3, r2 * r4 + t3 * t4)
     roots = (
@@ -378,91 +378,157 @@ def _chunk_extremes(alpha_axis, v_axis, t1, t2, t3, t4):
     terms = (c12, inner_p * (t2 - r2) + inner_m * (t3 - r3), mp12, mp23)
     marginal = inner_p * t2 + mp23
 
-    ext = {name: [math.inf, -math.inf] for name in ("lgi", "wlgi", "nsit23")}
-    # Reused for every v: fresh arrays this size cost more than the arithmetic.
-    d, nsit23, product = (np.empty(marginal.shape) for _ in range(3))
+    def at(v, a2, b2, bases, roots, terms, marginal, locate):
+        """(lgi, wlgi, P3(+) - marginal, min of d) at v.
 
-    def at(v):
-        """Weights at v; fills d and nsit23 and takes nsit23's minimum."""
+        Broadcasts over the whole chunk or a gathered subset of it;
+        ``locate(k)`` maps the k-th flat point to its (alpha, t) indices.
+        """
         w = _free_run_weights(v, bases, roots)
-        np.multiply(a2, w[0] + w[1], out=d)
-        np.add(d, np.multiply(b2, w[2] + w[3], out=product), out=d)
+        d = a2 * (w[0] + w[1]) + b2 * (w[2] + w[3])
         d_min = d.min()
         if not d_min > 0.0:
-            i, j = np.argwhere(~(d > 0.0))[0]
+            k = np.flatnonzero(~(d > 0.0))[0]
+            i, j = locate(k)
             raise UndefinedProbabilityError(
-                f"total detected weight {d[i, j]} at alpha_sq={alpha_axis[i]}, v={v}, "
+                f"total detected weight {d.flat[k]} at alpha_sq={alpha_axis[i]}, v={v}, "
                 f"t_ratios=({t1[j]}, {t2[j]}, {t3[j]}, {t4[j]}); probabilities are undefined"
             )
-        p3 = np.multiply(a2, w[0], out=nsit23)
-        np.add(p3, np.multiply(b2, w[2], out=product), out=p3)
-        np.divide(p3, d, out=p3)
-        np.subtract(p3, marginal, out=p3)
-        np.abs(p3, out=p3)
-        ext["nsit23"][0] = min(ext["nsit23"][0], nsit23.min())
-        return w, d_min
+        lgi, wlgi = _lgi_wlgi_values(a2, b2, terms, w, d)
+        return lgi, wlgi, (a2 * w[0] + b2 * w[2]) / d - marginal, d_min
 
-    def extend(lgi, wlgi, nsit23_values):
-        for name, vals in (("lgi", lgi), ("wlgi", wlgi)):
+    def unravel(k):
+        return np.unravel_index(k, marginal.shape)
+
+    def extend(ext, *values):
+        for name, vals in zip(ext, values):
             ext[name] = [min(ext[name][0], vals.min()), max(ext[name][1], vals.max())]
-        ext["nsit23"][1] = max(ext["nsit23"][1], nsit23_values.max())
 
     # For fixed (alpha_sq, t) every weight and d are linear in v, so c13,
     # P13(-,+) and P3(+) are linear-fractional in v with the positive
     # denominator d (d > 0 at both end points makes it positive between
-    # them).  So lgi and wlgi are monotone in v and nsit23 = |P3(+) -
-    # marginal| is quasi-convex: their extremes lie at the two v end points,
-    # except nsit23's minimum, which scans every v.
+    # them).  So lgi and wlgi are monotone in v, and so is g = P3(+) -
+    # marginal.  nsit23 = |g| is then quasi-convex, so its maximum lies at
+    # an end point; where g keeps its sign between the end points |g| is
+    # monotone too, and its minimum also lies at an end point.  Only where
+    # g changes sign can nsit23's minimum sit at an interior v.
     #
     # Rounding can lift a computed interior value above both computed end
-    # values (by one ulp in the ideal circuit, where P3(+) is 1/2 at every
-    # v).  Bound of the lift, to first order in u = eps / 2: take the v-free
-    # floats (a2, b2, bases B, roots R, c12, c23, P12, P23, marginal) as
-    # exact constants, since they carry the same bits at every v, and let
-    # capitals denote exact arithmetic on them.  Then W_k = B_k -+ 2v R_k
-    # with 0 <= W_k <= 2 and |2v R_k| <= 1, and D = a2 (W0 + W1) +
-    # b2 (W2 + W3) with a2 + b2 = 1.  Each computed weight errs by
-    # u (1 + W_k).  d and the c13 numerator N take two sums, two products
-    # and one add of those weights, so each errs by u (2 + D) + 3 u D;
-    # |N| <= D.  Hence c13 = N / d errs by E = u (4 / D + 9),
-    # P13 = b2 w2 / d by u (3 / D + 7) and P3(+) by u (3 / D + 8).  The exact
-    # C13 is monotone in v, so an interior c13 lies at most 2 E beyond the
-    # better end's computed c13; likewise P13, and P3(+) against the end
-    # farther from the marginal.  The final subtractions (c12 + c23) - c13,
-    # (P13 - P12) - P23 and P3(+) - marginal round monotonically, and each
-    # adds at most 2 u times the size of its result: 3 for lgi, 1 and then
-    # 2 for wlgi, 1 for nsit23.  The lift is thus at most u (8 / D + 24) for
-    # lgi, u (6 / D + 20) for wlgi and u (6 / D + 18) for nsit23's maximum,
-    # all within eps (4 / D + 12).  D between the end points is at least
-    # d_low = d_min - eps (1 + 2 d_min), the computed minimum less its error.
-    # Every point whose end-point value comes within twice that bound of a
-    # chunk extreme (the factor 2 covers the second-order terms) is
-    # therefore evaluated at each interior v as well, and when d_low <= 0
-    # every point is.  That keeps the result equal, bit for bit, to
-    # evaluating everything at every grid point.
-    ends, d_min = [], math.inf
-    for v in v_axis[[0, -1]] if v_axis.size > 1 else v_axis:
-        w, v_d_min = at(v)
-        d_min = min(d_min, v_d_min)
-        ends.append((*_lgi_wlgi_values(a2, b2, terms, w, d), nsit23.copy()))
-        extend(*ends[-1])
-    if v_axis.size > 2:
-        eps = np.finfo(float).eps
-        d_low = d_min - eps * (1.0 + 2.0 * d_min)
-        slack = 2.0 * eps * (4.0 / d_low + 12.0) if d_low > 0.0 else math.inf
-        near = np.zeros(d.shape, dtype=bool)
-        for lgi, wlgi, nsit23_end in ends:
-            near |= (lgi <= ext["lgi"][0] + slack) | (lgi >= ext["lgi"][1] - slack)
-            near |= (wlgi <= ext["wlgi"][0] + slack) | (wlgi >= ext["wlgi"][1] - slack)
-            near |= nsit23_end >= ext["nsit23"][1] - slack
-        i, j = np.nonzero(near)
-        a2_near, b2_near = alpha_axis[i], b2[i, 0]
-        terms_near = [term[i, j] for term in terms]
-        for v in v_axis[1:-1]:
-            w, _ = at(v)
-            w_near = [weight[j] for weight in w]
-            extend(*_lgi_wlgi_values(a2_near, b2_near, terms_near, w_near, d[i, j]), nsit23[i, j])
-    return ext
+    # values, or sink it below them (by one ulp in the ideal circuit, where
+    # P3(+) is 1/2 at every v).  Bound of the lift, to first order in
+    # u = eps / 2: take the v-free floats (a2, b2, bases B, roots R, c12,
+    # c23, P12, P23, marginal) as exact constants, since they carry the same
+    # bits at every v, and let capitals denote exact arithmetic on them.
+    # Then W_k = B_k -+ 2v R_k with 0 <= W_k <= 2 and |2v R_k| <= 1, and
+    # D = a2 (W0 + W1) + b2 (W2 + W3) with a2 + b2 = 1.  Each computed
+    # weight errs by u (1 + W_k).  d and the c13 numerator N take two sums,
+    # two products and one add of those weights, so each errs by
+    # u (2 + D) + 3 u D; |N| <= D.  Hence c13 = N / d errs by
+    # E = u (4 / D + 9), P13 = b2 w2 / d by u (3 / D + 7) and P3(+) by
+    # u (3 / D + 8).  The exact C13 is monotone in v, so an interior c13
+    # lies at most 2 E beyond the better end's computed c13; likewise P13,
+    # and P3(+) against either end.  The final subtractions (c12 + c23) -
+    # c13, (P13 - P12) - P23 and P3(+) - marginal round monotonically, and
+    # each adds at most 2 u times the size of its result: 3 for lgi, 1 and
+    # then 2 for wlgi, 1 for nsit23.  The lift is thus at most
+    # u (8 / D + 24) for lgi, u (6 / D + 20) for wlgi and u (6 / D + 18) for
+    # nsit23 either way, all within eps (4 / D + 12).  D between the end
+    # points is at least d_low = d_min - eps (1 + 2 d_min), the computed
+    # minimum less its error.  So only these points are evaluated at the
+    # interior v: every point whose end-point value comes within twice that
+    # bound of a chunk extreme (the factor 2 covers the second-order terms),
+    # and every point whose computed g has a different sign bit at the two
+    # end points.  Where the exact g changes sign but the computed one does
+    # not, an end value lies within its rounding error of 0 and so within
+    # the slack of nsit23's minimum.  A computed interior d can fail to be
+    # positive only where D <= eps (1 + 2 D), so only if d_low < 2 eps; then
+    # every point is evaluated, and an undefined point is named as in a
+    # full sweep.  That keeps the result equal, bit for bit, to evaluating
+    # everything at every grid point.
+    extremes = []
+    for v_axis in v_axes:
+        ext = {name: [math.inf, -math.inf] for name in ("lgi", "wlgi", "nsit23")}
+        ends, gaps, d_min = [], [], math.inf
+        for v in v_axis[[0, -1]] if v_axis.size > 1 else v_axis:
+            lgi, wlgi, gap, v_d_min = at(v, a2, b2, bases, roots, terms, marginal, unravel)
+            d_min = min(d_min, v_d_min)
+            ends.append((lgi, wlgi, np.abs(gap)))
+            gaps.append(gap)
+            extend(ext, *ends[-1])
+        if v_axis.size > 2:
+            eps = np.finfo(float).eps
+            d_low = d_min - eps * (1.0 + 2.0 * d_min)
+            slack = 2.0 * eps * (4.0 / d_low + 12.0) if d_low >= 2.0 * eps else math.inf
+            near = np.signbit(gaps[0]) != np.signbit(gaps[1])
+            for values in ends:
+                for (lo, hi), vals in zip(ext.values(), values):
+                    near |= (vals <= lo + slack) | (vals >= hi - slack)
+            i, j = np.nonzero(near)
+            picked = (
+                alpha_axis[i],
+                b2[i, 0],
+                [base[j] for base in bases],
+                [root[j] for root in roots],
+                [term[i, j] for term in terms],
+                marginal[i, j],
+            )
+            for v in v_axis[1:-1]:
+                lgi, wlgi, gap, _ = at(v, *picked, lambda k: (i[k], j[k]))
+                extend(ext, lgi, wlgi, np.abs(gap))
+        extremes.append(ext)
+    return extremes
+
+
+def _qm_ranges(
+    params: SetupParams, tols: Sequence[Tolerances]
+) -> List[Dict[str, Tuple[float, float]]]:
+    """:func:`qm_range` of each box in ``tols``, in one pass over their grid.
+
+    The boxes may differ only in ``v_range``.  Each chunk of (alpha_sq, t)
+    points computes its v-free terms once for all of them.  An undefined
+    point is reported as sweeping the boxes one after another would
+    report it.
+    """
+    first = tols[0]
+    for tol in tols[1:]:
+        if (tol.hwp_angle_deg, tol.t_delta, tol.grid_points) != (
+            first.hwp_angle_deg, first.t_delta, first.grid_points
+        ):
+            raise ValueError("boxes swept in one pass may differ only in v_range")
+    n = first.grid_points
+    rotation0 = math.asin(min(1.0, math.sqrt(params.alpha_sq)))
+    half_width = math.radians(first.hwp_angle_deg)
+    deltas = np.linspace(-half_width, half_width, n) if half_width > 0 else np.zeros(1)
+    alpha_axis = np.sin(rotation0 + deltas) ** 2
+
+    t_axes = []
+    for t in params.t_ratios:
+        if first.t_delta > 0:
+            t_axes.append(np.clip(np.linspace(t - first.t_delta, t + first.t_delta, n), 0.0, 1.0))
+        else:
+            t_axes.append(np.array([t]))
+    v_axes = [
+        np.array([params.visibility]) if tol.v_range is None
+        else np.linspace(tol.v_range[0], tol.v_range[1], n)
+        for tol in tols
+    ]
+
+    t_points = [g.ravel() for g in np.meshgrid(*t_axes, indexing="ij")]
+    step = max(1, _SWEEP_CHUNK // alpha_axis.size)
+    bounds = [{name: [math.inf, -math.inf] for name in ("lgi", "wlgi", "nsit23")} for _ in tols]
+    try:
+        for start in range(0, t_points[0].size, step):
+            chunk = _chunk_extremes(alpha_axis, v_axes, *(t[start : start + step] for t in t_points))
+            for box, ext in zip(bounds, chunk):
+                for name, (lo, hi) in ext.items():
+                    box[name] = [min(box[name][0], lo), max(box[name][1], hi)]
+    except UndefinedProbabilityError:
+        # If no earlier box holds an undefined point, the first chunk that
+        # raised is the last box's first undefined one, as in its own sweep.
+        for tol in tols[:-1]:
+            _qm_ranges(params, [tol])
+        raise
+    return [{name: (float(lo), float(hi)) for name, (lo, hi) in box.items()} for box in bounds]
 
 
 def qm_range(params: SetupParams, tol: Tolerances) -> Dict[str, Tuple[float, float]]:
@@ -471,10 +537,13 @@ def qm_range(params: SetupParams, tol: Tolerances) -> Dict[str, Tuple[float, flo
     Takes a full grid over the half-wave-plate angle, the four
     transmissions and (optionally) the visibility, with ``tol.grid_points``
     points per axis, and returns the (min, max) of each quantity over its
-    points.  lgi, wlgi and the nsit23 maximum are monotone or quasi-convex
-    in v, so they are evaluated in full only at the two visibility end
-    points (and at every v for the few points near an extreme, against
-    rounding); nsit23's minimum takes every v.  The result equals
+    points.  At fixed (alpha_sq, t) every expression is linear-fractional
+    in v with a positive denominator, so lgi, wlgi and P3(+) - marginal are
+    monotone in v and nsit23 = |P3(+) - marginal| takes its extremes at the
+    two visibility end points, except its minimum where P3(+) - marginal
+    changes sign.  So every point is evaluated at the two end points, and
+    only the few points where that sign changes, or whose end values lie
+    within rounding of an extreme, at the interior v.  The result equals
     evaluating every grid point, bit for bit.
 
     Returns
@@ -488,31 +557,7 @@ def qm_range(params: SetupParams, tol: Tolerances) -> Dict[str, Tuple[float, flo
         Naming a grid point (alpha_sq, v, t1..t4) whose detected weight is
         not positive (or NaN), where :func:`qm_lgi` raises too.
     """
-    n = tol.grid_points
-    rotation0 = math.asin(min(1.0, math.sqrt(params.alpha_sq)))
-    half_width = math.radians(tol.hwp_angle_deg)
-    deltas = np.linspace(-half_width, half_width, n) if half_width > 0 else np.zeros(1)
-    alpha_axis = np.sin(rotation0 + deltas) ** 2
-
-    t_axes = []
-    for t in params.t_ratios:
-        if tol.t_delta > 0:
-            t_axes.append(np.clip(np.linspace(t - tol.t_delta, t + tol.t_delta, n), 0.0, 1.0))
-        else:
-            t_axes.append(np.array([t]))
-    if tol.v_range is None:
-        v_axis = np.array([params.visibility])
-    else:
-        v_axis = np.linspace(tol.v_range[0], tol.v_range[1], n)
-
-    t_points = [g.ravel() for g in np.meshgrid(*t_axes, indexing="ij")]
-    step = max(1, _SWEEP_CHUNK // alpha_axis.size)
-    bounds = {name: [math.inf, -math.inf] for name in ("lgi", "wlgi", "nsit23")}
-    for start in range(0, t_points[0].size, step):
-        chunk = _chunk_extremes(alpha_axis, v_axis, *(t[start : start + step] for t in t_points))
-        for name, (lo, hi) in chunk.items():
-            bounds[name] = [min(bounds[name][0], lo), max(bounds[name][1], hi)]
-    return {name: (float(lo), float(hi)) for name, (lo, hi) in bounds.items()}
+    return _qm_ranges(params, [tol])[0]
 
 
 def generic_lgi(theta2, t2, t3):

@@ -33,7 +33,7 @@ from .analysis import (
     load_run_counts_csv,
     per_iteration_values,
 )
-from .circuit import SetupParams, Tolerances, joint_probs, qm_range
+from .circuit import SetupParams, Tolerances, _qm_ranges, joint_probs, qm_range
 from .hvmodels import (
     blocker_setup_bound,
     critical_efficiency,
@@ -311,11 +311,12 @@ def _prediction_payload(config: Dict[str, dict]) -> dict:
     values = evaluate(joint_probs(setup))
     point = {name: getattr(values, name) for name in BOUNDS}
     v_range = config["setup"]["v_range"]
-    fixed = qm_range(setup, _tolerances_from_config(config, None))
+    fixed_tol = _tolerances_from_config(config, None)
     if v_range is None:
-        swept = fixed
+        fixed = swept = qm_range(setup, fixed_tol)
     else:
-        swept = qm_range(setup, _tolerances_from_config(config, v_range))
+        # One pass over the grid for both boxes, fixed visibility first.
+        fixed, swept = _qm_ranges(setup, [fixed_tol, _tolerances_from_config(config, v_range)])
 
     def _ranges(spans: Dict[str, Tuple[float, float]]) -> Dict[str, List[float]]:
         # nsit12/nsit13 vanish identically in this model, hence point ranges.

@@ -502,27 +502,61 @@ def _vertices(eta: float, columns: Sequence[int]) -> Tuple[np.ndarray, np.ndarra
     polytope's vertices that use only those columns.  Returns the (V, 4)
     column indices and the (V, 4) weights on them, zero-padded.
     """
-    by_class = [[j for j in columns if j // 8 == c] for c in range(len(BLOCK_NAMES))]
     bases, x1, x0 = _affine_bases()
     solutions = eta * x1 + x0
+    feasible = solutions.min(axis=1) >= -1e-12
+    # A vertex is fixed by the classes that carry its weight.
+    carry = (bases < len(BLOCK_NAMES)) & (solutions > 1e-12)
     supports: Dict[tuple, np.ndarray] = {}
-    for basis, x in zip(bases, solutions):
-        if x.min() >= -1e-12:
-            # A vertex is fixed by the classes that carry its weight.
-            carry = (basis < len(BLOCK_NAMES)) & (x > 1e-12)
-            supports.setdefault(tuple(basis[carry]), x[carry])
-    cols, weights = [], []
-    for subset, x in supports.items():
+    for basis, x, keep in zip(bases[feasible].tolist(), solutions[feasible], carry[feasible]):
+        supports.setdefault(tuple(c for c, k in zip(basis, keep) if k), x[keep])
+    subsets = tuple(supports)
+    cols, owner = _vertex_columns(subsets, tuple(columns))
+    if not cols.size:
+        raise ValueError(f"no feasible weights on columns {list(columns)} at eta {eta}")
+    padded = np.zeros((len(subsets), 4))
+    for row, x in zip(padded, supports.values()):
+        row[: x.size] = x
+    return cols, padded[owner]
+
+
+@functools.lru_cache(maxsize=32)
+def _vertex_columns(subsets: Tuple[tuple, ...], columns: Tuple[int, ...]):
+    """Column choices of the vertices whose weight sits on each class subset.
+
+    A vertex with weight on the classes of a subset takes one of
+    ``columns`` from each of them.  The choices depend on the subsets and
+    the columns but not on eta, so they are built once.  Returns the (V, 4)
+    choices, zero-padded, and for each the index of its subset in
+    ``subsets``; a subset with a class outside ``columns`` has none.
+    """
+    by_class = [[j for j in columns if j // 8 == c] for c in range(len(BLOCK_NAMES))]
+    cols, owner = [np.zeros((0, 4), dtype=int)], [np.zeros(0, dtype=int)]
+    for index, subset in enumerate(subsets):
         if not all(by_class[c] for c in subset):
             continue
         grids = np.meshgrid(*(by_class[c] for c in subset), indexing="ij")
         choices = np.stack(grids, axis=-1).reshape(-1, len(subset))
-        pad = 4 - len(subset)
-        cols.append(np.pad(choices, ((0, 0), (0, pad))))
-        weights.append(np.tile(np.pad(x, (0, pad)), (len(choices), 1)))
-    if not cols:
-        raise ValueError(f"no feasible weights on columns {list(columns)} at eta {eta}")
-    return np.concatenate(cols), np.concatenate(weights)
+        cols.append(np.pad(choices, ((0, 0), (0, 4 - len(subset)))))
+        owner.append(np.full(len(choices), index))
+    cols, owner = np.concatenate(cols), np.concatenate(owner)
+    # Shared by every later call: keep them read-only.
+    cols.flags.writeable = owner.flags.writeable = False
+    return cols, owner
+
+
+def _group_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` for a boolean (n, k) array.
+
+    Each row is read as a k-bit integer, its first column the most
+    significant bit, so the integer order is the rows' lexicographic
+    order and a 1-D unique of the codes gives the same groups in the same
+    order.  Needs k < 63.
+    """
+    k = rows.shape[1]
+    codes = rows @ (1 << np.arange(k)[::-1])
+    values, group = np.unique(codes, return_inverse=True)
+    return ((values[:, None] >> np.arange(k)[::-1]) & 1).astype(bool), group
 
 
 def _scan(ratios: _RatioMap, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -542,8 +576,7 @@ def _scan(ratios: _RatioMap, cols: np.ndarray, weights: np.ndarray) -> np.ndarra
                 for rows in (ratios.num, ratios.den))
     defined = den > 0.0
     terms = ratios.signs * np.divide(num, den, out=np.zeros(num.shape), where=defined)
-    masks, group = np.unique(~defined, axis=0, return_inverse=True)
-    group = group.reshape(-1)
+    masks, group = _group_rows(~defined)
     best, pair = -np.inf, None
     for g, m in enumerate(masks):
         at = np.flatnonzero(group == g)

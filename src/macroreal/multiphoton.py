@@ -485,12 +485,17 @@ def _guarded_chi2(obs: np.ndarray, pred: np.ndarray) -> float:
     return float(np.sum(diff * diff / pred[good]))
 
 
-def _pearson_residuals(x: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    pred = _predicted_flat(*_unpack(x))
+def _model(x: np.ndarray) -> np.ndarray:
+    """The predicted counts at optimizer point x."""
+    return _predicted_flat(*_unpack(x))
+
+
+def _pearson_residuals(x: np.ndarray, obs: np.ndarray, model=_model) -> np.ndarray:
+    pred = model(x)
     return (pred - obs) / np.sqrt(np.maximum(pred, 1e-12))
 
 
-def _pearson_jacobian(x: np.ndarray, obs: np.ndarray) -> np.ndarray:
+def _pearson_jacobian(x: np.ndarray, obs: np.ndarray, model=_model) -> np.ndarray:
     """Exact (12, 9) Jacobian of :func:`_pearson_residuals` in optimizer space.
 
     The chain rule through ``_predicted_flat``: a row's q1 = route*s1 and
@@ -501,6 +506,7 @@ def _pearson_jacobian(x: np.ndarray, obs: np.ndarray) -> np.ndarray:
     log10, so its column is ln(10)*C; dM/dgamma = dP/dgamma = N gives the
     gamma column.  Each row is then scaled by the residual's derivative
     (p + o)/(2*p^(3/2)), or by 1e6 where the 1e-12 guard holds p.
+    ``model`` gives the predicted counts at x, as for the residuals.
     """
     alpha_sq, t1, t2, t3, t4, eta1, eta2, n_events, gamma = params = _unpack(x)
     (a, b, c, d), (e1, e2, f1, f2) = _route_factors(*params[:7])
@@ -527,7 +533,7 @@ def _pearson_jacobian(x: np.ndarray, obs: np.ndarray) -> np.ndarray:
     m = n_events * (1.0 + gamma)
     pair = n_events * gamma
 
-    pred = _predicted_flat(*params)
+    pred = model(x)
     jac = np.empty((4, 3, 9))
     jac[:, 0, :7] = (m - 2.0 * pair * q1)[:, None] * dq1
     jac[:, 1, :7] = (m - 2.0 * pair * q2)[:, None] * dq2
@@ -610,6 +616,15 @@ def fit_gamma(observed: CountVector12, n_starts: int = 50, seed: int = 0) -> Gam
         starts.append(rng.uniform(_X_LO, _X_HI))
 
     def solve(x0):
+        # SciPy takes the Jacobian at the point of its latest residuals, so
+        # keeping the last prediction runs the model once per point.
+        last = [None, None]
+
+        def model(x):
+            if last[0] is None or not np.array_equal(x, last[0]):
+                last[:] = x.copy(), _model(x)
+            return last[1]
+
         return optimize.least_squares(
             _pearson_residuals,
             x0,
@@ -621,7 +636,7 @@ def fit_gamma(observed: CountVector12, n_starts: int = 50, seed: int = 0) -> Gam
             ftol=1e-12,
             gtol=1e-12,
             max_nfev=2000,
-            args=(obs,),
+            args=(obs, model),
         )
 
     solves = [solve(x0) for x0 in starts]

@@ -27,6 +27,7 @@ from macroreal.circuit import (
     qm_wlgi,
     raw_weights,
 )
+from macroreal.circuit import _qm_ranges
 from macroreal.protocol import RUN_CONFIGS, BlockerConfig, UndefinedProbabilityError, correlation
 
 from oracles import (
@@ -320,6 +321,9 @@ def v_ranges(draw):
 # d_min = 1e-12 at the box centre, and d_min = eps, within its own rounding error.
 @example(UNDEFINED_AT_V1, 1.0, 0.01, (0.9, 1.0 - 1e-12), 7)
 @example(UNDEFINED_AT_V1, 1.0, 0.0, (0.9, 1.0 - np.finfo(float).eps), 7)
+# P3(+) - marginal changes sign between the v end points at a point whose end
+# values are near no extreme: nsit23's minimum, 0.00346, sits at an interior v.
+@example(SetupParams(0.65, (0.76, 0.35, 0.45, 0.11), -0.27), 0.0, 0.05, (-0.5, 0.56), 5)
 @settings(max_examples=150, deadline=None)
 def test_qm_range_equals_grid_oracle_on_drawn_boxes(params, hwp, t_delta, v_range, n):
     tol = Tolerances(hwp, t_delta, v_range, n)
@@ -357,6 +361,36 @@ def test_qm_range_raises_where_one_alpha_slice_is_undefined():
     assert all(math.isfinite(x) for span in dropped.values() for x in span)
     with pytest.raises(UndefinedProbabilityError, match=r"alpha_sq=1\.0, v=1\.0"):
         qm_range(UNDEFINED_AT_V1, tol)
+
+
+@pytest.mark.parametrize("n", [3, 11])
+def test_one_pass_ranges_equal_separate_sweeps(n):
+    fixed = Tolerances(grid_points=n)
+    swept = Tolerances(v_range=(0.7, 0.85), grid_points=n)
+    assert _qm_ranges(NOMINAL_PARAMS, [fixed, swept]) == [
+        qm_range_grid(NOMINAL_PARAMS, fixed),
+        qm_range_grid(NOMINAL_PARAMS, swept),
+    ]
+    with pytest.raises(ValueError, match="may differ only in v_range"):
+        _qm_ranges(NOMINAL_PARAMS, [fixed, Tolerances(grid_points=n + 1)])
+
+
+def test_one_pass_ranges_name_the_undefined_point_of_the_first_box():
+    # At alpha_sq = 1 and t1 = 1/2 the detected weight vanishes at v = 1
+    # where (t2, t3) = (1, 0), and at v = -1 where (t2, t3) = (0, 1).  At 21
+    # points these fall in different chunks, the v = -1 one first; one pass
+    # over both boxes must name the point that separate sweeps name first.
+    params = SetupParams(1.0, (0.5, 0.5, 0.5, 0.5), 1.0)
+    fixed = Tolerances(0.0, 0.5, None, 21)
+    swept = Tolerances(0.0, 0.5, (-1.0, 0.5), 21)
+    messages = []
+    for tols in ([fixed], [swept], [fixed, swept], [swept, fixed]):
+        with pytest.raises(UndefinedProbabilityError) as err:
+            _qm_ranges(params, tols)
+        messages.append(str(err.value))
+    assert "v=1.0, t_ratios=(0.5, 1.0, 0.0" in messages[0]
+    assert "v=-1.0, t_ratios=(0.5, 0.0, 1.0" in messages[1]
+    assert messages[2:] == messages[:2]
 
 
 def test_generic_circuit_formulas():

@@ -31,7 +31,9 @@ from macroreal.hvmodels import (
     _WLGI,
     _WLGI_SIGNS,
     _affine_bases,
+    _group_rows,
     _lgi_fractions,
+    _vertex_columns,
     _vertices,
     _wlgi_fractions,
 )
@@ -355,6 +357,41 @@ def test_cached_bases_solve_the_constraints_at_every_eta():
         rhs = np.array([eta, eta, eta, 1.0])
         for basis, x in zip(bases, eta * x1 + x0):
             assert np.max(np.abs(columns[:, basis] @ x - rhs)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 10])
+def test_grouped_rows_match_unique_along_rows(k):
+    # The scan groups its undefined-ratio masks by integer code; masks,
+    # their order and the inverse must be those of np.unique(axis=0).
+    rng = np.random.default_rng(k)
+    for n_rows, p_true in ((1, 0.5), (7, 0.1), (200, 0.5), (200, 0.9)):
+        rows = rng.random((n_rows, k)) < p_true
+        rows[0] = False
+        if n_rows > 2:
+            rows[1] = True
+            rows[-1] = rows[n_rows // 2]
+        masks, group = _group_rows(rows)
+        want_masks, want_group = np.unique(rows, axis=0, return_inverse=True)
+        assert masks.dtype == bool
+        assert np.array_equal(masks, want_masks)
+        assert np.array_equal(group, want_group.reshape(-1))
+
+
+def test_vertices_do_not_depend_on_earlier_calls():
+    # The column choices are cached per (class subsets, columns); after
+    # calls at other efficiencies, each eta must get the vertices that a
+    # cold cache gives it.
+    etas = (0.3, 0.5, 2.0 / 3.0, 0.8, 0.95)
+    for columns in (range(56), [0, 1, 9, 17, 30, 41, 50, 55]):
+        cold = {}
+        for eta in etas:
+            _vertex_columns.cache_clear()
+            cold[eta] = _vertices(eta, columns)
+        for eta in etas[::-1] + etas:
+            cols, weights = _vertices(eta, columns)
+            assert np.array_equal(cols, cold[eta][0])
+            assert np.array_equal(weights, cold[eta][1])
+            assert not cols.flags.writeable
 
 
 def test_every_finding_is_feasible_and_carries_its_own_value():
