@@ -292,7 +292,9 @@ def _predicted_flat(alpha_sq, t1, t2, t3, t4, eta1, eta2, n_events, gamma):
     The configurations ++, +-, -+ and -- route a photon with weight A, B,
     C and D onto the splits E, F, E and F; with q1, q2 the route weight
     times each split, M = N*(1 + gamma) and P = N*gamma, a row holds
-    C1 = M*q1 - P*q1^2, C2 = M*q2 - P*q2^2 and C12 = 2*P*q1*q2.
+    C1 = M*q1 - P*q1^2, C2 = M*q2 - P*q2^2 and C12 = 2*P*q1*q2.  The
+    parameters may be arrays of one shape (...); the counts then have
+    shape (..., 12).
     """
     (a, b, c, d), (e1, e2, f1, f2) = _route_factors(alpha_sq, t1, t2, t3, t4, eta1, eta2)
     m = n_events * (1.0 + gamma)
@@ -301,7 +303,7 @@ def _predicted_flat(alpha_sq, t1, t2, t3, t4, eta1, eta2, n_events, gamma):
     for route, s1, s2 in ((a, e1, e2), (b, f1, f2), (c, e1, e2), (d, f1, f2)):
         q1, q2 = route * s1, route * s2
         flat += (m * q1 - pair * q1 * q1, m * q2 - pair * q2 * q2, 2.0 * pair * q1 * q2)
-    return np.array(flat)
+    return np.stack(flat, axis=-1)
 
 
 def predicted_counts(params: GammaFitParams) -> CountVector12:
@@ -457,48 +459,76 @@ _X_HI = np.array([b[1] for b in _X_BOUNDS])
 # count derivative in optimizer space exceeds K = ln(10)*M_max, with
 # M_max = N_max*(1 + gamma_max).  A residual's derivative in its prediction
 # p is 1e6 under the 1e-12 guard and (p + o)/(2*p^(3/2)) < 5e5 + 5e17*o
-# above it, so counts up to o bound every residual by about 1e6*o and every
-# Jacobian entry by about 5e17*o*K.  The trust-region solver squares the
-# gradient J^T r and sums such squares; the limit holds the product of the
-# two bounds to 1e150, which keeps those sums a factor 1e8 below the float
-# maximum of about 1.8e308.
+# above it, so counts up to o bound every residual by R = 1e6*o and every
+# Jacobian entry by G = 5e17*o*K.  The limit holds R*G to 1e150; as
+# G/R = 5e11*K is about 1.2e19, R^2 stays below 1e131 and G^2 below 1.3e169.
+# The solver's sums r^T r, J^T r and J^T J add twelve such products, so the
+# largest, an entry of J^T J, stays below 2e170, far from the float maximum
+# of about 1.8e308; so does the linear model's |r + J dx|^2, as the step dx
+# is clipped to the box.  The damped solve works on J^T J scaled to a unit
+# diagonal, whose entries are at most 1 in magnitude, with a right-hand
+# side bounded by the residual norm.
 _COUNT_LIMIT = math.sqrt(
     1e150
     / (1e6 * 5e17 * math.log(10.0) * FIT_BOUNDS["n_events"][1] * (1.0 + FIT_BOUNDS["gamma"][1]))
 )
 
+#: Stopping tolerance of the fit: on the chi-squared change relative to
+#: 1 + chi-squared, and on the step relative to the point.
+_FIT_TOL = 1e-12
 
-def _unpack(x: np.ndarray) -> Tuple[float, ...]:
-    values = list(map(float, x))
+#: Lockstep iterations after which a start that has not met a stopping
+#: test ends unconverged.
+_FIT_MAX_ITER = 500
+
+#: Smallest damping of the unit-diagonal normal matrix.  J^T J is singular
+#: along the two flat directions of the module docstring, so without a
+#: floor the damped matrix can become singular as the damping shrinks.
+_DAMPING_FLOOR = 1e-10
+
+
+def _unpack(x: np.ndarray) -> Tuple:
+    """The nine model parameters at optimizer point(s) x of shape (..., 9).
+
+    One point gives floats; a batch gives one array of shape (...) per
+    parameter.  The count scale is searched in log10.
+    """
+    x = np.asarray(x, dtype=float)
+    values = list(map(float, x)) if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
     values[7] = 10.0 ** values[7]
     return tuple(values)
 
 
-def _guarded_chi2(obs: np.ndarray, pred: np.ndarray) -> float:
+def _guarded_chi2(obs: np.ndarray, pred: np.ndarray):
+    """Pearson chi-squared of predictions ``pred`` of shape (..., 12).
+
+    A float for one table of predictions, an array of shape (...) for a
+    batch.
+    """
     # At the gamma=0 boundary the coincidence predictions vanish; such
     # cells are exact (contribute 0) when the observation is also zero
     # and exclude the parameter point (inf) otherwise.
     good = pred > 0.0
-    if np.any(~good & (obs > 0.0)):
-        return math.inf
-    diff = obs[good] - pred[good]
-    return float(np.sum(diff * diff / pred[good]))
+    diff = np.where(good, obs - pred, 0.0)
+    chi2 = np.sum(diff * diff / np.where(good, pred, 1.0), axis=-1)
+    chi2 = np.where(np.any(~good & (obs > 0.0), axis=-1), math.inf, chi2)
+    return float(chi2) if chi2.ndim == 0 else chi2
 
 
 def _model(x: np.ndarray) -> np.ndarray:
-    """The predicted counts at optimizer point x."""
+    """The predicted counts at optimizer point(s) x, shape (..., 12)."""
     return _predicted_flat(*_unpack(x))
 
 
-def _pearson_residuals(x: np.ndarray, obs: np.ndarray, model=_model) -> np.ndarray:
-    pred = model(x)
+def _pearson_residuals(pred: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return (pred - obs) / np.sqrt(np.maximum(pred, 1e-12))
 
 
-def _pearson_jacobian(x: np.ndarray, obs: np.ndarray, model=_model) -> np.ndarray:
-    """Exact (12, 9) Jacobian of :func:`_pearson_residuals` in optimizer space.
+def _pearson_jacobian(x: np.ndarray, obs: np.ndarray, pred=None) -> np.ndarray:
+    """Exact Jacobian of the Pearson residuals in optimizer space.
 
-    The chain rule through ``_predicted_flat``: a row's q1 = route*s1 and
+    ``x`` of shape (..., 9) gives shape (..., 12, 9).  The chain rule
+    through ``_predicted_flat``: a row's q1 = route*s1 and
     q2 = route*s2 move with the gradients of its route weight (in alpha_sq,
     t1, t4) and of its two splits (in t2, t3, eta1, eta2), and
     dC1/dq1 = M - 2*P*q1, dC2/dq2 = M - 2*P*q2, dC12/dq1 = 2*P*q2 and
@@ -506,61 +536,138 @@ def _pearson_jacobian(x: np.ndarray, obs: np.ndarray, model=_model) -> np.ndarra
     log10, so its column is ln(10)*C; dM/dgamma = dP/dgamma = N gives the
     gamma column.  Each row is then scaled by the residual's derivative
     (p + o)/(2*p^(3/2)), or by 1e6 where the 1e-12 guard holds p.
-    ``model`` gives the predicted counts at x, as for the residuals.
+    ``pred``, the predicted counts at x, is computed when not given.
     """
-    alpha_sq, t1, t2, t3, t4, eta1, eta2, n_events, gamma = params = _unpack(x)
+    x = np.asarray(x, dtype=float)
+    points = x.reshape(-1, 9)
+    pred = _model(points) if pred is None else np.reshape(pred, (-1, 12))
+    alpha_sq, t1, t2, t3, t4, eta1, eta2, n_events, gamma = params = _unpack(points)
     (a, b, c, d), (e1, e2, f1, f2) = _route_factors(*params[:7])
-    beta_sq = 1.0 - alpha_sq
-    # Gradients in (alpha_sq, t1, t2, t3, t4, eta1, eta2), rows ++, +-, -+, --.
-    d_route = np.array(
-        [
-            [t1, alpha_sq, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [1.0 - t1, -alpha_sq, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [t4 - 1.0, 0.0, 0.0, 0.0, -beta_sq, 0.0, 0.0],
-            [-t4, 0.0, 0.0, 0.0, beta_sq, 0.0, 0.0],
-        ]
-    )
-    d_e1 = [0.0, 0.0, -eta1, 0.0, 0.0, 1.0 - t2, 0.0]
-    d_e2 = [0.0, 0.0, eta2, 0.0, 0.0, 0.0, t2]
-    d_f1 = [0.0, 0.0, 0.0, eta1, 0.0, t3, 0.0]
-    d_f2 = [0.0, 0.0, 0.0, -eta2, 0.0, 0.0, 1.0 - t3]
-    route = np.array([a, b, c, d])
-    s1 = np.array([e1, f1, e1, f1])
-    s2 = np.array([e2, f2, e2, f2])
+    # Gradients in (alpha_sq, t1, t2, t3, t4, eta1, eta2) of the route
+    # weights, rows ++, +-, -+, --, and of the splits E1, E2, F1, F2.
+    d_route = np.zeros((len(points), 4, 7))
+    d_route[:, :, 0] = np.stack([t1, 1.0 - t1, t4 - 1.0, -t4], axis=-1)
+    d_route[:, 0, 1], d_route[:, 1, 1] = alpha_sq, -alpha_sq
+    d_route[:, 2, 4], d_route[:, 3, 4] = alpha_sq - 1.0, 1.0 - alpha_sq
+    d_split = np.zeros((len(points), 4, 7))
+    d_split[:, 0, 2], d_split[:, 0, 5] = -eta1, 1.0 - t2
+    d_split[:, 1, 2], d_split[:, 1, 6] = eta2, t2
+    d_split[:, 2, 3], d_split[:, 2, 5] = eta1, t3
+    d_split[:, 3, 3], d_split[:, 3, 6] = -eta2, 1.0 - t3
+    route = np.stack([a, b, c, d], axis=-1)
+    s1 = np.stack([e1, f1, e1, f1], axis=-1)
+    s2 = np.stack([e2, f2, e2, f2], axis=-1)
     q1, q2 = route * s1, route * s2
-    dq1 = s1[:, None] * d_route + route[:, None] * np.array([d_e1, d_f1, d_e1, d_f1])
-    dq2 = s2[:, None] * d_route + route[:, None] * np.array([d_e2, d_f2, d_e2, d_f2])
+    dq1 = s1[..., None] * d_route + route[..., None] * d_split[:, [0, 2, 0, 2]]
+    dq2 = s2[..., None] * d_route + route[..., None] * d_split[:, [1, 3, 1, 3]]
+    n_events, gamma = n_events[:, None], gamma[:, None]
     m = n_events * (1.0 + gamma)
     pair = n_events * gamma
 
-    pred = model(x)
-    jac = np.empty((4, 3, 9))
-    jac[:, 0, :7] = (m - 2.0 * pair * q1)[:, None] * dq1
-    jac[:, 1, :7] = (m - 2.0 * pair * q2)[:, None] * dq2
-    jac[:, 2, :7] = 2.0 * pair * (q2[:, None] * dq1 + q1[:, None] * dq2)
-    jac[:, :, 7] = math.log(10.0) * pred.reshape(4, 3)
-    jac[:, 0, 8] = n_events * (q1 - q1 * q1)
-    jac[:, 1, 8] = n_events * (q2 - q2 * q2)
-    jac[:, 2, 8] = 2.0 * n_events * q1 * q2
+    jac = np.empty((len(points), 4, 3, 9))
+    jac[:, :, 0, :7] = (m - 2.0 * pair * q1)[..., None] * dq1
+    jac[:, :, 1, :7] = (m - 2.0 * pair * q2)[..., None] * dq2
+    jac[:, :, 2, :7] = 2.0 * pair[..., None] * (q2[..., None] * dq1 + q1[..., None] * dq2)
+    jac[:, :, :, 7] = math.log(10.0) * pred.reshape(-1, 4, 3)
+    jac[:, :, 0, 8] = n_events * (q1 - q1 * q1)
+    jac[:, :, 1, 8] = n_events * (q2 - q2 * q2)
+    jac[:, :, 2, 8] = 2.0 * n_events * q1 * q2
     guarded = np.maximum(pred, 1e-12)
     scale = np.where(pred > 1e-12, (pred + obs) / (2.0 * guarded * np.sqrt(guarded)), 1e6)
-    return jac.reshape(12, 9) * scale[:, None]
+    return (jac.reshape(-1, 12, 9) * scale[..., None]).reshape(x.shape[:-1] + (12, 9))
+
+
+def _levenberg_marquardt(starts: np.ndarray, obs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Projected Levenberg-Marquardt descent from every start in lockstep.
+
+    Each iteration solves the damped normal equations of every unfinished
+    start in one batch, (J^T J + lambda*diag(J^T J)) dx = -J^T r in
+    Marquardt's scaling, clips the new point to the box and keeps it only
+    where it lowers sum(r^2).  A parameter on a bound that the gradient
+    pushes outward is held there for the step.  Each start adapts its own
+    damping by the ratio rho of the actual to the linearly predicted
+    decrease (Nielsen's rule, above ``_DAMPING_FLOOR``), and stops once its
+    step, or both the actual and the predicted decrease, falls to
+    ``_FIT_TOL`` (relative to the point and to 1 + sum(r^2)).  Finished
+    starts leave the batch.
+
+    Returns
+    -------
+    (ndarray, ndarray)
+        End points, shape (S, 9), and per start whether it met a stopping
+        test within ``_FIT_MAX_ITER`` iterations.
+    """
+    x = starts.copy()
+    pred = _model(x)
+    res = _pearson_residuals(pred, obs)
+    cost = np.einsum("ij,ij->i", res, res)
+    jac = _pearson_jacobian(x, obs, pred)
+    damping = np.full(len(x), 1e-3)
+    growth = np.full(len(x), 2.0)
+    done = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
+    diagonal = np.arange(9)
+    for _ in range(_FIT_MAX_ITER):
+        if not active.size:
+            break
+        j, r, here, before = jac[active], res[active], x[active], cost[active]
+        normal = j.swapaxes(1, 2) @ j
+        grad = np.einsum("ikj,ik->ij", j, r)
+        diag = normal[:, diagonal, diagonal]
+        # A parameter on a bound that the gradient pushes outward stays
+        # there: its scale is zero, which drops it from the solve.
+        pinned = ((here <= _X_LO) & (grad > 0.0)) | ((here >= _X_HI) & (grad < 0.0))
+        scale = np.where(pinned, 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)))
+        damped = normal * scale[:, :, None] * scale[:, None, :]
+        damped[:, diagonal, diagonal] += np.where(pinned, 1.0, damping[active, None])
+        step = -scale * np.linalg.solve(damped, (scale * grad)[..., None])[..., 0]
+        trial = np.clip(here + step, _X_LO, _X_HI)
+        moved = trial - here
+        trial_pred = _model(trial)
+        trial_res = _pearson_residuals(trial_pred, obs)
+        after = np.einsum("ij,ij->i", trial_res, trial_res)
+        linear = r + np.einsum("ikj,ij->ik", j, moved)
+        expected = before - np.einsum("ij,ij->i", linear, linear)
+        actual = before - after
+        rho = np.divide(actual, expected, out=np.zeros_like(actual), where=expected > 0.0)
+        accept = actual > 0.0
+
+        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(rho, 1.0) - 1.0) ** 3)
+        damping[active] = np.maximum(
+            np.where(accept, damping[active] * shrink, damping[active] * growth[active]),
+            _DAMPING_FLOOR,
+        )
+        growth[active] = np.where(accept, 2.0, 2.0 * growth[active])
+
+        moved_to = active[accept]
+        x[moved_to], res[moved_to], cost[moved_to] = trial[accept], trial_res[accept], after[accept]
+        jac[moved_to] = _pearson_jacobian(trial[accept], obs, trial_pred[accept])
+
+        small_step = np.linalg.norm(moved, axis=1) <= _FIT_TOL * (
+            _FIT_TOL + np.linalg.norm(here, axis=1)
+        )
+        tol = _FIT_TOL * (1.0 + before)
+        stop = small_step | ((np.abs(actual) <= tol) & (expected <= tol))
+        done[active[stop]] = True
+        active = active[~stop]
+    return x, done
 
 
 def fit_gamma(observed: CountVector12, n_starts: int = 50, seed: int = 0) -> GammaFitResult:
     """Fit the nine count-model parameters to an observed table.
 
-    One bounded trust-region least-squares solve (``trf``) of the Pearson
-    residuals runs from the box center and then from each of ``n_starts``
-    random starting points inside ``FIT_BOUNDS``, one after another; the
-    solve whose end point has the lowest chi-squared wins, the first one
-    on a tie.  The count scale is searched on a log axis.  Each solve gets
-    the exact Jacobian of the residuals, :func:`_pearson_jacobian`, not a
-    finite-difference estimate.
+    Minimizes the sum of squared Pearson residuals from the box center and
+    from each of ``n_starts`` random starting points inside
+    ``FIT_BOUNDS``, all at once: one projected Levenberg-Marquardt
+    iteration (Levenberg 1944, Marquardt 1963) advances every start in
+    lockstep, with the exact Jacobian :func:`_pearson_jacobian` and steps
+    clipped to the box.  The start whose end point has the lowest
+    chi-squared wins, the first one on a tie.  The count scale is searched
+    on a log axis.
 
     The chi-squared landscape is exactly flat along the two-dimensional
     count-equivalent family of the module docstring.  That does not hinder
-    the solves: the residuals do not change along the family, so a solve
+    the solves: the residuals do not change along the family, so a start
     that reaches the optimum reaches some member of it, and any member
     serves (on the bundled table every seed gives the same canonical gamma
     to 1e-9).  The returned parameters are the family's
@@ -583,8 +690,8 @@ def fit_gamma(observed: CountVector12, n_starts: int = 50, seed: int = 0) -> Gam
     -------
     GammaFitResult
         Best parameters, their chi-squared value and a convergence flag:
-        True when the winning solve met one of its tolerances (``status >
-        0``, not the evaluation budget) and the chi-squared is finite.
+        True when the winning start met its stopping test within the
+        iteration cap and the chi-squared is finite.
 
     Raises
     ------
@@ -593,8 +700,8 @@ def fit_gamma(observed: CountVector12, n_starts: int = 50, seed: int = 0) -> Gam
         count exceeds about 2.9e59.  Counts up to o bound the residuals by
         about 1e6*o (the 1e-12 guard) and the Jacobian entries by about
         5e17*o*ln(10)*1.05e7 (the guard and ``FIT_BOUNDS``); the limit
-        holds their product, whose square the solver forms, to 1e150, so
-        the solver's sums of squares stay finite.  ``_COUNT_LIMIT`` has
+        holds their product to 1e150, so the solver's sums J^T J, J^T r
+        and r^T r and its damped solve stay finite.  ``_COUNT_LIMIT`` has
         the derivation.
     """
     if isinstance(n_starts, bool) or not isinstance(n_starts, int) or n_starts < 0:
@@ -606,44 +713,17 @@ def fit_gamma(observed: CountVector12, n_starts: int = 50, seed: int = 0) -> Gam
                     f"count {name} of set {label} is {value:g},"
                     f" above the fit's limit {_COUNT_LIMIT:.3g}"
                 )
-    # Imported here: ``import macroreal.cli`` stays free of scipy.optimize.
-    from scipy import optimize
 
     obs = observed.flat
     rng = np.random.default_rng(seed)
     starts = [0.5 * (_X_LO + _X_HI)]
     for _ in range(n_starts):
         starts.append(rng.uniform(_X_LO, _X_HI))
-
-    def solve(x0):
-        # SciPy takes the Jacobian at the point of its latest residuals, so
-        # keeping the last prediction runs the model once per point.
-        last = [None, None]
-
-        def model(x):
-            if last[0] is None or not np.array_equal(x, last[0]):
-                last[:] = x.copy(), _model(x)
-            return last[1]
-
-        return optimize.least_squares(
-            _pearson_residuals,
-            x0,
-            jac=_pearson_jacobian,
-            bounds=(_X_LO, _X_HI),
-            method="trf",
-            x_scale="jac",
-            xtol=1e-12,
-            ftol=1e-12,
-            gtol=1e-12,
-            max_nfev=2000,
-            args=(obs, model),
-        )
-
-    solves = [solve(x0) for x0 in starts]
-    best = min(solves, key=lambda res: _guarded_chi2(obs, _predicted_flat(*_unpack(res.x))))
-    params = canonical_gauge(GammaFitParams(*_unpack(best.x)))
+    ends, done = _levenberg_marquardt(np.array(starts), obs)
+    best = int(np.argmin(_guarded_chi2(obs, _model(ends))))
+    params = canonical_gauge(GammaFitParams(*_unpack(ends[best])))
     chi2 = _guarded_chi2(obs, predicted_counts(params).flat)
-    return GammaFitResult(params, chi2, best.status > 0 and math.isfinite(chi2))
+    return GammaFitResult(params, chi2, bool(done[best]) and math.isfinite(chi2))
 
 
 def fit_report(result: GammaFitResult) -> Dict[str, object]:

@@ -21,6 +21,16 @@ from macroreal.analysis import (
 )
 from macroreal.circuit import SetupParams, arm_branch_weights
 from macroreal.hvmodels import _BLOCK_SLICES, _check_eta
+from macroreal.multiphoton import (
+    _X_HI,
+    _X_LO,
+    GammaFitParams,
+    _guarded_chi2,
+    _model,
+    _unpack,
+    canonical_gauge,
+    predicted_counts,
+)
 from macroreal.protocol import RUN_CONFIGS, BlockerConfig, combine
 
 
@@ -640,6 +650,50 @@ def two_photon_event_counts(n1, n2, a, p, s1, s2, eta1, eta2):
     c2 = n1 * q2 + n2 * (1.0 - (1.0 - q2) ** 2)
     c12 = n2 * 2.0 * q1 * q2
     return c1, c2, c12
+
+
+def scipy_gamma_fit(observed, n_starts=50, seed=0):
+    """Multistart count fit through SciPy's bounded trust-region solver.
+
+    Runs one ``least_squares(method="trf", x_scale="jac")`` solve of the
+    Pearson residuals per start, one after another, from the same starts
+    as ``fit_gamma`` (the box center, then ``n_starts`` uniform draws of
+    the seeded stream), with a three-point finite-difference Jacobian.
+    The solve whose end point has the lowest chi-squared wins, the first
+    one on a tie.
+
+    Returns
+    -------
+    (GammaFitParams, float)
+        The winner's ``canonical_gauge`` representative and its
+        chi-squared.
+    """
+    obs = observed.flat
+    rng = np.random.default_rng(seed)
+    starts = [0.5 * (_X_LO + _X_HI)] + [rng.uniform(_X_LO, _X_HI) for _ in range(n_starts)]
+
+    def residuals(x):
+        pred = _model(x)
+        return (pred - obs) / np.sqrt(np.maximum(pred, 1e-12))
+
+    ends = [
+        optimize.least_squares(
+            residuals,
+            x0,
+            jac="3-point",
+            bounds=(_X_LO, _X_HI),
+            method="trf",
+            x_scale="jac",
+            xtol=1e-12,
+            ftol=1e-12,
+            gtol=1e-12,
+            max_nfev=2000,
+        ).x
+        for x0 in starts
+    ]
+    chi2 = [_guarded_chi2(obs, _model(x)) for x in ends]
+    params = canonical_gauge(GammaFitParams(*_unpack(ends[int(np.argmin(chi2))])))
+    return params, _guarded_chi2(obs, predicted_counts(params).flat)
 
 
 def reference_generate_sub_run(src, setup: SetupParams, blockers: BlockerConfig):

@@ -747,7 +747,7 @@ def test_cli_subprocess_smoke(tmp_path):
 @pytest.mark.parametrize("package", ["multiprocessing", "scipy.optimize"])
 def test_importing_the_cli_leaves_package_unloaded(package):
     # Every CLI start pays these imports; only counting a dataset needs a
-    # pool, and only the gamma fit needs the optimizers.
+    # pool, and no verb needs SciPy's optimizers.
     package_root = str(Path(macroreal.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {package_root!r}); import macroreal.cli; "
@@ -756,6 +756,21 @@ def test_importing_the_cli_leaves_package_unloaded(package):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_gamma_fit_leaves_scipy_optimize_unloaded(tmp_path):
+    # The count fit is NumPy only, so a whole default gamma-fit run does
+    # not pay for importing SciPy's optimizers.
+    package_root = str(Path(macroreal.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {package_root!r}); from macroreal.cli import main; "
+        f"assert main(['gamma-fit', '--out', {str(tmp_path / 'fit')!r}]) == 0; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "fit" / "gamma_fit.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from macroreal.multiphoton import (
     two_photon_wlgi,
 )
 from macroreal.multiphoton import (
+    _COUNT_LIMIT,
     _X_HI,
     _X_LO,
     _pearson_jacobian,
@@ -36,7 +38,7 @@ from macroreal.multiphoton import (
 )
 from macroreal.protocol import RUN_CONFIGS
 
-from oracles import two_photon_event_counts
+from oracles import scipy_gamma_fit, two_photon_event_counts
 
 # Route taken through each double-blocker configuration: the arm weight,
 # the surviving central-splitter branch and the final split onto the two
@@ -444,6 +446,38 @@ def test_fit_reference_table_is_start_independent():
     observed = reference_counts()
     gammas = [fit_gamma(observed, seed=seed).params.gamma for seed in range(4)]
     assert max(gammas) - min(gammas) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "draw", [None, 0, 1, 2, 3, 4], ids=lambda d: "bundled" if d is None else f"poisson-{d}"
+)
+def test_fit_matches_scipy_multistart_oracle(draw):
+    # The bundled table and Poisson draws around a realistic truth: SciPy's
+    # trust-region solver, one start after another from the same starts,
+    # reaches no lower chi-squared and the same canonical gamma.
+    if draw is None:
+        observed = reference_counts()
+    else:
+        truth = GammaFitParams(0.48, 0.74, 0.77, 0.81, 0.65, 0.56, 0.64, 2.1e5, 0.0023)
+        rng = np.random.default_rng(draw)
+        observed = CountVector12(rng.poisson(predicted_counts(truth).values).astype(float))
+    fit = fit_gamma(observed, seed=0)
+    oracle, oracle_chi2 = scipy_gamma_fit(observed, seed=0)
+    assert fit.converged
+    assert fit.chi2 <= oracle_chi2 + 1e-9 * (1.0 + oracle_chi2)
+    assert fit.params.gamma == pytest.approx(oracle.gamma, abs=1e-6)
+
+
+@pytest.mark.parametrize("cell", [0, 4, 11])
+def test_fit_near_the_count_limit_stays_finite(cell):
+    # One count at 90% of the limit: the solver's sums of squares and its
+    # damped solve raise no floating-point error and no warning.
+    values = reference_counts().values.copy()
+    values.flat[cell] = 0.9 * _COUNT_LIMIT
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        fit = fit_gamma(CountVector12(values))
+    assert np.isfinite(fit.chi2)
 
 
 @pytest.mark.parametrize("n_starts", [-3, 2.5, "3", True])
