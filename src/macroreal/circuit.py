@@ -328,11 +328,19 @@ class Tolerances:
             )
 
 
-# Transmission points times alpha_sq points in one chunk of qm_range's
-# sweep.  At 256 KB an array, a chunk's ≈20 arrays hold ≈5 MB at any grid
-# size; chunks twice as large ran ≈20 % faster at 15 points per axis but
-# raised the peak memory of an 11-point sweep above the per-slice sweep's.
+# (alpha_sq, t) points in one piece of qm_range's sweep, the unit in which
+# full alpha_sq rows are evaluated.  At 256 KB an array, a piece's ≈20
+# arrays hold ≈5 MB at any grid size.  A chunk of the sweep holds the t
+# points of (alpha_sq points) // 4 pieces, and its arrays hold only the two
+# alpha_sq end points, so they are at most half a piece's.  At 11, 15 and
+# 21 points per axis the sweep's peak memory is below that of evaluating
+# every full row piece by piece.
 _SWEEP_CHUNK = 1 << 15
+
+# Where the detected weight at a chunk's (alpha_sq, v) corners falls below
+# this, the chunk is swept in full; above it, a computed d errs by less than
+# 2^-31 of itself (see _bound_rows).
+_D_FLOOR = 2.0**-20
 
 
 def _free_run_weights(v, bases, roots):
@@ -350,15 +358,13 @@ def _free_run_weights(v, bases, roots):
     )
 
 
-def _lgi_wlgi_values(a2, b2, terms, w, d):
-    """(lgi, wlgi) from the v-free terms (c12, c23, P12(-,+), P23(-,+))."""
-    c12, c23, mp12, mp23 = terms
-    c13 = (a2 * (w[0] - w[1]) + b2 * (w[3] - w[2])) / d
-    return combine(c12, c23, c13, mp12, mp23, b2 * w[2] / d)
+def _rows(a2, t1, t2, t3, t4):
+    """The v-free terms of the alpha_sq values ``a2`` (a column) at the t points.
 
-
-def _chunk_extremes(alpha_axis, v_axes, t1, t2, t3, t4):
-    """[min, max] of lgi, wlgi and nsit23 over alpha_axis x the t points, per v axis."""
+    Returns (a2, b2, bases, roots, terms, marginal): the v-free terms and
+    square-root products of the four weights, the v-free (c12, c23,
+    P12(-,+), P23(-,+)) and the blocked runs' t3 marginal.
+    """
     r1, r2, r3, r4 = 1.0 - t1, 1.0 - t2, 1.0 - t3, 1.0 - t4
     bases = (t1 * t2 + r1 * r3, t1 * r2 + r1 * t3, r4 * t2 + t4 * r3, r2 * r4 + t3 * t4)
     roots = (
@@ -367,8 +373,6 @@ def _chunk_extremes(alpha_axis, v_axes, t1, t2, t3, t4):
         np.sqrt(t2 * t4 * r3 * r4),
         np.sqrt(r2 * r4 * t3 * t4),
     )
-    # Rows are alpha_sq values, columns transmission points.
-    a2 = alpha_axis[:, None]
     b2 = 1.0 - a2
     mp12 = b2 * r4
     inner_p = a2 * t1 + mp12
@@ -376,39 +380,64 @@ def _chunk_extremes(alpha_axis, v_axes, t1, t2, t3, t4):
     mp23 = inner_m * r3
     c12 = a2 * (2.0 * t1 - 1.0) + b2 * (2.0 * t4 - 1.0)
     terms = (c12, inner_p * (t2 - r2) + inner_m * (t3 - r3), mp12, mp23)
-    marginal = inner_p * t2 + mp23
+    return a2, b2, bases, roots, terms, inner_p * t2 + mp23
 
-    def at(v, a2, b2, bases, roots, terms, marginal, locate):
+
+def _total(v, a2, b2, bases, roots):
+    """The free run's weights at v, and its detected weight d."""
+    w = _free_run_weights(v, bases, roots)
+    return w, a2 * (w[0] + w[1]) + b2 * (w[2] + w[3])
+
+
+def _values(a2, b2, terms, marginal, w, d):
+    """(lgi, wlgi, P3(+) - marginal) from the weights w and their total d > 0."""
+    c12, c23, mp12, mp23 = terms
+    c13 = (a2 * (w[0] - w[1]) + b2 * (w[3] - w[2])) / d
+    lgi, wlgi = combine(c12, c23, c13, mp12, mp23, b2 * w[2] / d)
+    return lgi, wlgi, (a2 * w[0] + b2 * w[2]) / d - marginal
+
+
+def _extend(ext, *values):
+    """Widen the running [min, max] of lgi, wlgi and nsit23 to hold ``values``."""
+    for name, vals in zip(ext, values):
+        ext[name] = [min(ext[name][0], vals.min()), max(ext[name][1], vals.max())]
+
+
+def _sweep_rows(alpha_axis, v_axis, t, ext):
+    """Fold every alpha_sq row at the t points ``t``, over ``v_axis``, into ``ext``.
+
+    Every point is evaluated at the two v end points, and at the interior v
+    only where the v rule below says it can set an extreme.  The first
+    point, in that order, whose detected weight is not positive raises
+    UndefinedProbabilityError.
+    """
+    rows = _rows(alpha_axis[:, None], *t)
+    b2, marginal = rows[1], rows[5]
+
+    def at(v, locate, a2, b2, bases, roots, terms, marginal):
         """(lgi, wlgi, P3(+) - marginal, min of d) at v.
 
-        Broadcasts over the whole chunk or a gathered subset of it;
-        ``locate(k)`` maps the k-th flat point to its (alpha, t) indices.
+        Broadcasts over all the rows or a gathered subset of them, and over
+        a column of v values; ``locate(k)`` maps the k-th flat point to its
+        v and its (alpha, t) indices.
         """
-        w = _free_run_weights(v, bases, roots)
-        d = a2 * (w[0] + w[1]) + b2 * (w[2] + w[3])
+        w, d = _total(v, a2, b2, bases, roots)
         d_min = d.min()
         if not d_min > 0.0:
             k = np.flatnonzero(~(d > 0.0))[0]
-            i, j = locate(k)
+            v, i, j = locate(k)
             raise UndefinedProbabilityError(
                 f"total detected weight {d.flat[k]} at alpha_sq={alpha_axis[i]}, v={v}, "
-                f"t_ratios=({t1[j]}, {t2[j]}, {t3[j]}, {t4[j]}); probabilities are undefined"
+                f"t_ratios=({t[0][j]}, {t[1][j]}, {t[2][j]}, {t[3][j]}); "
+                "probabilities are undefined"
             )
-        lgi, wlgi = _lgi_wlgi_values(a2, b2, terms, w, d)
-        return lgi, wlgi, (a2 * w[0] + b2 * w[2]) / d - marginal, d_min
+        return (*_values(a2, b2, terms, marginal, w, d), d_min)
 
-    def unravel(k):
-        return np.unravel_index(k, marginal.shape)
-
-    def extend(ext, *values):
-        for name, vals in zip(ext, values):
-            ext[name] = [min(ext[name][0], vals.min()), max(ext[name][1], vals.max())]
-
-    # For fixed (alpha_sq, t) every weight and d are linear in v, so c13,
-    # P13(-,+) and P3(+) are linear-fractional in v with the positive
-    # denominator d (d > 0 at both end points makes it positive between
-    # them).  So lgi and wlgi are monotone in v, and so is g = P3(+) -
-    # marginal.  nsit23 = |g| is then quasi-convex, so its maximum lies at
+    # The v rule.  For fixed (alpha_sq, t) every weight and d are linear in
+    # v, so c13, P13(-,+) and P3(+) are linear-fractional in v with the
+    # positive denominator d (d > 0 at both end points makes it positive
+    # between them).  So lgi and wlgi are monotone in v, and so is g = P3(+)
+    # - marginal.  nsit23 = |g| is then quasi-convex, so its maximum lies at
     # an end point; where g keeps its sign between the end points |g| is
     # monotone too, and its minimum also lies at an end point.  Only where
     # g changes sign can nsit23's minimum sit at an interior v.
@@ -436,47 +465,173 @@ def _chunk_extremes(alpha_axis, v_axes, t1, t2, t3, t4):
     # points is at least d_low = d_min - eps (1 + 2 d_min), the computed
     # minimum less its error.  So only these points are evaluated at the
     # interior v: every point whose end-point value comes within twice that
-    # bound of a chunk extreme (the factor 2 covers the second-order terms),
-    # and every point whose computed g has a different sign bit at the two
-    # end points.  Where the exact g changes sign but the computed one does
-    # not, an end value lies within its rounding error of 0 and so within
-    # the slack of nsit23's minimum.  A computed interior d can fail to be
-    # positive only where D <= eps (1 + 2 D), so only if d_low < 2 eps; then
-    # every point is evaluated, and an undefined point is named as in a
-    # full sweep.  That keeps the result equal, bit for bit, to evaluating
-    # everything at every grid point.
-    extremes = []
-    for v_axis in v_axes:
-        ext = {name: [math.inf, -math.inf] for name in ("lgi", "wlgi", "nsit23")}
-        ends, gaps, d_min = [], [], math.inf
-        for v in v_axis[[0, -1]] if v_axis.size > 1 else v_axis:
-            lgi, wlgi, gap, v_d_min = at(v, a2, b2, bases, roots, terms, marginal, unravel)
-            d_min = min(d_min, v_d_min)
-            ends.append((lgi, wlgi, np.abs(gap)))
-            gaps.append(gap)
-            extend(ext, *ends[-1])
-        if v_axis.size > 2:
-            eps = np.finfo(float).eps
-            d_low = d_min - eps * (1.0 + 2.0 * d_min)
-            slack = 2.0 * eps * (4.0 / d_low + 12.0) if d_low >= 2.0 * eps else math.inf
-            near = np.signbit(gaps[0]) != np.signbit(gaps[1])
-            for values in ends:
-                for (lo, hi), vals in zip(ext.values(), values):
-                    near |= (vals <= lo + slack) | (vals >= hi - slack)
-            i, j = np.nonzero(near)
-            picked = (
-                alpha_axis[i],
-                b2[i, 0],
-                [base[j] for base in bases],
-                [root[j] for root in roots],
-                [term[i, j] for term in terms],
-                marginal[i, j],
+    # bound of a running extreme (the factor 2 covers the second-order
+    # terms), and every point whose computed g has a different sign bit at
+    # the two end points.  Where the exact g changes sign but the computed
+    # one does not, an end value lies within its rounding error of 0 and so
+    # within the slack of nsit23's minimum.  A computed interior d can fail
+    # to be positive only where D <= eps (1 + 2 D), so only if
+    # d_low < 2 eps; then every point is evaluated, and an undefined point
+    # is named as in a full sweep.
+    ends, gaps, d_min = [], [], math.inf
+    for v in v_axis[[0, -1]] if v_axis.size > 1 else v_axis:
+        lgi, wlgi, gap, v_d_min = at(
+            v, lambda k, v=v: (v, *np.unravel_index(k, marginal.shape)), *rows
+        )
+        d_min = min(d_min, v_d_min)
+        ends.append((lgi, wlgi, np.abs(gap)))
+        gaps.append(gap)
+        _extend(ext, *ends[-1])
+    if v_axis.size > 2:
+        eps = np.finfo(float).eps
+        d_low = d_min - eps * (1.0 + 2.0 * d_min)
+        slack = 2.0 * eps * (4.0 / d_low + 12.0) if d_low >= 2.0 * eps else math.inf
+        near = np.signbit(gaps[0]) != np.signbit(gaps[1])
+        for values in ends:
+            for (lo, hi), vals in zip(ext.values(), values):
+                near |= (vals <= lo + slack) | (vals >= hi - slack)
+        i, j = np.nonzero(near)
+        if not i.size:
+            return
+        picked = (
+            alpha_axis[i],
+            b2[i, 0],
+            [base[j] for base in rows[2]],
+            [root[j] for root in rows[3]],
+            [term[i, j] for term in rows[4]],
+            marginal[i, j],
+        )
+        # The interior v go down a column, as many at a time as keep the
+        # arrays within a piece.
+        interior = v_axis[1:-1, None]
+        per = max(1, _SWEEP_CHUNK // i.size)
+        for start in range(0, interior.shape[0], per):
+            vs = interior[start : start + per]
+            lgi, wlgi, gap, _ = at(
+                vs, lambda k, vs=vs: (vs[k // i.size, 0], i[k % i.size], j[k % i.size]), *picked
             )
-            for v in v_axis[1:-1]:
-                lgi, wlgi, gap, _ = at(v, *picked, lambda k: (i[k], j[k]))
-                extend(ext, lgi, wlgi, np.abs(gap))
-        extremes.append(ext)
-    return extremes
+            _extend(ext, lgi, wlgi, np.abs(gap))
+
+
+def _bound_rows(alpha_axis, v_axes, t, bounds):
+    """Evaluate the t points at the alpha_sq end points, and bound their full rows.
+
+    Folds the values at the smallest and largest alpha_sq, at the v end
+    points of each v axis, into that axis' running extremes in ``bounds``.
+    Returns, per v axis, None if the detected weight may vanish in the
+    chunk, else an array over the t points: -inf where the point's full
+    alpha_sq row may hold an extreme of lgi, wlgi or nsit23's maximum, else
+    a lower bound of nsit23 over the row (inf where none is needed).
+    """
+    # The alpha rule.  Fix a t point and a v, and take the weights W_k as
+    # constants.  With b2 = 1 - a2, the detected weight D, the c13
+    # numerator N, b2 W2 and a2 W0 + b2 W2 are linear in a2, and so are c12,
+    # c23, P12(-,+), P23(-,+) and the marginal.  So lgi = (c12 + c23) -
+    # N / D, wlgi = b2 W2 / D - P12 - P23 and g = (a2 W0 + b2 W2) / D -
+    # marginal are each a linear function plus a linear-fractional one
+    # P / D, with D > 0 on the alpha_sq range where it is at its ends.  P / D
+    # has the derivative K / D^2 with K = P' D - P D' constant: K = 2 (W0 W2
+    # - W1 W3) for c13, -W2 (W0 + W1) for P13 and W0 W3 - W1 W2 for P3(+).
+    # So each of lgi, wlgi and g is convex or concave on [a_lo, a_hi], the
+    # range of the axis' values (the axis folds where the rotation crosses
+    # 0 or 90 degrees, so its first and last entries need not bound it).  A
+    # convex or concave f with end slopes s_lo and s_hi lies within
+    # |s_hi - s_lo| h / 4 of its chord, h = a_hi - a_lo: f minus the chord
+    # vanishes at both ends, its end tangents bound it on one side, and they
+    # cross at most that far from 0, since the smaller of their two legs is
+    # at most the legs' geometric mean.  Here |s_hi - s_lo| = |K| |D'| h
+    # (D_lo + D_hi) / (D_lo D_hi)^2, so each f lies within C = |K| |D'|
+    # (D_lo + D_hi) h^2 / (4 D_lo^2 D_hi^2) of its chord, and so within
+    # [min(f_lo, f_hi) - C, max(f_lo, f_hi) + C].  At each a2, lgi, wlgi and
+    # g are monotone in v (the v rule in _sweep_rows), so at the interior v
+    # they stay between their values at the v end points.  D is bilinear in
+    # (a2, v), so it is positive on the box if it is at the four corners.
+    # nsit23 = |g| is at most the larger size of g's bounds.  Where the
+    # chords of g at the two v end points share a sign at a grid alpha_sq,
+    # nsit23 there is at least the smaller chord less its C, at every v;
+    # where they do not, g may vanish at an interior v.
+    #
+    # Rounding, to first order in u = eps / 2.  Take the t-only floats, the
+    # alpha_sq values and the weights W_k = B_k -+ 2v R_k in exact
+    # arithmetic as exact, with b2 = 1 - a2 exact.  The computed b2 errs by
+    # at most u b2 and each computed weight by u (1 + W_k).  Then d and N
+    # err by u (2 + 5 D), c13 by u (4 / D + 11), P13 by u (3 / D + 9), P3(+)
+    # by u (3 / D + 10), c12 by 3 u, c23 and the marginal by 11 u and P23 by
+    # 5 u, so a computed lgi, wlgi or g errs by at most rho = u (4 / D + 30)
+    # = eps (2 / D + 15).  C is computed from the computed weights, which
+    # move K and D' by less than 40 eps (W_k <= 2), so it takes |K| + mu and
+    # |D'| + mu, mu = 64 eps.  At d >= _D_FLOOR a computed d errs by less
+    # than 2^-31 of itself, and the factor 1 + 2^-20 covers that and the ≈10
+    # roundings of C.  A computed value at a grid point of the row thus lies
+    # within C + 2 rho of the computed end values' range, or of the chord
+    # through them (whose evaluation at a grid alpha_sq errs by < 5 eps).
+    # With d_min the smallest computed corner d, the slack
+    # 16 eps (1 / d_min + 8) is at least twice 2 rho + 5 eps; the factor 2
+    # covers the second-order terms.  So a row whose bounds, widened by C
+    # and the slack, stay inside the running extremes holds no grid point
+    # that could move them, and only the other rows are evaluated in full.
+    # Where some corner d is below _D_FLOOR, the whole chunk goes through
+    # the full sweep instead, so an undefined point is named as there.
+    ends = [int(alpha_axis.argmin()), int(alpha_axis.argmax())]
+    a_lo, a_hi = alpha_axis[ends]
+    width = a_hi - a_lo
+    a2, b2, bases, roots, terms, marginal = _rows(
+        alpha_axis[ends if width > 0.0 else ends[:1], None], *t
+    )
+    lams = (np.unique(alpha_axis) - a_lo) / width if width > 0.0 else (0.0,)
+    eps = np.finfo(float).eps
+    mu = 64.0 * eps
+    quarter_h2 = width * width / 4.0 * (1.0 + 2.0**-20)
+    out = []
+    for v_axis, ext in zip(v_axes, bounds):
+        d_min, lo, hi, chords = math.inf, [math.inf] * 3, [-math.inf] * 3, []
+        for v in v_axis[[0, -1]] if v_axis.size > 1 else v_axis:
+            w, d = _total(v, a2, b2, bases, roots)
+            d_min = min(d_min, d.min())
+            if not d_min >= _D_FLOOR:
+                break
+            values = _values(a2, b2, terms, marginal, w, d)
+            _extend(ext, values[0], values[1], np.abs(values[2]))
+            d_lo, d_hi = d[0], d[-1]
+            scale = (
+                (np.abs((w[0] + w[1]) - (w[2] + w[3])) + mu) * (d_lo + d_hi)
+                / (d_lo * d_lo * (d_hi * d_hi)) * quarter_h2
+            )
+            allow = (
+                (2.0 * np.abs(w[0] * w[2] - w[1] * w[3]) + mu) * scale,
+                (w[2] * (w[0] + w[1]) + mu) * scale,
+                (np.abs(w[0] * w[3] - w[1] * w[2]) + mu) * scale,
+            )
+            for q, (vals, c) in enumerate(zip(values, allow)):
+                lo[q] = np.minimum(lo[q], np.minimum(vals[0], vals[-1]) - c)
+                hi[q] = np.maximum(hi[q], np.maximum(vals[0], vals[-1]) + c)
+            gap = values[2]
+            chords.append((gap[0], gap[-1] - gap[0], allow[2]))
+        if not d_min >= _D_FLOOR:
+            out.append(None)
+            continue
+        slack = 16.0 * eps * (1.0 / d_min + 8.0)
+        (lgi_lo, lgi_hi), (wlgi_lo, wlgi_hi), (n_lo, n_hi) = ext.values()
+        may_set = (
+            (hi[0] + slack > lgi_hi) | (lo[0] - slack < lgi_lo)
+            | (hi[1] + slack > wlgi_hi) | (lo[1] - slack < wlgi_lo)
+            | (np.maximum(-lo[2], hi[2]) + slack > n_hi)
+        )
+        floor = math.inf
+        if n_lo > 0.0:
+            # Per grid alpha_sq the smaller |chord| where the chords share a
+            # sign, else a number <= 0; then the least over the row.
+            closest = math.inf
+            for lam in lams:
+                cuts = [g_lo + lam * dg for g_lo, dg, _ in chords]
+                low = high = cuts[0]
+                if len(cuts) > 1:
+                    low, high = np.minimum(*cuts), np.maximum(*cuts)
+                closest = np.minimum(closest, np.maximum(low, -high))
+            allow_g = np.maximum(chords[0][2], chords[-1][2])
+            floor = np.maximum(closest - allow_g - slack, 0.0)
+        out.append(np.where(may_set, -math.inf, floor))
+    return out
 
 
 def _qm_ranges(
@@ -484,10 +639,10 @@ def _qm_ranges(
 ) -> List[Dict[str, Tuple[float, float]]]:
     """:func:`qm_range` of each box in ``tols``, in one pass over their grid.
 
-    The boxes may differ only in ``v_range``.  Each chunk of (alpha_sq, t)
-    points computes its v-free terms once for all of them.  An undefined
-    point is reported as sweeping the boxes one after another would
-    report it.
+    The boxes may differ only in ``v_range``.  Each chunk of t points
+    computes its v-free terms at the alpha_sq end points once for all of
+    them.  An undefined point is reported as sweeping the boxes one after
+    another would report it.
     """
     first = tols[0]
     for tol in tols[1:]:
@@ -513,15 +668,49 @@ def _qm_ranges(
         for tol in tols
     ]
 
-    t_points = [g.ravel() for g in np.meshgrid(*t_axes, indexing="ij")]
-    step = max(1, _SWEEP_CHUNK // alpha_axis.size)
+    shape = tuple(axis.size for axis in t_axes)
+    size = math.prod(shape)
+
+    def t_points(index):
+        """The t points at these flat indices of the t axes' "ij" meshgrid."""
+        return [axis[i] for axis, i in zip(t_axes, np.unravel_index(index, shape))]
+
+    piece = max(1, _SWEEP_CHUNK // alpha_axis.size)
+    step = piece * max(1, alpha_axis.size // 4)
     bounds = [{name: [math.inf, -math.inf] for name in ("lgi", "wlgi", "nsit23")} for _ in tols]
+    pending = [[] for _ in tols]
     try:
-        for start in range(0, t_points[0].size, step):
-            chunk = _chunk_extremes(alpha_axis, v_axes, *(t[start : start + step] for t in t_points))
-            for box, ext in zip(bounds, chunk):
-                for name, (lo, hi) in ext.items():
-                    box[name] = [min(box[name][0], lo), max(box[name][1], hi)]
+        for start in range(0, size, step):
+            index = np.arange(start, min(start + step, size))
+            t = t_points(index)
+            floors = _bound_rows(alpha_axis, v_axes, t, bounds)
+            for v_axis, ext, floor, rows in zip(v_axes, bounds, floors, pending):
+                if floor is None:
+                    # In the pieces of a full sweep, so an undefined point is
+                    # named as there.
+                    for lo in range(0, index.size, piece):
+                        _sweep_rows(alpha_axis, v_axis, [c[lo : lo + piece] for c in t], ext)
+                else:
+                    wanted = floor < ext["nsit23"][0]
+                    rows.append((index[wanted], floor[wanted]))
+        # The full rows, once every chunk's end points are in: first those
+        # that may hold an extreme of lgi, wlgi or nsit23's maximum, then
+        # those that only nsit23's minimum may want, lowest bound first, in
+        # batches growing 4-fold, while their bound stays below the running
+        # minimum.  A row that cannot move the running extremes when it is
+        # set aside cannot move them later either.
+        for v_axis, ext, rows in zip(v_axes, bounds, pending):
+            if not rows:
+                continue
+            index, floor = (np.concatenate(parts) for parts in zip(*rows))
+            order = np.argsort(floor, kind="stable")
+            index, floor = index[order], floor[order]
+            batch = 16
+            while index.size:
+                _sweep_rows(alpha_axis, v_axis, t_points(index[:batch]), ext)
+                wanted = floor[batch:] < ext["nsit23"][0]
+                index, floor = index[batch:][wanted], floor[batch:][wanted]
+                batch = min(4 * batch, piece)
     except UndefinedProbabilityError:
         # If no earlier box holds an undefined point, the first chunk that
         # raised is the last box's first undefined one, as in its own sweep.
@@ -541,9 +730,19 @@ def qm_range(params: SetupParams, tol: Tolerances) -> Dict[str, Tuple[float, flo
     in v with a positive denominator, so lgi, wlgi and P3(+) - marginal are
     monotone in v and nsit23 = |P3(+) - marginal| takes its extremes at the
     two visibility end points, except its minimum where P3(+) - marginal
-    changes sign.  So every point is evaluated at the two end points, and
-    only the few points where that sign changes, or whose end values lie
-    within rounding of an extreme, at the interior v.  The result equals
+    changes sign.  At fixed (t, v) each of lgi, wlgi and P3(+) - marginal
+    is a linear function of alpha_sq plus a linear-fractional one, so it is
+    convex or concave, and its values at the two end points of the
+    alpha_sq range, with their slopes, bound it over the whole range.
+
+    So every transmission point t is evaluated at the two alpha_sq end
+    points (the smallest and largest value on the axis), at the two v end
+    points.  Only the few t points whose bounds reach a running extreme get
+    their full alpha_sq row at the v end points, and within those rows only
+    the points where the sign of P3(+) - marginal changes, or whose end
+    values lie within rounding of an extreme, are evaluated at the interior
+    v.  The bounds are widened by their rounding error, and a box whose
+    detected weight may vanish is swept in full, so the result equals
     evaluating every grid point, bit for bit.
 
     Returns

@@ -18,7 +18,6 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
-from importlib import metadata
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -273,13 +272,9 @@ def _read_json(path, label: str) -> dict:
 
 
 def _versions() -> Dict[str, str]:
-    versions = {"macroreal": __version__}
-    for name in ("numpy", "scipy"):
-        try:
-            versions[name] = metadata.version(name)
-        except metadata.PackageNotFoundError:
-            versions[name] = "unknown"
-    return versions
+    # Read from the imported modules: package metadata is slow to load and
+    # to query.
+    return {"macroreal": __version__, "numpy": np.__version__}
 
 
 @dataclass

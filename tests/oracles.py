@@ -144,15 +144,22 @@ def nsit23_closed_form(params: SetupParams) -> float:
     )
 
 
-def _sweep_values(a2, v, t1, t2, t3, t4):
-    """Vectorized (lgi, wlgi, nsit23) over broadcastable parameter arrays."""
+def _free_run(a2, v, t1, t2, t3, t4):
+    """Free-run detector weights (wp_p, wm_p, wp_m, wm_m) and detected weight d."""
     b2 = 1.0 - a2
     r1, r2, r3, r4 = 1.0 - t1, 1.0 - t2, 1.0 - t3, 1.0 - t4
     wp_p = t1 * t2 + r1 * r3 - 2.0 * v * np.sqrt(t1 * t2 * r1 * r3)
     wm_p = t1 * r2 + r1 * t3 + 2.0 * v * np.sqrt(t1 * r1 * r2 * t3)
     wp_m = r4 * t2 + t4 * r3 + 2.0 * v * np.sqrt(t2 * t4 * r3 * r4)
     wm_m = r2 * r4 + t3 * t4 - 2.0 * v * np.sqrt(r2 * r4 * t3 * t4)
-    d = a2 * (wp_p + wm_p) + b2 * (wp_m + wm_m)
+    return (wp_p, wm_p, wp_m, wm_m), a2 * (wp_p + wm_p) + b2 * (wp_m + wm_m)
+
+
+def _sweep_values(a2, v, t1, t2, t3, t4):
+    """Vectorized (lgi, wlgi, nsit23) over broadcastable parameter arrays."""
+    b2 = 1.0 - a2
+    r1, r2, r3, r4 = 1.0 - t1, 1.0 - t2, 1.0 - t3, 1.0 - t4
+    (wp_p, wm_p, wp_m, wm_m), d = _free_run(a2, v, t1, t2, t3, t4)
     inner_p = a2 * t1 + b2 * r4
     inner_m = a2 * r1 + b2 * t4
     c12 = a2 * (2.0 * t1 - 1.0) + b2 * (2.0 * t4 - 1.0)
@@ -165,14 +172,8 @@ def _sweep_values(a2, v, t1, t2, t3, t4):
     return lgi, wlgi, nsit23
 
 
-def qm_range_grid(params: SetupParams, tol):
-    """``circuit.qm_range`` by evaluating every expression at every grid point.
-
-    The full sweep over (alpha_sq, v) slices of the flattened transmission
-    grid, every expression recomputed per slice.  A slice holding an
-    undefined (NaN) point is silently skipped, so only compare on boxes
-    where the detected weight is positive everywhere.
-    """
+def _box_axes(params: SetupParams, tol):
+    """The alpha_sq, v and flattened t grids of ``circuit.qm_range``'s box."""
     n = tol.grid_points
     rotation0 = math.asin(min(1.0, math.sqrt(params.alpha_sq)))
     half_width = math.radians(tol.hwp_angle_deg)
@@ -191,8 +192,18 @@ def qm_range_grid(params: SetupParams, tol):
         v_axis = np.linspace(tol.v_range[0], tol.v_range[1], n)
 
     grids = np.meshgrid(*t_axes, indexing="ij")
-    t1, t2, t3, t4 = (g.ravel() for g in grids)
+    return alpha_axis, v_axis, [g.ravel() for g in grids]
 
+
+def qm_range_grid(params: SetupParams, tol):
+    """``circuit.qm_range`` by evaluating every expression at every grid point.
+
+    The full sweep over (alpha_sq, v) slices of the flattened transmission
+    grid, every expression recomputed per slice.  A slice holding an
+    undefined (NaN) point is silently skipped, so only compare on boxes
+    where the detected weight is positive everywhere.
+    """
+    alpha_axis, v_axis, (t1, t2, t3, t4) = _box_axes(params, tol)
     bounds = {name: [math.inf, -math.inf] for name in ("lgi", "wlgi", "nsit23")}
     for a2 in alpha_axis:
         for v in v_axis:
@@ -204,6 +215,24 @@ def qm_range_grid(params: SetupParams, tol):
                 if hi > bounds[name][1]:
                     bounds[name][1] = hi
     return {name: (lo, hi) for name, (lo, hi) in bounds.items()}
+
+
+def undefined_grid_points(params: SetupParams, tol):
+    """Every grid point of ``circuit.qm_range``'s box whose detected weight is not positive.
+
+    Evaluates the free run's detected weight at every (v, alpha_sq, t)
+    point and lists those where it is not positive (or NaN), as
+    (alpha_sq, v, (t1, t2, t3, t4)), in the order of their v, alpha_sq and
+    flat t indices.
+    """
+    alpha_axis, v_axis, t = _box_axes(params, tol)
+    points = []
+    for v in v_axis:
+        for a2 in alpha_axis:
+            _, d = _free_run(a2, v, *t)
+            for j in np.flatnonzero(~(d > 0.0)):
+                points.append((a2, v, tuple(axis[j] for axis in t)))
+    return points
 
 
 def sampled_maximum(fun, n_angles, n_transmissions, seed):

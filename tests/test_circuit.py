@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,7 @@ from oracles import (
     run_total_closed_form,
     sampled_maximum,
     transfer_matrix_probs,
+    undefined_grid_points,
     wlgi_closed_form,
 )
 
@@ -307,11 +309,20 @@ def v_ranges(draw):
     return draw(st.sampled_from([None, (lo, lo), (lo, draw(st.floats(lo, 1.0)))]))
 
 
+@st.composite
+def t_ratios(draw):
+    # Three draws in four keep every transmission inside [0.02, 0.98]: the
+    # boundary-heavy floats of [0, 1] (0, 1e-45, 1, ...) give boxes whose
+    # extremes mostly sit at the alpha_sq and v end points.
+    unit = st.floats(0.02, 0.98) if draw(st.integers(0, 3)) > 0 else unit_st
+    return tuple(draw(unit) for _ in range(4))
+
+
 @given(
     params=st.builds(
         SetupParams,
         alpha_sq=unit_st,
-        t_ratios=st.tuples(unit_st, unit_st, unit_st, unit_st),
+        t_ratios=t_ratios(),
         visibility=st.floats(-1.0, 1.0),
     ),
     hwp=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
@@ -330,6 +341,17 @@ def v_ranges(draw):
 # P3(+) - marginal changes sign between the v end points at a point whose end
 # values are near no extreme: nsit23's minimum, 0.00346, sits at an interior v.
 @example(SetupParams(0.65, (0.76, 0.35, 0.45, 0.11), -0.27), 0.0, 0.05, (-0.5, 0.56), 5)
+# lgi's maximum, 1.1209939, sits at an interior alpha_sq; the end points reach
+# only 1.1196929.
+@example(SetupParams(0.64, (0.79, 0.85, 0.64, 0.27), 0.54), 5.0, 0.05, None, 5)
+# The rotation crosses 90 degrees, so the alpha_sq axis folds: its largest
+# value, 0.99976, is the fourth of its five entries, and its first and last
+# entries do not bound its values.
+@example(SetupParams(0.9992, (0.36, 0.61, 0.44, 0.17), 0.02), 5.0, 0.05, None, 5)
+# nsit23's minimum, 0.0011995, sits where P3(+) - marginal bends away from its
+# chord between the alpha_sq end points; without the curvature allowance its
+# row is skipped, and the minimum reads 0.0012210.
+@example(SetupParams(0.49, (0.66, 0.54, 0.34, 0.22), 0.97), 5.0, 0.05, None, 4)
 @settings(max_examples=150, deadline=None)
 def test_qm_range_equals_grid_oracle_on_drawn_boxes(params, hwp, t_delta, v_range, n):
     tol = Tolerances(hwp, t_delta, v_range, n)
@@ -397,6 +419,34 @@ def test_one_pass_ranges_name_the_undefined_point_of_the_first_box():
     assert "v=1.0, t_ratios=(0.5, 1.0, 0.0" in messages[0]
     assert "v=-1.0, t_ratios=(0.5, 0.0, 1.0" in messages[1]
     assert messages[2:] == messages[:2]
+
+
+def test_sweep_names_an_undefined_alpha_end_point_as_the_full_grid_does():
+    # The rotation ends at 90 degrees, so the last and largest alpha_sq is 1.
+    # There, and only there, the detected weight vanishes: at v = 1 where
+    # (t1, t2, t3) = (1/2, 1, 0), for each of the 11 t4.  Most t points are
+    # evaluated only at the alpha_sq end points; the sweep must still name
+    # the point that evaluating every grid point finds first.
+    params = SetupParams(math.cos(math.radians(1.0)) ** 2, (0.5, 0.99, 0.01, 0.5), 1.0)
+    fixed = Tolerances(1.0, 0.01, None, 11)
+    swept = Tolerances(1.0, 0.01, (0.9, 1.0), 11)
+    half_width = math.radians(1.0)
+    rotation0 = math.asin(math.sqrt(params.alpha_sq))
+    alpha_axis = np.sin(rotation0 + np.linspace(-half_width, half_width, 11)) ** 2
+    assert alpha_axis[-1] == alpha_axis.max() == 1.0
+    for tol in (fixed, swept):
+        points = undefined_grid_points(params, tol)
+        assert len(points) == 11
+        assert {(a2, v) for a2, v, _ in points} == {(1.0, 1.0)}
+    a2, v, t = undefined_grid_points(params, fixed)[0]
+    named = f"alpha_sq={a2}, v={v}, t_ratios=({t[0]}, {t[1]}, {t[2]}, {t[3]});"
+    assert named == "alpha_sq=1.0, v=1.0, t_ratios=(0.5, 1.0, 0.0, 0.49);"
+    for tol in (fixed, swept):
+        with pytest.raises(UndefinedProbabilityError, match=re.escape(named)):
+            qm_range(params, tol)
+    for tols in ([fixed, swept], [swept, fixed]):
+        with pytest.raises(UndefinedProbabilityError, match=re.escape(named)):
+            _qm_ranges(params, tols)
 
 
 def test_generic_circuit_formulas():

@@ -134,7 +134,7 @@ def test_predict_writes_run_manifest_listing_outputs(tmp_path):
     manifest = read_json(out / "run_manifest.json")
     assert manifest["command"] == "predict"
     assert manifest["outputs"] == ["prediction.json"]
-    assert "macroreal" in manifest["versions"]
+    assert manifest["versions"] == {"macroreal": macroreal.__version__, "numpy": np.__version__}
     assert manifest["duration_seconds"] >= 0.0
 
 
