@@ -19,8 +19,6 @@ by the same rule whatever its own peak heights.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -29,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _pool
 from ._csvrows import number, read_rows
 from .protocol import (
     RUN_CONFIGS,
@@ -80,8 +79,6 @@ _DETECTOR_COLUMNS = ("P", "M")
 _SAMPLE_CHUNK = 200_000
 # Pairings per table batch on the error path; its arrays then stay in cache.
 _TABLE_BATCH = 8192
-# Iterations per pool task: few enough that two workers finish together.
-_POOL_CHUNK = 4
 _BOOTSTRAP_CHUNK = 20_000
 
 
@@ -517,61 +514,6 @@ def _histogram_iteration(dataset, bin_width: int, window: Tuple[int, int], key) 
     return np.stack([histogram(herald, det, bin_width, window).counts for det in detectors])
 
 
-# The (dataset, bin_width, window) a pool worker histograms, set once per worker.
-_worker_job: Optional[tuple] = None
-
-
-def _start_worker(dataset, bin_width: int, window: Tuple[int, int]) -> None:
-    global _worker_job
-    _worker_job = (dataset, bin_width, window)
-
-
-def _histogram_in_worker(key) -> np.ndarray:
-    return _histogram_iteration(*_worker_job, key)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _histogram_stack(dataset, bin_width: int, window: Tuple[int, int], keys) -> np.ndarray:
-    """(keys, 2, bins) stack of :func:`_histogram_iteration` of every key, in order.
-
-    Forked workers inherit the dataset; only keys and histograms cross
-    between processes.  ``map`` yields in key order, so an error is the one
-    of the first failing key; a worker that dies raises ``BrokenProcessPool``
-    rather than hanging, and every worker has exited on return.  Runs here,
-    serially, with one usable CPU or key, no ``fork`` start method, in a
-    daemonic process (which may not have children) or while other threads
-    run (one may hold a lock the forked child would inherit).
-    """
-    # Imported here: ``import macroreal.cli`` stays free of multiprocessing.
-    import multiprocessing
-
-    stack = np.empty((len(keys), 2, _n_bins(bin_width, window)), dtype=np.int64)
-    workers = min(_usable_cpus(), len(keys))
-    if (
-        workers < 2
-        or multiprocessing.current_process().daemon
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or threading.active_count() > 1
-    ):
-        for i, key in enumerate(keys):
-            stack[i] = _histogram_iteration(dataset, bin_width, window, key)
-        return stack
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork")
-    job = (dataset, bin_width, window)
-    with ProcessPoolExecutor(workers, context, _start_worker, job) as pool:
-        for i, hists in enumerate(pool.map(_histogram_in_worker, keys, chunksize=_POOL_CHUNK)):
-            stack[i] = hists
-    return stack
-
-
 def count_dataset(
     dataset,
     bin_width: int = DEFAULT_BIN_WIDTH,
@@ -579,9 +521,11 @@ def count_dataset(
 ) -> Dict[Tuple[int, int], np.ndarray]:
     """Corrected coincidence counts for every sub-run iteration.
 
-    Each iteration's two delay histograms are made in up to one forked
+    Each iteration's two delay histograms are made through
+    :func:`macroreal._pool.map`, the pool in which
+    ``ExperimentDataset.to_directory`` writes archives: in up to one forked
     worker per CPU this process may use (``taskset`` limits them), or here
-    where forking is impossible or unsafe; the counts are the same either
+    where forking is impossible or unsafe.  The counts are the same either
     way.  Each detector's histograms are summed over the dataset and its
     window and background bins chosen once from the sum, by the rule of
     :func:`count_sub_run`.  Every iteration counts its window sum minus its
@@ -619,7 +563,10 @@ def count_dataset(
         window = _dataset_window(dataset)
     subs = [(run, sub) for run, cfgs in RUN_CONFIGS.items() for sub in range(len(cfgs))]
     keys = [(run, sub, it) for run, sub in subs for it in range(dataset.iterations[run])]
-    stack = _histogram_stack(dataset, bin_width, window, keys)
+    stack = np.empty((len(keys), 2, _n_bins(bin_width, window)), dtype=np.int64)
+    job = (dataset, bin_width, window)
+    for i, hists in enumerate(_pool.map(_histogram_iteration, job, keys)):
+        stack[i] = hists
     spans = []
     for col, label in enumerate(_DETECTOR_COLUMNS):
         summed = CoincidenceHistogram(bin_width, int(window[0]), stack[:, col].sum(axis=0))

@@ -35,6 +35,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from . import _pool
 from .circuit import SetupParams, arm_branch_weights
 from .protocol import RUN_CONFIGS, BlockerConfig
 
@@ -245,6 +246,29 @@ def _finalize_times(raw: np.ndarray, dark: np.ndarray, duration_ps: int) -> np.n
     return np.compress(keep, merged)
 
 
+def _click_thresholds(
+    src: SourceConfig, setup: SetupParams, blockers: BlockerConfig
+) -> Dict[int, Tuple[float, float]]:
+    """Arm -> (p(+), p(+) + p(-)), the click thresholds of one sub-run.
+
+    A photon on that arm with u < p(+) clicks +1, with p(+) <= u < p(+) +
+    p(-) it clicks -1.  Raises the ``ValueError`` that
+    :func:`generate_sub_run` documents.
+    """
+    thresholds = {}
+    for arm in (+1, -1):
+        w = arm_branch_weights(setup, blockers, arm)
+        p_plus = w.w_plus * src.eta1
+        p_minus = w.w_minus * src.eta2
+        if p_plus + p_minus > 1.0:
+            raise ValueError(
+                f"branch weights times efficiencies exceed 1 for arm {arm:+d} "
+                f"({p_plus + p_minus:.4f}); reduce eta1/eta2"
+            )
+        thresholds[arm] = (p_plus, p_plus + p_minus)
+    return thresholds
+
+
 def generate_sub_run(
     src: SourceConfig, setup: SetupParams, blockers: BlockerConfig
 ) -> Tuple[TimestampStream, TimestampStream, TimestampStream]:
@@ -271,21 +295,7 @@ def generate_sub_run(
         probability for either outer arm (the lumped intensity model allows
         weight sums slightly above one in interference configurations).
     """
-    # Arm-conditional click thresholds, fixed for the whole sub-run: a
-    # photon on that arm with u < p(+) clicks +1, with p(+) <= u < p(+) +
-    # p(-) it clicks -1.
-    thresholds = {}
-    for arm in (+1, -1):
-        w = arm_branch_weights(setup, blockers, arm)
-        p_plus = w.w_plus * src.eta1
-        p_minus = w.w_minus * src.eta2
-        if p_plus + p_minus > 1.0:
-            raise ValueError(
-                f"branch weights times efficiencies exceed 1 for arm {arm:+d} "
-                f"({p_plus + p_minus:.4f}); reduce eta1/eta2"
-            )
-        thresholds[arm] = (p_plus, p_plus + p_minus)
-
+    thresholds = _click_thresholds(src, setup, blockers)
     rng = np.random.default_rng(src.seed)
     duration_ps = src.duration_ps
 
@@ -457,47 +467,80 @@ class ExperimentDataset:
         master seed, source, setup, schedule and, per file, its location,
         stream seed and the number of stamps of each channel (``events``).
 
+        Every iteration's click thresholds are checked before ``outdir`` is
+        created.  The iterations are then generated and written through
+        :func:`macroreal._pool.map`, as :func:`macroreal.analysis.count_dataset`
+        counts them: in up to one forked worker per CPU this process may use
+        (``taskset`` limits them), or here where forking is impossible or
+        unsafe.  Each worker returns only its stamp counts; this process
+        writes the manifest, in schedule order, once every archive is
+        written.  The bytes are the same however many workers run.
+
         Parameters
         ----------
         outdir : str
             Target directory; created if absent.
         force : bool
-            Overwrite into a non-empty directory.  Iteration archives
-            (``run{r}_sub{s}/iter{NNNN}.npz``) that the new manifest does not
-            list are deleted afterwards; every other file is left in place.
+            Overwrite into a non-empty directory.  An existing manifest is
+            deleted before any archive is written, so an interrupted rewrite
+            leaves no manifest naming a mix of old and new archives.
+            Iteration archives (``run{r}_sub{s}/iter{NNNN}.npz``) that the new
+            manifest does not list are deleted afterwards; every other file is
+            left in place.
 
         Returns
         -------
         pathlib.Path
             Path of the written manifest file.
+
+        Raises
+        ------
+        ValueError
+            Before anything is written, if some iteration's branch weights
+            times efficiencies exceed 1 (see :func:`generate_sub_run`).
+        FileExistsError
+            If ``outdir`` is not empty and ``force`` is false.
+        Exception
+            Whatever generating or writing raises first in schedule order.
+            The sub-run directories and the archives written so far stay;
+            no ``manifest.json`` does.
+        concurrent.futures.process.BrokenProcessPool
+            If a worker process dies (killed, out of memory).
         """
+        keys = [
+            (run, sub_run, iteration)
+            for run, blockers in RUN_CONFIGS.items()
+            for sub_run in range(len(blockers))
+            for iteration in range(self.iterations[run])
+        ]
+        for run, sub_run, iteration in keys:
+            _click_thresholds(
+                self.source,
+                self.iteration_setup(run, sub_run, iteration),
+                RUN_CONFIGS[run][sub_run],
+            )
         root = Path(outdir)
         root.mkdir(parents=True, exist_ok=True)
         if any(root.iterdir()) and not force:
             raise FileExistsError(f"output directory {root} is not empty (use force)")
-
-        files = []
+        manifest_path = root / "manifest.json"
+        manifest_path.unlink(missing_ok=True)
         for run, blockers in RUN_CONFIGS.items():
             for sub_run in range(len(blockers)):
-                sub_dir = root / f"run{run}_sub{sub_run}"
-                sub_dir.mkdir(exist_ok=True)
-                for iteration in range(self.iterations[run]):
-                    streams = self.streams(run, sub_run, iteration)
-                    rel = _iteration_file(run, sub_run, iteration)
-                    np.savez(root / rel, **{s.channel: s.times for s in streams})
-                    stream_seed, _ = derive_iteration_state(
-                        self.master_seed, run, sub_run, iteration
-                    )
-                    files.append(
-                        {
-                            "run": run,
-                            "sub_run": sub_run,
-                            "iteration": iteration,
-                            "path": rel,
-                            "seed": stream_seed,
-                            "events": {s.channel: len(s) for s in streams},
-                        }
-                    )
+                (root / f"run{run}_sub{sub_run}").mkdir(exist_ok=True)
+
+        events = list(_pool.map(_write_iteration, (self, root), keys))
+        files = [
+            {
+                "run": run,
+                "sub_run": sub_run,
+                "iteration": iteration,
+                "path": _iteration_file(run, sub_run, iteration),
+                "seed": derive_iteration_state(self.master_seed, run, sub_run, iteration)[0],
+                "events": counts,
+            }
+            for (run, sub_run, iteration), counts in zip(keys, events)
+        ]
 
         manifest = {
             "format": _DATASET_FORMAT,
@@ -509,7 +552,6 @@ class ExperimentDataset:
             "sub_runs": _manifest_schedule(),
             "files": files,
         }
-        manifest_path = root / "manifest.json"
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -519,6 +561,14 @@ class ExperimentDataset:
             if rel not in written and _ITERATION_FILE.fullmatch(rel):
                 path.unlink()
         return manifest_path
+
+
+def _write_iteration(dataset: ExperimentDataset, root: Path, key) -> Dict[str, int]:
+    """Generate iteration (run, sub_run, iteration) ``key``, write its archive
+    under ``root`` and return its number of stamps per channel."""
+    streams = dataset.streams(*key)
+    np.savez(root / _iteration_file(*key), **{s.channel: s.times for s in streams})
+    return {s.channel: len(s) for s in streams}
 
 
 def run_protocol(

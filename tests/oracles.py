@@ -7,8 +7,11 @@ enumeration) so agreement is meaningful.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import optimize
@@ -32,6 +35,7 @@ from macroreal.multiphoton import (
     predicted_counts,
 )
 from macroreal.protocol import RUN_CONFIGS, BlockerConfig, combine
+from macroreal.simulate import derive_iteration_state
 
 
 def transfer_matrix_probs(params: SetupParams, blockers: BlockerConfig):
@@ -419,6 +423,40 @@ def count_dataset_serial(dataset, bin_width=DEFAULT_BIN_WIDTH, window=None):
                     arr[it, col] = max(value, 0.0)
             out[(run, sub)] = arr
     return out
+
+
+def write_dataset_serial(dataset, outdir):
+    """``ExperimentDataset.to_directory`` of a fresh directory as one loop in
+    this process: each iteration is generated and its archive written in
+    schedule order, then the manifest."""
+    root = Path(outdir)
+    files = []
+    for run, cfgs in RUN_CONFIGS.items():
+        for sub in range(len(cfgs)):
+            (root / f"run{run}_sub{sub}").mkdir(parents=True)
+            for it in range(dataset.iterations[run]):
+                streams = dataset.streams(run, sub, it)
+                rel = f"run{run}_sub{sub}/iter{it:04d}.npz"
+                np.savez(root / rel, **{s.channel: s.times for s in streams})
+                files.append({
+                    "run": run, "sub_run": sub, "iteration": it, "path": rel,
+                    "seed": derive_iteration_state(dataset.master_seed, run, sub, it)[0],
+                    "events": {s.channel: len(s) for s in streams},
+                })
+    manifest = {
+        "format": "macroreal-dataset-v2",
+        "master_seed": dataset.master_seed,
+        "source": dataclasses.asdict(dataset.source),
+        "setup": dataclasses.asdict(dataset.setup),
+        "v_jitter": list(dataset.v_jitter) if dataset.v_jitter else None,
+        "iterations": {str(run): n for run, n in sorted(dataset.iterations.items())},
+        "sub_runs": {
+            str(run): [{"block_t1": b.block_t1, "block_t2": b.block_t2} for b in cfgs]
+            for run, cfgs in RUN_CONFIGS.items()
+        },
+        "files": files,
+    }
+    (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def expected_counts(source, setup: SetupParams):

@@ -1,7 +1,6 @@
 """Tests for the coincidence post-processing pipeline."""
 
 import ast
-import concurrent.futures
 import dataclasses
 import math
 import multiprocessing
@@ -12,7 +11,6 @@ import subprocess
 import sys
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -22,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from macroreal import analysis
+from macroreal import _pool, analysis
 from macroreal.analysis import (
     BootstrapResult,
     CoincidenceHistogram,
@@ -451,29 +449,11 @@ def test_count_dataset_shapes_and_probability_closure():
 
 
 # count_dataset counts in a pool of forked workers where it can; these tests
-# pin it to the one-process loop of the oracle, bit for bit.
+# pin it to the one-process loop of the oracle, bit for bit.  The
+# ``two_workers`` fixture (conftest.py) forces a pool of two.
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
-
-
-@pytest.fixture
-def two_workers(monkeypatch):
-    """Count through a pool of two workers, however many CPUs the host has.
-
-    Returns the list of the worker counts of the pools started, so that a
-    test can tell a pooled count from a serial one.
-    """
-    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
-    started = []
-
-    class RecordedPool(ProcessPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
-    return started
 
 
 def assert_same_counts(got, expected):
@@ -506,7 +486,7 @@ def test_pooled_count_dataset_equals_the_serial_oracle(dataset, tmp_path, two_wo
         dataset.to_directory(tmp_path / "ds")
         assert_same_counts(count_dataset(load_dataset(tmp_path / "ds")), expected)
     assert multiprocessing.active_children() == []
-    assert two_workers == [2, 2]
+    assert two_workers == [2, 2, 2]  # count, write, count
 
 
 def test_the_clamped_case_has_zero_and_nonzero_counts_and_one_warning():
@@ -586,7 +566,7 @@ def test_pooled_count_dataset_raises_for_the_earliest_damaged_file(tmp_path, two
         with pytest.raises(ValueError, match=re.escape("run1_sub0/iter0001.npz")):
             count_dataset(dataset)
         assert multiprocessing.active_children() == []
-    assert two_workers == [2, 2, 2]
+    assert two_workers == [2, 2, 2, 2]  # one write, three counts
 
 
 @needs_fork
@@ -600,8 +580,8 @@ def test_pooled_count_dataset_stopped_by_errors_never_hangs(tmp_path):
     code = "\n".join([
         "import multiprocessing, sys",
         f"sys.path.insert(0, {package_root!r})",
-        "from macroreal import analysis, simulate",
-        "analysis._usable_cpus = lambda: 4",
+        "from macroreal import _pool, analysis, simulate",
+        "_pool._usable_cpus = lambda: 4",
         f"dataset = simulate.load_dataset({str(tmp_path)!r})",
         "for _ in range(40):",
         "    try:",
@@ -660,7 +640,7 @@ def test_count_dataset_inside_a_daemonic_process_counts_serially(two_workers):
 @pytest.mark.parametrize("limit", ["one usable CPU", "no fork start method", "another thread"])
 def test_count_dataset_counts_serially_where_it_cannot_fork(limit, monkeypatch, two_workers):
     if limit == "one usable CPU":
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
     elif limit == "no fork start method":
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     release = threading.Event()

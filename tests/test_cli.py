@@ -308,6 +308,10 @@ def test_gamma_fit_counts_with_a_bad_row_exits_2_naming_it(tmp_path, capsys, row
         (["simulate", "--config", "{tmp}/base_delay-1e19.json"], "source: base_delay + arm"),
         (["simulate", "--config", "{tmp}/source-seed-bool.json"], "source: seed must be"),
         (["simulate", "--config", "{tmp}/source-seed-float.json"], "source: seed must be"),
+        (
+            ["simulate", "--config", "{tmp}/eta-one.json"],
+            "branch weights times efficiencies exceed 1 for arm +1 (1.0303)",
+        ),
         (["analyze", "{tmp}/missing"], "input"),
         (["analyze", "{tmp}/empty"], "input"),
         (["analyze", "{counts}", "--config", "{tmp}/bin_width-float.json"], "analysis.bin_width"),
@@ -383,6 +387,15 @@ def test_rejected_invocation_leaves_no_output_directory(tmp_path, capsys, argv, 
         "base_delay-1e19": {"source": {**FAST_SOURCE, "base_delay": 1e19}},
         "source-seed-bool": {"source": {**FAST_SOURCE, "seed": True}},
         "source-seed-float": {"source": {**FAST_SOURCE, "seed": 2.0}},
+        # Valid fields, but run 2's branch weights times efficiencies exceed
+        # 1; generating run 1 first used to leave its directories behind.
+        "eta-one": {
+            "source": {
+                "eta1": 1.0, "eta2": 1.0, "v_jitter": None,
+                "iterations": {"interference": 2, "non_interference": 2},
+            },
+            "setup": {"visibility": 1.0},
+        },
     }
     for name, config in non_finite.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")

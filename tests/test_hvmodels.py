@@ -443,6 +443,22 @@ def test_deterministic_triples_through_the_protocol_tables():
         assert (values.nsit12, values.nsit23, values.nsit13) == (0.0, 0.0, 0.0), triple
 
 
+def test_a_run_dependent_source_fakes_a_maximal_violation_with_every_nsit_zero():
+    # Scope: the protocol combines four separately prepared runs and assumes
+    # they start from one state.  A macrorealist source that prepares run 2
+    # differently reaches the algebraic maxima, and no NSIT control sees it,
+    # since each NSIT compares only marginals.
+    prepared = {1: ((+1, +1, +1), (-1, -1, -1)), 2: ((+1, +1, -1), (-1, -1, +1))}
+    prepared[3] = prepared[4] = prepared[1]
+    cells = {
+        run: path_cells(dict.fromkeys(ARM_LABELS, triples))[run]
+        for run, triples in prepared.items()
+    }
+    values = evaluate(joint_tables(cells))
+    assert (values.lgi, values.wlgi) == (3.0, 0.5)
+    assert (values.nsit12, values.nsit23, values.nsit13) == (0.0, 0.0, 0.0)
+
+
 def test_triple_order_and_weight_index():
     assert TRIPLES[0] == (+1, +1, +1)
     assert TRIPLES[7] == (-1, -1, -1)

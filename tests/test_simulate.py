@@ -2,6 +2,9 @@ import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
+from macroreal import _pool, simulate
 from macroreal.circuit import SetupParams
 from macroreal.cli import main
 from macroreal.protocol import RUN_CONFIGS, BlockerConfig
@@ -356,6 +360,131 @@ def test_dataset_round_trip_through_directory(tmp_path):
     with pytest.raises(FileExistsError):
         dataset.to_directory(tmp_path / "data")
     dataset.to_directory(tmp_path / "data", force=True)
+
+
+# to_directory generates and writes in a pool of forked workers where it
+# can; these tests pin it to the one-process loop of the oracle, byte for
+# byte.  The ``two_workers`` fixture (conftest.py) forces a pool of two.
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+def jittered_dataset():
+    return run_protocol(
+        SourceConfig(pair_rate=2.0e3, seed=41),
+        SetupParams(),
+        iterations={"interference": 3, "non_interference": 2},
+        v_jitter=(0.7, 0.85),
+    )
+
+
+def assert_same_tree(got, expected):
+    files = sorted(p.relative_to(expected) for p in expected.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(got) for p in got.rglob("*") if p.is_file()) == files
+    for rel in files:
+        assert (got / rel).read_bytes() == (expected / rel).read_bytes(), rel
+
+
+@needs_fork
+def test_pooled_to_directory_writes_the_serial_oracles_bytes(tmp_path, two_workers):
+    dataset = jittered_dataset()
+    oracles.write_dataset_serial(dataset, tmp_path / "serial")
+    dataset.to_directory(tmp_path / "pooled")
+    assert multiprocessing.active_children() == []
+    assert two_workers == [2]
+    assert_same_tree(tmp_path / "pooled", tmp_path / "serial")
+
+
+def _write_in_child(dataset, root, queue):
+    try:
+        dataset.to_directory(root)
+        queue.put(None)
+    except BaseException as exc:  # reported to the test, which fails on it
+        queue.put(repr(exc))
+
+
+@needs_fork
+def test_to_directory_inside_a_daemonic_process_writes_serially(tmp_path, two_workers):
+    # A daemonic process (a worker of the caller's own pool) may not have
+    # children, so forking a pool there would raise.
+    dataset = jittered_dataset()
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(
+        target=_write_in_child, args=(dataset, tmp_path / "daemon", queue), daemon=True
+    )
+    child.start()
+    assert queue.get(timeout=300) is None
+    child.join(timeout=60)
+    assert not child.is_alive()
+    oracles.write_dataset_serial(dataset, tmp_path / "serial")
+    assert_same_tree(tmp_path / "daemon", tmp_path / "serial")
+
+
+@pytest.mark.parametrize("limit", ["one usable CPU", "no fork start method", "another thread"])
+def test_to_directory_writes_serially_where_it_cannot_fork(
+    limit, monkeypatch, tmp_path, two_workers
+):
+    if limit == "one usable CPU":
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
+    elif limit == "no fork start method":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    if limit == "another thread":
+        waiter.start()
+    dataset = jittered_dataset()
+    try:
+        dataset.to_directory(tmp_path / "written")
+    finally:
+        release.set()
+        if waiter.is_alive():
+            waiter.join(timeout=60)
+    assert two_workers == []
+    oracles.write_dataset_serial(dataset, tmp_path / "serial")
+    assert_same_tree(tmp_path / "written", tmp_path / "serial")
+
+
+@needs_fork
+def test_pooled_to_directory_raises_for_the_earliest_failing_iteration(
+    tmp_path, monkeypatch, two_workers
+):
+    dataset = jittered_dataset()
+    dataset.to_directory(tmp_path)  # the old manifest that --force replaces
+    failing = {
+        derive_iteration_state(dataset.master_seed, *key)[0]: key
+        for key in [(1, 1, 1), (4, 0, 2)]
+    }
+    made = simulate.generate_sub_run
+
+    def fails_at_two_keys(src, setup, blockers):
+        if src.seed in failing:
+            raise RuntimeError(f"no streams for {failing[src.seed]}")
+        return made(src, setup, blockers)
+
+    monkeypatch.setattr(simulate, "generate_sub_run", fails_at_two_keys)
+    for outdir, force in [(tmp_path / "fresh", False), (tmp_path, True)]:
+        with pytest.raises(RuntimeError, match=re.escape("no streams for (1, 1, 1)")):
+            dataset.to_directory(outdir, force=force)
+        assert multiprocessing.active_children() == []
+        assert not (outdir / "manifest.json").exists()
+    assert two_workers == [2, 2, 2]
+
+
+def test_to_directory_checks_every_iteration_before_creating_outdir(tmp_path):
+    # Only the last iteration of the schedule, (4, 0, 1), draws a visibility
+    # (0.942) whose branch weights times these efficiencies exceed 1.
+    dataset = run_protocol(
+        SourceConfig(pair_rate=2.0e3, eta1=0.975, eta2=0.975, seed=3),
+        SetupParams(),
+        iterations={"interference": 2, "non_interference": 2},
+        v_jitter=(0.0, 1.0),
+    )
+    assert dataset.iteration_setup(4, 0, 1).visibility == pytest.approx(0.942, abs=5e-4)
+    with pytest.raises(ValueError, match=re.escape("exceed 1 for arm +1 (1.0028)")):
+        dataset.to_directory(tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_dataset_rejects_old_formats_and_missing_entries(tmp_path):
